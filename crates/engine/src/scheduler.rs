@@ -27,6 +27,7 @@
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Instant;
 
 /// Runs `process` over every item of `items` on `jobs` workers with a
 /// bounded feed channel of `depth`, returning `(index, result)` pairs in
@@ -300,9 +301,7 @@ impl WorkerPool {
                 thread::Builder::new()
                     .name(format!("ppchecker-worker-{i}"))
                     .spawn(move || loop {
-                        let wait = ppchecker_obs::span!("serve.queue_wait");
                         let job = job_rx.lock().expect("job queue lock").recv();
-                        drop(wait);
                         match job {
                             // A panicking job must not kill its resident
                             // worker (the batch face gets the same
@@ -354,6 +353,10 @@ impl WorkerPool {
     /// Submits one job against a slot of `ticket`. The slot is released
     /// when the job finishes (even if it panics).
     ///
+    /// The time from this call until a worker starts the job lands in the
+    /// `serve.queue_wait` histogram: how long the job waited, not how long
+    /// a worker sat idle.
+    ///
     /// # Panics
     ///
     /// Panics when the ticket has no remaining slots — a ticket is a
@@ -362,7 +365,9 @@ impl WorkerPool {
         assert!(ticket.remaining > 0, "submit without an admitted slot");
         ticket.remaining -= 1;
         let gate = Arc::clone(&self.gate);
+        let submitted = Instant::now();
         let wrapped: Job = Box::new(move || {
+            ppchecker_obs::histogram("serve.queue_wait").record(submitted.elapsed());
             // Release on every exit path: a panicking job must not leak
             // its capacity slot or the pool wedges at full queue.
             struct Release(Arc<Gate>);
@@ -556,6 +561,29 @@ mod tests {
         pool.wait_idle();
         assert_eq!(pool.stats().inflight, 0);
         assert!(pool.try_admit(2).is_ok());
+    }
+
+    #[test]
+    fn queue_wait_runs_from_submit_not_from_the_idle_worker() {
+        let queue_wait = ppchecker_obs::histogram("serve.queue_wait");
+        let pool = WorkerPool::new(1, 1);
+        // The worker idles in its dequeue long past the bound below.
+        thread::sleep(Duration::from_millis(100));
+        let before = queue_wait.snapshot();
+        let (tx, rx) = mpsc::channel();
+        let mut ticket = pool.try_admit(1).unwrap();
+        pool.submit(&mut ticket, move || tx.send(()).unwrap());
+        rx.recv().unwrap();
+        pool.drain();
+        // Other tests' pools may record into the same histogram meanwhile;
+        // none of their jobs waits long either.
+        let recorded = queue_wait.snapshot().delta_since(&before);
+        assert!(recorded.count >= 1, "the job's queue wait was not recorded");
+        assert!(
+            recorded.total() < Duration::from_millis(50),
+            "queue wait {:?} counts the worker's idle time",
+            recorded.total()
+        );
     }
 
     #[test]

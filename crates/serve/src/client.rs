@@ -23,15 +23,15 @@ impl Client {
         Ok(Client { writer: stream, reader })
     }
 
-    /// Sends one request and reads the full response. Returns the status
-    /// code and body.
+    /// Sends one request, in one write, and reads the full response.
+    /// Returns the status code and body.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: ppchecker\r\ncontent-length: {}\r\n\r\n{body}",
+        let mut request = format!(
+            "{method} {path} HTTP/1.1\r\nhost: ppchecker\r\ncontent-length: {}\r\n\r\n",
             body.len(),
-        )?;
-        self.writer.flush()?;
+        );
+        request.push_str(body);
+        self.writer.write_all(request.as_bytes())?;
         self.read_response()
     }
 
@@ -130,12 +130,15 @@ impl JsonlClient {
     }
 
     /// Raw form of [`check_all`](JsonlClient::check_all): sends arbitrary
-    /// lines (e.g. deliberately malformed ones) and returns the responses.
+    /// lines (e.g. deliberately malformed ones), all in one write, and
+    /// returns the responses.
     pub fn send_lines(mut self, lines: &[String]) -> io::Result<Vec<String>> {
+        let mut batch = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
         for line in lines {
-            writeln!(self.stream, "{line}")?;
+            batch.push_str(line);
+            batch.push('\n');
         }
-        self.stream.flush()?;
+        self.stream.write_all(batch.as_bytes())?;
         self.stream.shutdown(std::net::Shutdown::Write)?;
         let mut responses = Vec::new();
         for line in BufReader::new(&self.stream).lines() {

@@ -119,8 +119,13 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete response (status line, headers, JSON body) and
-/// flushes.
+/// Writes one complete response (status line, headers, JSON body) in a
+/// single `write_all`, then flushes.
+///
+/// The whole response is formatted into one buffer first. Written piece
+/// by piece, the tail of a response sits in the kernel behind Nagle's
+/// algorithm until the peer ACKs the head, and a peer that delays its
+/// ACK (40 ms on Linux) stalls every keep-alive request by that much.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -128,13 +133,14 @@ pub fn write_response(
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        w,
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\n\
-         content-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
+         content-length: {}\r\nconnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
-    )?;
+    );
+    response.push_str(body);
+    w.write_all(response.as_bytes())?;
     w.flush()
 }
 
@@ -193,6 +199,16 @@ mod tests {
     fn oversized_header_block_is_malformed() {
         let huge = format!("GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
         assert!(matches!(read(&huge, 1024), Err(ReadError::Malformed(_))));
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        for (status, keep_alive) in [(200, true), (429, false)] {
+            let mut w = crate::CountingWriter::default();
+            write_response(&mut w, status, "{\"ok\":true}", keep_alive).unwrap();
+            assert_eq!(w.writes, 1, "status {status}");
+            assert!(w.bytes.ends_with(b"\r\n\r\n{\"ok\":true}"));
+        }
     }
 
     #[test]

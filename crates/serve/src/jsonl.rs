@@ -13,20 +13,19 @@
 //! [`WorkerPool::admit_blocking`]: ppchecker_engine::WorkerPool::admit_blocking
 
 use crate::json;
-use crate::server::{PatientReader, Shared};
+use crate::server::{decode_app, PatientReader, Shared, READ_POLL};
 use ppchecker_engine::AdmitError;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
 
 /// Serves one JSONL connection: the calling thread reads and admits,
 /// a writer thread sequences and responds.
 pub(crate) fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -69,8 +68,7 @@ fn read_and_admit(
             let _ = tx.send((seq, error_line(&message)));
             return;
         }
-        let parsed = json::parse(&line).and_then(|doc| json::parse_app(&doc));
-        let app = match parsed {
+        let app = match decode_app(&line) {
             Ok(app) => app,
             Err(message) => {
                 shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -104,25 +102,47 @@ fn error_line(message: &str) -> String {
 
 /// Receives `(seq, json)` results in completion order and writes them in
 /// sequence order, holding early arrivals in a reorder buffer.
+///
+/// Each result that arrives releases a run of consecutive lines (often
+/// just itself). The run, every line with its `\n`, leaves in one write
+/// and one flush: a line written apart from its newline would leave the
+/// newline waiting behind Nagle's algorithm for the peer's delayed ACK.
 fn write_in_order(writer: &mut impl Write, rx: mpsc::Receiver<(u64, String)>) {
     let mut next = 0u64;
     let mut pending = BTreeMap::new();
+    let mut run = Vec::new();
     for (seq, line) in rx {
         pending.insert(seq, line);
         while let Some(line) = pending.remove(&next) {
-            if writeln!(writer, "{line}").and_then(|()| writer.flush()).is_err() {
-                return;
-            }
+            push_line(&mut run, &line);
             next += 1;
+        }
+        if write_run(writer, &mut run).is_err() {
+            return;
         }
     }
     // A vanished job (worker lost) would leave a gap; flush whatever
     // remains in order rather than dropping completed results.
-    for (_, line) in pending {
-        if writeln!(writer, "{line}").and_then(|()| writer.flush()).is_err() {
-            return;
-        }
+    for line in pending.into_values() {
+        push_line(&mut run, &line);
     }
+    let _ = write_run(writer, &mut run);
+}
+
+fn push_line(run: &mut Vec<u8>, line: &str) {
+    run.extend_from_slice(line.as_bytes());
+    run.push(b'\n');
+}
+
+/// Writes and flushes `run` when it holds anything, then empties it.
+fn write_run(writer: &mut impl Write, run: &mut Vec<u8>) -> io::Result<()> {
+    if run.is_empty() {
+        return Ok(());
+    }
+    let _write = ppchecker_obs::span!("serve.write");
+    writer.write_all(run)?;
+    run.clear();
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -150,6 +170,31 @@ mod tests {
         let mut out = Vec::new();
         write_in_order(&mut out, rx);
         assert_eq!(String::from_utf8(out).unwrap(), "b\nc\n");
+    }
+
+    #[test]
+    fn a_line_leaves_in_one_write() {
+        let (tx, rx) = mpsc::sync_channel(8);
+        tx.send((0, "{\"ok\":true}".to_string())).unwrap();
+        drop(tx);
+        let mut w = crate::CountingWriter::default();
+        write_in_order(&mut w, rx);
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"{\"ok\":true}\n");
+    }
+
+    #[test]
+    fn a_released_run_of_lines_leaves_in_one_write() {
+        let (tx, rx) = mpsc::sync_channel(8);
+        tx.send((2, "c".to_string())).unwrap();
+        tx.send((1, "b".to_string())).unwrap();
+        tx.send((0, "a".to_string())).unwrap();
+        drop(tx);
+        let mut w = crate::CountingWriter::default();
+        write_in_order(&mut w, rx);
+        // Lines 2 and 1 wait for line 0, which releases all three at once.
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"a\nb\nc\n");
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Set by the SIGTERM handler; polled by the accept loops.
+/// Set by the SIGTERM handler.
 static SIGTERM: AtomicBool = AtomicBool::new(false);
 
 /// Whether SIGTERM has been delivered since
@@ -94,28 +94,99 @@ pub fn sigterm_received() -> bool {
     SIGTERM.load(Ordering::SeqCst)
 }
 
-/// Installs a SIGTERM handler that initiates a graceful drain (the
-/// accept loops poll [`sigterm_received`]). Uses `signal(2)` directly —
-/// the handler only stores to an `AtomicBool`, which is async-signal-
-/// safe — so no FFI crate is needed. No-op on non-Unix targets.
+/// Installs a SIGTERM handler that starts a graceful drain of every
+/// daemon in the process, exactly as `POST /shutdown` would. Idempotent;
+/// a daemon started after the signal drains at once.
+///
+/// A signal handler may only do async-signal-safe work, so it sets
+/// [`sigterm_received`] and writes one byte to a socket pair. A watcher
+/// thread, blocked on the other end for the life of the process, then
+/// drains the daemons. Uses `signal(2)` and `write(2)` directly, so no
+/// FFI crate is needed. No-op on non-Unix targets.
 #[cfg(unix)]
 pub fn install_sigterm_handler() {
+    use std::io::Read;
+    use std::os::unix::io::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::AtomicI32;
+
+    /// The write end of the wake socket pair, open for the life of the
+    /// process once installed.
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+
     extern "C" fn on_sigterm(_signum: i32) {
         SIGTERM.store(true, Ordering::SeqCst);
+        let fd = WAKE_FD.load(Ordering::SeqCst);
+        // SAFETY: write(2) is async-signal-safe, `fd` is the write end
+        // stored before this handler was installed and never closed, and
+        // the buffer is one readable byte. The end is non-blocking: a full
+        // buffer drops the byte rather than stall the handler, and the
+        // unread bytes already in it will wake the watcher.
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
     }
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
     const SIGTERM_NUM: i32 = 15;
-    unsafe {
-        signal(SIGTERM_NUM, on_sigterm);
-    }
+
+    INSTALL.call_once(|| {
+        let (mut wake_rx, wake_tx) = UnixStream::pair().expect("create the SIGTERM wake pair");
+        wake_tx.set_nonblocking(true).expect("make the SIGTERM wake end non-blocking");
+        WAKE_FD.store(wake_tx.into_raw_fd(), Ordering::SeqCst);
+        // Detached on purpose: it waits for signals until the process exits.
+        std::thread::Builder::new()
+            .name("ppchecker-sigterm".to_string())
+            .spawn(move || {
+                let mut byte = [0u8; 1];
+                loop {
+                    match wake_rx.read(&mut byte) {
+                        Ok(1) => server::drain_all(),
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        // EOF or a failed read: the write end is never
+                        // closed, so neither is expected.
+                        _ => return,
+                    }
+                }
+            })
+            .expect("spawn the SIGTERM watcher");
+        // SAFETY: `on_sigterm` has the handler signature signal(2) expects
+        // and only touches an atomic and write(2).
+        unsafe {
+            signal(SIGTERM_NUM, on_sigterm);
+        }
+    });
 }
 
 /// Installs a SIGTERM handler that initiates a graceful drain. No-op on
 /// non-Unix targets.
 #[cfg(not(unix))]
 pub fn install_sigterm_handler() {}
+
+/// A writer that counts the `write` calls made on it, for the tests that
+/// pin each response to one write.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,9 @@
 //! one), warms a [`ppchecker_engine::Engine`], and spawns one acceptor
 //! thread per transport plus one handler thread per connection. All of
 //! them share one `Shared` hub: the engine, the resident
-//! [`WorkerPool`], the request counters, and the drain flag.
+//! [`WorkerPool`], the request counters, and the drain flag. Acceptors
+//! block in `accept()`; every accepted socket gets `TCP_NODELAY`, and
+//! every response leaves in one write (see [`http::write_response`]).
 //!
 //! ## Admission
 //!
@@ -21,11 +23,20 @@
 //!
 //! ## Drain
 //!
-//! `POST /shutdown` (or SIGTERM) flips one flag: acceptors stop
-//! accepting, idle keep-alive connections see EOF, admitted work runs to
-//! completion, and responses for in-flight requests are still written.
-//! [`ServerHandle::join`] returns once the last connection closes and
-//! the pool is idle.
+//! `POST /shutdown` (or SIGTERM) flips one flag and wakes each acceptor
+//! with one loopback connection: acceptors stop accepting and close
+//! their listeners, idle keep-alive connections see EOF, admitted work
+//! runs to completion, and responses for in-flight requests are still
+//! written. [`ServerHandle::join`] returns once the last connection
+//! closes and the pool is idle.
+//!
+//! ## Request phases
+//!
+//! Each HTTP request records spans for its phases: `serve.read` (first
+//! byte to last, never idle keep-alive time) and `serve.request`, which
+//! holds `serve.decode`, `serve.wait` (pool hand-off until the rendered
+//! result is back) and `serve.write`. On the worker, the
+//! `serve.queue_wait` histogram, `app.check` and `serve.encode` follow.
 
 use crate::http::{self, HttpRequest, ReadError};
 use crate::json;
@@ -33,15 +44,38 @@ use crate::jsonl;
 use crate::ServeConfig;
 use ppchecker_core::{AppInput, DetectorId};
 use ppchecker_engine::{AdmitError, CacheStats, Engine, WorkerPool};
-use std::io::{self, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How often blocked accept/read loops re-check the drain flag.
-const POLL: Duration = Duration::from_millis(20);
+/// How often a connection parked in a read re-checks the drain flag. It
+/// bounds how long a drain waits for idle connections; a request never
+/// waits on it, because a read returns as soon as bytes arrive.
+pub(crate) const READ_POLL: Duration = Duration::from_millis(20);
+
+/// Pause after a failed `accept()` (say, out of file descriptors), so the
+/// acceptor does not spin on the same error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Patience for the loopback connection that wakes a blocked acceptor. A
+/// wake that cannot connect means the listen backlog is full, and then
+/// the acceptor has connections to accept and sees the flag anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Every daemon started in this process, so SIGTERM can drain them all.
+static DAEMONS: Mutex<Vec<Weak<Shared>>> = Mutex::new(Vec::new());
+
+/// Starts a graceful drain of every live daemon in the process.
+#[cfg(unix)]
+pub(crate) fn drain_all() {
+    let daemons = DAEMONS.lock().expect("daemon registry lock").clone();
+    for shared in daemons.iter().filter_map(Weak::upgrade) {
+        shared.begin_shutdown();
+    }
+}
 
 /// Monotonic request counters, scraped verbatim into `/metrics`.
 #[derive(Debug, Default)]
@@ -74,6 +108,8 @@ pub(crate) struct Shared {
     pub(crate) pool: WorkerPool,
     pub(crate) config: ServeConfig,
     pub(crate) counters: Counters,
+    /// The bound listener addresses, which `begin_shutdown` connects to.
+    listeners: Vec<SocketAddr>,
     started: Instant,
     draining: AtomicBool,
     connections: Mutex<usize>,
@@ -87,9 +123,15 @@ impl Shared {
 
     /// Flips the daemon into drain mode (idempotent): acceptors stop,
     /// new admissions fail with `draining`, admitted work finishes.
+    ///
+    /// Each acceptor is blocked in `accept()`, so one loopback connection
+    /// per listener wakes it to see the flag.
     pub(crate) fn begin_shutdown(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
             self.pool.start_drain();
+            for &addr in &self.listeners {
+                let _ = TcpStream::connect_timeout(&loopback_if_unspecified(addr), WAKE_TIMEOUT);
+            }
         }
     }
 
@@ -119,6 +161,7 @@ impl Shared {
         mut ticket: ppchecker_engine::AdmitTicket,
         app: AppInput,
     ) -> String {
+        let _wait = ppchecker_obs::span!("serve.wait");
         let (tx, rx) = mpsc::sync_channel(1);
         self.submit_check(&mut ticket, app, 0, tx);
         match rx.recv() {
@@ -154,9 +197,31 @@ impl Shared {
                     }
                 }
             }
-            let _ = tx.send((seq, json::outcome_to_json(&app.package, &result)));
+            let rendered = {
+                let _encode = ppchecker_obs::span!("serve.encode");
+                json::outcome_to_json(&app.package, &result)
+            };
+            let _ = tx.send((seq, rendered));
         });
     }
+}
+
+/// Decodes one wire app object (a `/check` body or a JSONL line), or
+/// says why it is malformed.
+pub(crate) fn decode_app(text: &str) -> Result<AppInput, String> {
+    let _decode = ppchecker_obs::span!("serve.decode");
+    json::parse(text).and_then(|doc| json::parse_app(&doc))
+}
+
+/// The address a wake-up connection dials: the listener's own, with an
+/// unspecified (`0.0.0.0` / `::`) host replaced by loopback.
+fn loopback_if_unspecified(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// A bound, running daemon. Dropping the handle does NOT stop the
@@ -222,6 +287,7 @@ impl Server {
             pool,
             config,
             counters: Counters::default(),
+            listeners: [Some(addr), jsonl_addr].into_iter().flatten().collect(),
             started: Instant::now(),
             draining: AtomicBool::new(false),
             connections: Mutex::new(0),
@@ -246,22 +312,36 @@ impl Server {
             );
         }
 
+        // Register before reading the SIGTERM flag: a signal either finds
+        // this daemon in the registry or is seen here.
+        {
+            let mut daemons = DAEMONS.lock().expect("daemon registry lock");
+            daemons.retain(|d| d.strong_count() > 0);
+            daemons.push(Arc::downgrade(&shared));
+        }
+        if crate::sigterm_received() {
+            shared.begin_shutdown();
+        }
+
         Ok(ServerHandle { addr, jsonl_addr, shared, acceptors })
     }
 }
 
+/// Accepts connections until the daemon drains, then returns, which
+/// closes the listener. `accept()` blocks; `begin_shutdown` wakes it.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener, handler: fn(Arc<Shared>, TcpStream)) {
-    listener.set_nonblocking(true).expect("nonblocking listener");
     loop {
-        if crate::sigterm_received() {
-            shared.begin_shutdown();
-        }
+        let accepted = listener.accept();
+        // The wake-up connection, or any connection that raced the drain.
         if shared.draining() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
+                // Each response is one write. Nagle's algorithm would still
+                // hold one back while an earlier one awaits the peer's
+                // (delayed) ACK, as pipelined requests do.
+                let _ = stream.set_nodelay(true);
                 shared.connection_opened();
                 let hub = Arc::clone(&shared);
                 let spawned =
@@ -273,8 +353,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, handler: fn(Arc<Share
                     shared.connection_closed();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -333,21 +412,32 @@ impl Response {
 }
 
 fn handle_http_connection(shared: Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
     let mut reader = BufReader::new(PatientReader { stream, shared: Arc::clone(&shared) });
     loop {
-        match http::read_request(&mut reader, shared.config.max_body_bytes) {
+        // Park until the next request's first byte, outside any span:
+        // idle keep-alive time is no part of a request.
+        match reader.fill_buf() {
+            Ok([]) | Err(_) => return,
+            Ok(_) => {}
+        }
+        let read = ppchecker_obs::span!("serve.read");
+        let request = http::read_request(&mut reader, shared.config.max_body_bytes);
+        drop(read);
+        match request {
             Ok(request) => {
                 shared.counters.http_requests.fetch_add(1, Ordering::Relaxed);
                 let _span = ppchecker_obs::span!("serve.request");
                 let response = route(&shared, &request);
                 let keep_alive = request.keep_alive && !response.close;
-                let written =
-                    http::write_response(&mut writer, response.status, &response.body, keep_alive);
+                let written = {
+                    let _write = ppchecker_obs::span!("serve.write");
+                    http::write_response(&mut writer, response.status, &response.body, keep_alive)
+                };
                 if response.begin_shutdown {
                     shared.begin_shutdown();
                 }
@@ -393,8 +483,7 @@ fn route(shared: &Arc<Shared>, request: &HttpRequest) -> Response {
 }
 
 fn handle_check(shared: &Arc<Shared>, body: &str) -> Response {
-    let parsed = json::parse(body).and_then(|doc| json::parse_app(&doc));
-    let app = match parsed {
+    let app = match decode_app(body) {
         Ok(app) => app,
         Err(message) => {
             shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -411,28 +500,31 @@ fn handle_check(shared: &Arc<Shared>, body: &str) -> Response {
     }
 }
 
+/// Decodes a `/batch` body into its apps, or says why it is malformed.
+fn decode_batch(body: &str) -> Result<Vec<AppInput>, String> {
+    let _decode = ppchecker_obs::span!("serve.decode");
+    let doc = json::parse(body)?;
+    let entries = doc
+        .get("apps")
+        .and_then(json::Value::as_array)
+        .ok_or_else(|| "missing \"apps\" array".to_string())?;
+    entries
+        .iter()
+        .enumerate()
+        .map(|(index, entry)| {
+            json::parse_app(entry).map_err(|message| format!("apps[{index}]: {message}"))
+        })
+        .collect()
+}
+
 fn handle_batch(shared: &Arc<Shared>, body: &str) -> Response {
-    let doc = match json::parse(body) {
-        Ok(doc) => doc,
+    let apps = match decode_batch(body) {
+        Ok(apps) => apps,
         Err(message) => {
             shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
             return Response::error(400, &message);
         }
     };
-    let Some(entries) = doc.get("apps").and_then(json::Value::as_array) else {
-        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        return Response::error(400, "missing \"apps\" array");
-    };
-    let mut apps = Vec::with_capacity(entries.len());
-    for (index, entry) in entries.iter().enumerate() {
-        match json::parse_app(entry) {
-            Ok(app) => apps.push(app),
-            Err(message) => {
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                return Response::error(400, &format!("apps[{index}]: {message}"));
-            }
-        }
-    }
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     let count = apps.len();
     if count == 0 {
@@ -449,6 +541,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &str) -> Response {
         }
         Err(AdmitError::Draining) => return Response::error(503, "draining"),
     };
+    let wait = ppchecker_obs::span!("serve.wait");
     let (tx, rx) = mpsc::sync_channel(count);
     for (index, app) in apps.into_iter().enumerate() {
         shared.submit_check(&mut ticket, app, index as u64, tx.clone());
@@ -458,6 +551,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &str) -> Response {
     for (index, rendered) in rx {
         results[index as usize] = rendered;
     }
+    drop(wait);
     Response::ok(format!("{{\"count\":{count},\"results\":[{}]}}", results.join(",")))
 }
 

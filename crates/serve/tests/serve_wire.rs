@@ -1,16 +1,17 @@
 //! Wire-layer matrix against a live daemon: malformed input, oversized
 //! bodies, mid-stream disconnects, admission under a full queue, cache
-//! warm-up across requests, JSONL ordering, and graceful drain.
+//! warm-up across requests, JSONL ordering, graceful drain, per-phase
+//! request spans, and the loopback latency floors.
 
 use ppchecker_core::PPChecker;
 use ppchecker_corpus::small_dataset;
 use ppchecker_engine::Engine;
 use ppchecker_serve::json::Value;
 use ppchecker_serve::{Client, JsonlClient, ServeConfig, Server, ServerHandle};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boots a daemon on ephemeral ports over a plain checker.
 fn daemon(workers: usize, queue_depth: usize, jsonl: bool) -> ServerHandle {
@@ -317,5 +318,120 @@ fn metrics_document_is_well_formed_json_with_span_quantiles() {
     assert!(request_span.get("p50_us").is_some());
     assert!(request_span.get("p99_us").is_some());
     assert!(spans.get("app.check").is_some(), "engine span missing from /metrics");
+    // Every phase of a request, on the connection thread and the worker.
+    for name in [
+        "serve.read",
+        "serve.decode",
+        "serve.wait",
+        "serve.write",
+        "serve.queue_wait",
+        "serve.encode",
+    ] {
+        let span = spans.get(name).unwrap_or_else(|| panic!("{name} missing from /metrics"));
+        assert!(number(span, &["count"]) >= 1.0, "{name} never recorded");
+    }
+    shut_down(handle);
+}
+
+#[test]
+fn idle_keep_alive_time_is_not_read_time() {
+    let dataset = small_dataset(43, 1);
+    let handle = daemon_with(Engine::new(dataset.make_checker()), 1, 2, false, 4 * 1024 * 1024);
+    let app = dataset.iter_apps().next().unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let read = ppchecker_obs::histogram("serve.read");
+    let before = read.snapshot();
+    assert_eq!(client.check(app).unwrap().0, 200);
+    // The connection idles between requests; that is no part of a read.
+    thread::sleep(Duration::from_millis(200));
+    assert_eq!(client.check(app).unwrap().0, 200);
+    let reads = read.snapshot().delta_since(&before);
+    assert!(reads.count >= 2, "serve.read recorded {} reads", reads.count);
+    assert!(reads.total() < Duration::from_millis(100), "reads took {:?}", reads.total());
+    shut_down(handle);
+}
+
+/// Median of `samples`, in ms.
+fn p50_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// The floors: a warm request on loopback needs well under a millisecond,
+/// so a median of 5 ms or more means requests wait on a timer — Nagle's
+/// algorithm against the peer's 40 ms delayed ACK, or a sleep-polled
+/// accept — not on analysis.
+const FLOOR_MS: f64 = 5.0;
+
+#[test]
+fn keep_alive_check_p50_is_under_the_floor() {
+    let dataset = small_dataset(37, 5);
+    let handle = daemon_with(Engine::new(dataset.make_checker()), 1, 2, false, 4 * 1024 * 1024);
+    let apps: Vec<_> = dataset.iter_apps().cloned().collect();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for app in &apps {
+        assert_eq!(client.check(app).unwrap().0, 200, "warm-up");
+    }
+    let samples = (0..50)
+        .map(|i| {
+            let t = Instant::now();
+            let (status, body) = client.check(&apps[i % apps.len()]).unwrap();
+            let elapsed = t.elapsed();
+            assert_eq!(status, 200, "body: {body}");
+            elapsed
+        })
+        .collect();
+    let p50 = p50_ms(samples);
+    assert!(p50 < FLOOR_MS, "keep-alive /check p50 is {p50:.3} ms");
+    shut_down(handle);
+}
+
+#[test]
+fn fresh_connection_healthz_p50_is_under_the_floor() {
+    let handle = daemon(1, 2, false);
+    let samples = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let mut client = Client::connect(handle.addr()).unwrap();
+            let (status, body) = client.healthz().unwrap();
+            let elapsed = t.elapsed();
+            assert_eq!(status, 200, "body: {body}");
+            elapsed
+        })
+        .collect();
+    let p50 = p50_ms(samples);
+    assert!(p50 < FLOOR_MS, "fresh-connection /healthz p50 is {p50:.3} ms");
+    shut_down(handle);
+}
+
+#[test]
+fn interactive_jsonl_line_p50_is_under_the_floor() {
+    let dataset = small_dataset(41, 3);
+    let handle = daemon_with(Engine::new(dataset.make_checker()), 1, 2, true, 4 * 1024 * 1024);
+    let lines: Vec<String> = dataset
+        .iter_apps()
+        .map(|app| format!("{}\n", ppchecker_serve::json::app_to_json(app)))
+        .collect();
+    let stream = TcpStream::connect(handle.jsonl_addr().unwrap()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // One line at a time, each waiting for its answer: the first pass
+    // over the apps warms the caches, the next 30 lines are timed.
+    let mut samples = Vec::new();
+    for i in 0..lines.len() + 30 {
+        let t = Instant::now();
+        writer.write_all(lines[i % lines.len()].as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let elapsed = t.elapsed();
+        assert!(response.contains("\"ok\":true"), "response: {response}");
+        if i >= lines.len() {
+            samples.push(elapsed);
+        }
+    }
+    let p50 = p50_ms(samples);
+    assert!(p50 < FLOOR_MS, "interactive JSONL line p50 is {p50:.3} ms");
+    drop((writer, reader));
     shut_down(handle);
 }
