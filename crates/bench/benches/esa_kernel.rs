@@ -134,7 +134,8 @@ fn report_kernel(esa: &Interpreter, texts: &[String]) {
     );
 }
 
-/// One-shot scalar-vs-SIMD comparison of the merge-dot kernel over the
+/// One-shot comparison of the scalar merge against the accelerated dot
+/// (the ranked mask intersection every KB vector qualifies for) over the
 /// intersecting pairs of the pairwise workload (disjoint pairs exit on
 /// the occupancy-mask AND before any merge runs, identically on both
 /// paths, so including them would only dilute the kernel ratio), using
@@ -144,7 +145,7 @@ fn report_kernel(esa: &Interpreter, texts: &[String]) {
 /// asserted equal.
 fn report_simd(kernel_vectors: &[SparseVector]) {
     const PASSES: usize = 50;
-    println!("esa_kernel: merge-dot scalar vs simd (detected path: {})", {
+    println!("esa_kernel: scalar merge vs accelerated dot (detected path: {})", {
         ppchecker_esa::force_scalar(false);
         ppchecker_esa::active_path()
     });
@@ -176,10 +177,10 @@ fn report_simd(kernel_vectors: &[SparseVector]) {
     }
     let simd_dt = t.elapsed();
 
-    assert_eq!(scalar_acc, simd_acc, "simd and scalar merge-dot must agree bit-for-bit");
+    assert_eq!(scalar_acc, simd_acc, "accelerated and scalar dot must agree bit-for-bit");
     let speedup = scalar_dt.as_secs_f64() / simd_dt.as_secs_f64();
     println!("  scalar merge: {scalar_dt:?} for {PASSES} passes");
-    println!("  simd merge:   {simd_dt:?} for {PASSES} passes  speedup: {speedup:.2}x");
+    println!("  accelerated:  {simd_dt:?} for {PASSES} passes  speedup: {speedup:.2}x");
 }
 
 /// Per-pass pairwise-kernel latencies on the detected SIMD path, emitted

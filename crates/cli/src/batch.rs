@@ -108,7 +108,7 @@ impl BatchOptions {
 /// detectors, with a boilerplate index attached when that detector is
 /// selected (corpus-wide near-duplicate detection needs the shared
 /// index).
-fn build_checker(detectors: Option<&[DetectorId]>) -> PPChecker {
+pub(crate) fn build_checker(detectors: Option<&[DetectorId]>) -> PPChecker {
     match detectors {
         None => PPChecker::new(),
         Some(ids) => {
@@ -271,35 +271,13 @@ fn record_json_into(buf: &mut String, record: &AppRecord) {
     }
 }
 
-/// Runs the engine over a loaded corpus and renders the two output
-/// streams: the deterministic JSON-lines records (+ aggregate line), and
-/// the timing-dependent metrics summary.
-pub fn render_batch(
-    apps: Vec<AppInput>,
-    libs: Vec<(String, String)>,
-    jobs: usize,
-    store: Option<Arc<Store>>,
-    detectors: Option<&[DetectorId]>,
-) -> (String, String) {
-    let mut engine = Engine::with_lib_policies(build_checker(detectors), libs).with_jobs(jobs);
-    if let Some(store) = store {
-        engine = engine.with_store(store);
-    }
-    let batch = engine.run(apps);
-
-    let mut records = String::new();
-    for record in &batch.records {
-        record_json_into(&mut records, record);
-    }
-    let _ = writeln!(records, "{}", aggregate_to_json(&batch.aggregate()));
-    (records, format!("{}\n", batch.metrics))
-}
-
-/// Runs a lazily-produced app stream through [`Engine::run_streamed`],
-/// writing each record's JSON line to `out` as it completes. Peak memory
-/// is bounded by the engine's in-flight window, not the stream length.
+/// Runs an app stream through [`Engine::run_streamed`] with `libs`
+/// registered, writing each record's JSON line to `out` as it completes
+/// and the aggregate line after the last. Peak memory is bounded by the
+/// engine's in-flight window, not the stream length.
 fn stream_batch_to<I>(
     apps: I,
+    libs: LibPolicies,
     jobs: usize,
     store: Option<Arc<Store>>,
     detectors: Option<&[DetectorId]>,
@@ -309,8 +287,7 @@ where
     I: IntoIterator<Item = AppInput>,
     I::IntoIter: Send,
 {
-    let mut engine =
-        Engine::with_lib_policies(build_checker(detectors), builtin_lib_policies()).with_jobs(jobs);
+    let mut engine = Engine::with_lib_policies(build_checker(detectors), libs).with_jobs(jobs);
     if let Some(store) = store {
         engine = engine.with_store(store);
     }
@@ -339,12 +316,13 @@ where
 /// deterministic JSON-lines stream (records + aggregate line) to `out`,
 /// returning the timing-dependent metrics summary for stderr.
 ///
-/// The corpus-directory source materializes its apps up front (they live
-/// on disk already); the stream and manifest sources generate lazily and
-/// write incrementally, so a 100k-app run holds only the in-flight window
-/// in memory. Enables obs span metrics for the duration of the process
-/// (that is where the stderr quantile table comes from), and captures a
-/// Chrome trace when asked to.
+/// Every source writes records incrementally through one streamed run.
+/// The corpus-directory source loads its apps up front (they live on
+/// disk already); the stream and manifest sources generate lazily, so a
+/// 100k-app run holds only the in-flight window in memory. Enables obs
+/// span metrics for the duration of the process (that is where the
+/// stderr quantile table comes from), and captures a Chrome trace when
+/// asked to.
 ///
 /// # Errors
 ///
@@ -366,31 +344,23 @@ pub fn run_batch_to(opts: &BatchOptions, out: &mut dyn io::Write) -> Result<Stri
     }
     let jobs = opts.jobs.max(1);
 
+    let detectors = opts.detectors.as_deref();
     let metrics = match &opts.source {
         BatchSource::CorpusDir(dir) => {
             let (apps, libs) = load_corpus(dir)?;
-            let (records, metrics) =
-                render_batch(apps, libs, jobs, store.clone(), opts.detectors.as_deref());
-            out.write_all(records.as_bytes())
-                .map_err(|e| CliError(format!("writing batch output: {e}")))?;
-            metrics
+            stream_batch_to(apps, libs, jobs, store.clone(), detectors, out)?
         }
         BatchSource::Stream { n, seed, shards } => {
             let apps = stream_scaled_sharded(*seed, *n, *shards).map(|g| g.input);
-            stream_batch_to(apps, jobs, store.clone(), opts.detectors.as_deref(), out)?
+            stream_batch_to(apps, builtin_lib_policies(), jobs, store.clone(), detectors, out)?
         }
         BatchSource::Manifest(path) => {
             let text = fs::read_to_string(path)
                 .map_err(|e| CliError(format!("{}: {e}", path.display())))?;
             let manifest = DatasetManifest::parse(&text)
                 .map_err(|e| CliError(format!("{}: {e}", path.display())))?;
-            stream_batch_to(
-                manifest.apps().map(|g| g.input),
-                jobs,
-                store.clone(),
-                opts.detectors.as_deref(),
-                out,
-            )?
+            let apps = manifest.apps().map(|g| g.input);
+            stream_batch_to(apps, builtin_lib_policies(), jobs, store.clone(), detectors, out)?
         }
     };
 

@@ -1,9 +1,9 @@
 //! The `ppchecker serve` subcommand: boot the resident daemon over a
 //! warm engine and block until it drains.
 
-use crate::batch::{builtin_lib_policies, load_corpus, BOILERPLATE_THRESHOLD};
+use crate::batch::{build_checker, builtin_lib_policies, load_corpus};
 use crate::{parse_detectors, CliError};
-use ppchecker_core::{BoilerplateIndex, DetectorId, DetectorRegistry, PPChecker};
+use ppchecker_core::DetectorId;
 use ppchecker_corpus::{stream_scaled_sharded, DatasetManifest};
 use ppchecker_engine::{available_jobs, Engine};
 use ppchecker_serve::{install_sigterm_handler, ServeConfig, Server};
@@ -119,13 +119,8 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliError> {
 /// Returns [`CliError`] when the corpus fails to load or a listen
 /// address cannot be bound.
 pub fn run_serve(opts: ServeOptions) -> Result<String, CliError> {
-    let mut checker = PPChecker::new();
+    let checker = build_checker(opts.detectors.as_deref());
     if let Some(ids) = &opts.detectors {
-        checker = checker.with_registry(DetectorRegistry::with_ids(ids));
-        if ids.contains(&DetectorId::Boilerplate) {
-            checker = checker
-                .with_boilerplate_index(Arc::new(BoilerplateIndex::new(BOILERPLATE_THRESHOLD)));
-        }
         eprintln!(
             "serve: detectors {}",
             ids.iter().map(|d| d.as_str()).collect::<Vec<_>>().join(",")

@@ -144,7 +144,6 @@ pub struct CheckRequest<'a> {
     app: &'a AppInput,
     provide_policy: Option<PolicyProvider<'a>>,
     capture_timings: bool,
-    capture_trace: bool,
     detectors: Option<Vec<DetectorId>>,
 }
 
@@ -157,7 +156,6 @@ impl<'a> CheckRequest<'a> {
                 app,
                 provide_policy: None,
                 capture_timings: false,
-                capture_trace: false,
                 detectors: None,
             },
         }
@@ -200,13 +198,6 @@ impl<'a> CheckRequestBuilder<'a> {
         self
     }
 
-    /// Asks for the executed stage spans (name + duration, in execution
-    /// order) in [`CheckOutcome::trace`].
-    pub fn capture_trace(mut self) -> Self {
-        self.request.capture_trace = true;
-        self
-    }
-
     /// Restricts this check to the given detectors (they must also be
     /// registered on the checker; selection never adds detectors).
     pub fn detectors(mut self, ids: &[DetectorId]) -> Self {
@@ -226,20 +217,9 @@ impl fmt::Debug for CheckRequest<'_> {
             .field("app", &self.app.package)
             .field("custom_policy_provider", &self.provide_policy.is_some())
             .field("capture_timings", &self.capture_timings)
-            .field("capture_trace", &self.capture_trace)
             .field("detectors", &self.detectors)
             .finish()
     }
-}
-
-/// One executed pipeline stage: its span name and wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageSpan {
-    /// The obs span name (`check.policy`, `check.description`,
-    /// `check.static`, `check.matching`).
-    pub name: &'static str,
-    /// Wall time the stage took.
-    pub duration: Duration,
 }
 
 /// What one [`PPChecker::check`] call produced.
@@ -254,9 +234,6 @@ pub struct CheckOutcome {
     /// Per-stage wall time, when the request
     /// [asked for it](CheckRequestBuilder::capture_timings).
     pub timings: Option<StageTimings>,
-    /// Executed stage spans in order, when the request
-    /// [asked for them](CheckRequestBuilder::capture_trace).
-    pub trace: Option<Vec<StageSpan>>,
 }
 
 impl CheckOutcome {
@@ -446,7 +423,7 @@ impl PPChecker {
 
     /// Runs the complete PPChecker pipeline on one app, as configured by
     /// the request (built via [`CheckRequest::builder`]): policy
-    /// provider, timing/trace capture, and detector selection.
+    /// provider, timing capture, and detector selection.
     ///
     /// # Errors
     ///
@@ -457,18 +434,7 @@ impl PPChecker {
         // `applies` sees the full request, including the app's labels.
         let active = self.registry.active_ids(&request);
         let (report, timings) = self.run_pipeline(request.app, request.provide_policy, &active)?;
-        Ok(CheckOutcome {
-            report,
-            timings: request.capture_timings.then_some(timings),
-            trace: request.capture_trace.then(|| {
-                vec![
-                    StageSpan { name: "check.policy", duration: timings.policy },
-                    StageSpan { name: "check.description", duration: timings.description },
-                    StageSpan { name: "check.static", duration: timings.static_analysis },
-                    StageSpan { name: "check.matching", duration: timings.matching },
-                ]
-            }),
-        })
+        Ok(CheckOutcome { report, timings: request.capture_timings.then_some(timings) })
     }
 
     /// A stable fingerprint of everything that shapes this checker's
@@ -710,14 +676,13 @@ mod tests {
         let app = weather_app("We collect your email address.");
         let outcome = PPChecker::new().check_app(&app).unwrap();
         assert!(outcome.timings.is_none());
-        assert!(outcome.trace.is_none());
         // Deref keeps the old read patterns working.
         assert!(outcome.is_incomplete());
         assert_eq!(format!("{outcome}"), format!("{}", outcome.report));
     }
 
     #[test]
-    fn request_builder_captures_timings_and_trace() {
+    fn request_builder_captures_timings() {
         let app = weather_app("We collect your email address.");
         let checker = PPChecker::new();
         let cached = Arc::new(checker.analyzer().analyze_html(&app.policy_html));
@@ -726,17 +691,11 @@ mod tests {
                 CheckRequest::builder(&app)
                     .policy_provider(|_, _| Arc::clone(&cached))
                     .capture_timings()
-                    .capture_trace()
                     .build(),
             )
             .unwrap();
         let timings = outcome.timings.expect("timings requested");
-        let trace = outcome.trace.as_deref().expect("trace requested");
-        assert_eq!(
-            trace.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["check.policy", "check.description", "check.static", "check.matching"],
-        );
-        assert_eq!(trace.iter().map(|s| s.duration).sum::<Duration>(), timings.total());
+        assert!(timings.total() > Duration::ZERO);
         assert!(outcome.is_incomplete());
     }
 

@@ -32,8 +32,7 @@ pub mod suggest;
 pub mod wire;
 
 pub use checker::{
-    AppInput, CheckError, CheckOutcome, CheckRequest, CheckRequestBuilder, PPChecker, StageSpan,
-    StageTimings,
+    AppInput, CheckError, CheckOutcome, CheckRequest, CheckRequestBuilder, PPChecker, StageTimings,
 };
 pub use detector::{
     BoilerplateFinding, DataSafetyFinding, DataSafetyKind, DataSafetyLabel, Detector, DetectorCtx,

@@ -15,27 +15,9 @@ use crate::detector::{
 };
 use crate::problems::{Channel, Inconsistency, IncorrectFinding, MissedInfo, Report};
 use ppchecker_apk::{Permission, PrivateInfo};
-use ppchecker_policy::{Purpose, VerbCategory};
+use ppchecker_policy::wire::{category_byte, category_from};
+use ppchecker_policy::Purpose;
 use ppchecker_store::{WireError, WireReader, WireWriter};
-
-fn category_byte(c: VerbCategory) -> u8 {
-    match c {
-        VerbCategory::Collect => 0,
-        VerbCategory::Use => 1,
-        VerbCategory::Retain => 2,
-        VerbCategory::Disclose => 3,
-    }
-}
-
-fn category_from(b: u8) -> Result<VerbCategory, WireError> {
-    match b {
-        0 => Ok(VerbCategory::Collect),
-        1 => Ok(VerbCategory::Use),
-        2 => Ok(VerbCategory::Retain),
-        3 => Ok(VerbCategory::Disclose),
-        other => Err(WireError(format!("bad verb category {other}"))),
-    }
-}
 
 fn channel_byte(c: Channel) -> u8 {
     match c {
@@ -243,6 +225,7 @@ pub fn decode_report(bytes: &[u8]) -> Result<Report, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppchecker_policy::VerbCategory;
 
     fn sample() -> Report {
         Report {

@@ -1,14 +1,23 @@
-//! The batch scheduler: shards an app stream across a worker pool and
-//! reassembles results deterministically.
+//! The batch engine: one run loop and one per-app body.
 //!
-//! ## Topology
+//! ## One run path
 //!
-//! One bounded job channel feeds `jobs` workers (bounded = backpressure:
-//! a slow pool stalls the producer instead of buffering the whole corpus
-//! in memory). Workers pull `(index, AppInput)` pairs, run the full
-//! pipeline, and push `(AppRecord, StageTimings)` into an unbounded
-//! result channel — unbounded so a worker can never deadlock against the
-//! producer. The caller's thread is the producer, then the collector.
+//! [`Engine::run_streamed`] is the only run loop; [`Engine::run`] is
+//! `run_streamed` with a sink that collects the records into a vector.
+//! With `jobs = 1` the loop runs inline on the calling thread. Otherwise
+//! a scoped producer thread feeds a bounded job channel (`2 × jobs`
+//! deep — backpressure: a slow pool stalls the producer instead of
+//! buffering the corpus) to `jobs` workers, which push
+//! `(AppRecord, StageTimings)` into a bounded result channel. The
+//! calling thread reassembles results in submission order and hands each
+//! record to the sink as soon as its predecessors are out.
+//!
+//! ## One per-app body
+//!
+//! [`Engine::check_one`] is the per-app body for batch and serve alike:
+//! the store probe, the panic guard, the request with the shared policy
+//! cache, and the persist step. A batch worker calls it and maps the
+//! result into an [`AppRecord`]; the serve daemon calls it per request.
 //!
 //! ## Shared vs per-worker state
 //!
@@ -19,15 +28,15 @@
 //!
 //! ## Fault isolation
 //!
-//! Each app runs inside `catch_unwind`: a panic (or a `CheckError`, e.g.
-//! an unrecoverable packed dex) yields one [`AppOutcome::Error`] record
-//! and the worker moves on. A poisoned app can never take down the run.
+//! A panic (or a `CheckError`, e.g. an unrecoverable packed dex) yields
+//! one [`AppOutcome::Error`] record and the worker moves on. A poisoned
+//! app can never take down the run.
 //!
 //! ## Determinism
 //!
-//! Records are reassembled in submission order, and everything the
-//! pipeline computes is a pure function of the input, so `jobs=1` and
-//! `jobs=16` runs emit byte-identical record sequences and aggregates.
+//! Records are emitted in submission order, and everything the pipeline
+//! computes is a pure function of the input, so `jobs=1` and `jobs=16`
+//! runs emit byte-identical record sequences and aggregates.
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::metrics::{EngineSnapshot, MetricsSummary, StageStats, StoreSummary};
@@ -39,27 +48,11 @@ use ppchecker_core::{
 };
 use ppchecker_esa::Interpreter;
 use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind, Store};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
-
-/// Worker-pool parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Worker threads. `1` runs inline on the calling thread.
-    pub jobs: usize,
-    /// Bound of the job channel (backpressure depth), in apps.
-    pub channel_depth: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        let jobs = available_jobs();
-        EngineConfig { jobs, channel_depth: 2 * jobs }
-    }
-}
 
 /// Number of hardware threads available to the process.
 pub fn available_jobs() -> usize {
@@ -72,7 +65,8 @@ pub fn available_jobs() -> usize {
 pub struct Engine {
     checker: PPChecker,
     cache: ArtifactCache,
-    config: EngineConfig,
+    /// Worker threads; `1` runs inline on the calling thread.
+    jobs: usize,
     lib_policies: usize,
     /// Persistent artifact store, when attached via [`Engine::with_store`].
     /// Kept alongside the `dyn ArtifactTier` handles inside the caches so
@@ -95,7 +89,7 @@ impl Engine {
         Engine {
             checker,
             cache,
-            config: EngineConfig::default(),
+            jobs: available_jobs(),
             lib_policies,
             store: None,
             report_salt: 0,
@@ -122,7 +116,7 @@ impl Engine {
         Engine {
             checker,
             cache,
-            config: EngineConfig::default(),
+            jobs: available_jobs(),
             lib_policies: count,
             store: None,
             report_salt: 0,
@@ -156,15 +150,7 @@ impl Engine {
 
     /// Sets the worker count (clamped to ≥ 1).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.config.jobs = jobs.max(1);
-        self.config.channel_depth = 2 * self.config.jobs;
-        self
-    }
-
-    /// Overrides the full scheduler configuration.
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config =
-            EngineConfig { jobs: config.jobs.max(1), channel_depth: config.channel_depth.max(1) };
+        self.jobs = jobs.max(1);
         self
     }
 
@@ -233,56 +219,38 @@ impl Engine {
     }
 
     /// Runs the pipeline over every app in the stream and returns records
-    /// in submission order plus run metrics.
+    /// in submission order plus run metrics: [`Engine::run_streamed`]
+    /// with a sink that collects the records.
     ///
-    /// The stream is consumed incrementally under backpressure — pair it
-    /// with a lazy source (e.g. a corpus `iter_apps()` generator or a
-    /// directory walker) to keep peak memory at
-    /// `O(jobs + channel_depth + results)` instead of `O(corpus)`. The
-    /// returned records still occupy `O(corpus)`; when the consumer can
-    /// process records one at a time, use [`Engine::run_streamed`] and
+    /// The stream is consumed incrementally under backpressure, but the
+    /// returned records occupy `O(corpus)`; when the consumer can process
+    /// records one at a time, call [`Engine::run_streamed`] directly and
     /// peak memory stays constant in the stream length.
     pub fn run<I>(&self, apps: I) -> BatchReport
     where
         I: IntoIterator<Item = AppInput>,
+        I::IntoIter: Send,
     {
-        let probe = MetricsProbe::begin(self);
-
-        let jobs = self.config.jobs.max(1);
-        let mut outputs =
-            if jobs == 1 { self.run_serial(apps) } else { self.run_parallel(apps, jobs) };
-        outputs.sort_by_key(|(record, _)| record.index);
-
-        let mut stage_totals = StageTimings::default();
-        let mut aggregate = AggregateSummary::default();
-        let mut records = Vec::with_capacity(outputs.len());
-        for (record, timings) in outputs {
-            stage_totals.accumulate(&timings);
-            aggregate.accumulate(&record);
-            records.push(record);
-        }
-
-        let mut metrics = probe.finish(self, jobs, records.len(), aggregate.errors, stage_totals);
-        metrics.detector_findings = aggregate.detector_findings;
-        BatchReport { records, metrics }
+        let mut records = Vec::new();
+        let summary = self.run_streamed(apps, |record| records.push(record));
+        BatchReport { records, metrics: summary.metrics }
     }
 
     /// Runs the pipeline over the stream, handing each record to `sink`
-    /// in submission order *as it completes* instead of materializing a
-    /// record vector. Peak memory is `O(jobs + channel_depth)` apps and
-    /// records — constant in the stream length — which is what lets a
-    /// 100k–1M-app corpus run to completion in a fixed footprint.
+    /// in submission order *as it completes*. Peak memory is
+    /// `O(jobs)` apps and records — constant in the stream length —
+    /// which is what lets a 100k–1M-app corpus run to completion in a
+    /// fixed footprint.
     ///
-    /// Everything else matches [`Engine::run`]: determinism (`jobs = 1`
-    /// and `jobs = 16` hand `sink` byte-identical record sequences),
-    /// fault isolation, store replay, cache accounting. The aggregate is
-    /// folded incrementally via [`AggregateSummary::accumulate`], so the
-    /// returned [`StreamSummary`] equals what `run(..).aggregate()` would
-    /// have produced.
+    /// `jobs = 1` and `jobs = 16` hand `sink` byte-identical record
+    /// sequences. The aggregate is folded incrementally via
+    /// [`AggregateSummary::accumulate`], so the returned
+    /// [`StreamSummary`] equals what `run(..).aggregate()` produces.
     ///
-    /// The producer half of the pipeline moves to a scoped thread, hence
-    /// the extra `I::IntoIter: Send` bound — satisfied by any generator
-    /// whose state is plain data (the corpus streamers, vectors, ranges).
+    /// With more than one job the producer half of the pipeline moves to
+    /// a scoped thread, hence the `I::IntoIter: Send` bound — satisfied
+    /// by any generator whose state is plain data (the corpus streamers,
+    /// vectors, ranges).
     pub fn run_streamed<I, S>(&self, apps: I, mut sink: S) -> StreamSummary
     where
         I: IntoIterator<Item = AppInput>,
@@ -290,31 +258,25 @@ impl Engine {
         S: FnMut(AppRecord),
     {
         let probe = MetricsProbe::begin(self);
-        let jobs = self.config.jobs.max(1);
+        let jobs = self.jobs;
         let mut stage_totals = StageTimings::default();
         let mut aggregate = AggregateSummary::default();
+        let mut emit = |(record, timings): (AppRecord, StageTimings)| {
+            stage_totals.accumulate(&timings);
+            aggregate.accumulate(&record);
+            sink(record);
+        };
         if jobs == 1 {
-            let mut queue = apps.into_iter().enumerate().peekable();
-            while let Some((index, app)) = queue.next() {
-                if let Some((_, next)) = queue.peek() {
-                    prefetch_app_input(next);
-                }
-                let (record, timings) = self.process_one(index, app);
-                stage_totals.accumulate(&timings);
-                aggregate.accumulate(&record);
-                sink(record);
+            for (index, app) in apps.into_iter().enumerate() {
+                emit(self.process_one(index, app));
             }
         } else {
             scheduler::run_scoped_streamed(
                 apps,
                 jobs,
-                self.config.channel_depth,
+                2 * jobs,
                 |index, app| self.process_one(index, app),
-                &mut |_, (record, timings): (AppRecord, StageTimings)| {
-                    stage_totals.accumulate(&timings);
-                    aggregate.accumulate(&record);
-                    sink(record);
-                },
+                &mut |_, output| emit(output),
             );
         }
         let mut metrics = probe.finish(self, jobs, aggregate.apps, aggregate.errors, stage_totals);
@@ -322,38 +284,15 @@ impl Engine {
         StreamSummary { aggregate, metrics }
     }
 
-    fn run_serial<I>(&self, apps: I) -> Vec<(AppRecord, StageTimings)>
-    where
-        I: IntoIterator<Item = AppInput>,
-    {
-        // Batch-level prefetch: while app N runs, pull the head of app
-        // N+1's input buffers toward the caches. The worklist is known one
-        // step ahead, so the first-touch misses (content hashing for the
-        // store key, then the policy parse) overlap with real work.
-        let mut queue = apps.into_iter().enumerate().peekable();
-        let mut out = Vec::new();
-        while let Some((index, app)) = queue.next() {
-            if let Some((_, next)) = queue.peek() {
-                prefetch_app_input(next);
-            }
-            out.push(self.process_one(index, app));
-        }
-        out
-    }
-
-    fn run_parallel<I>(&self, apps: I, jobs: usize) -> Vec<(AppRecord, StageTimings)>
-    where
-        I: IntoIterator<Item = AppInput>,
-    {
-        scheduler::run_scoped(apps, jobs, self.config.channel_depth, |index, app| {
-            self.process_one(index, app)
-        })
-    }
-
     /// Runs one app through the full pipeline via the engine's shared
-    /// caches — the single-request entry point a resident service calls
-    /// per admitted request. Cache warmth accumulates across calls
-    /// exactly as it does within one [`Engine::run`].
+    /// caches — the per-app body of both [`Engine::run_streamed`] and a
+    /// resident service's per-request handler. Cache warmth accumulates
+    /// across calls exactly as it does within one run.
+    ///
+    /// With a store attached, an unchanged app (same policy, description,
+    /// APK, labels, and checker configuration as a previously persisted
+    /// run) replays its stored report, skips the pipeline entirely, and
+    /// reports all-zero [`StageTimings`]; a fresh report is persisted.
     ///
     /// # Errors
     ///
@@ -361,13 +300,9 @@ impl Engine {
     /// caught and surfaced as [`Error::worker`].
     pub fn check_one(&self, app: &AppInput) -> Result<CheckOutcome, Error> {
         if let Some(report) = self.stored_report(app) {
-            return Ok(CheckOutcome {
-                report,
-                timings: Some(StageTimings::default()),
-                trace: None,
-            });
+            return Ok(CheckOutcome { report, timings: Some(StageTimings::default()) });
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _span = ppchecker_obs::span!("app.check", app.package);
             self.checker.check(
                 CheckRequest::builder(app)
@@ -416,50 +351,19 @@ impl Engine {
         }
     }
 
-    /// Runs one app through the full pipeline, converting failures (and
-    /// panics) into error records. With a store attached, an unchanged
-    /// app (same policy, description, APK, and checker configuration as
-    /// a previously persisted run) replays its stored report and skips
-    /// the pipeline entirely.
+    /// [`Engine::check_one`] as a batch step: the outcome becomes the
+    /// app's record (an error record on failure or panic), tagged with
+    /// its submission index, plus the stage timings it measured.
     fn process_one(&self, index: usize, app: AppInput) -> (AppRecord, StageTimings) {
-        // Parallel workers receive apps built on the producer thread; start
-        // the first-touch loads before the store-key hashing walks them.
-        prefetch_app_input(&app);
-        let package = app.package.clone();
-        if let Some(report) = self.stored_report(&app) {
-            let record = AppRecord { index, package, outcome: AppOutcome::Report(report) };
-            return (record, StageTimings::default());
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _span = ppchecker_obs::span!("app.check", app.package);
-            self.checker.check(
-                CheckRequest::builder(&app)
-                    .policy_provider(|analyzer, html| self.cache.policy(analyzer, html))
-                    .capture_timings()
-                    .build(),
-            )
-        }));
-        match outcome {
-            Ok(Ok(checked)) => {
-                self.persist_report(&app, &checked.report);
+        let result = self.check_one(&app);
+        let package = app.package;
+        match result {
+            Ok(checked) => {
                 let timings = checked.timings.unwrap_or_default();
-                let record = AppRecord {
-                    index,
-                    package,
-                    outcome: AppOutcome::Report(checked.into_report()),
-                };
-                (record, timings)
+                (AppRecord { index, package, outcome: AppOutcome::Report(checked.report) }, timings)
             }
-            Ok(Err(error)) => (
+            Err(error) => (
                 AppRecord { index, package, outcome: AppOutcome::Error(error) },
-                StageTimings::default(),
-            ),
-            Err(panic) => (
-                AppRecord {
-                    index,
-                    package,
-                    outcome: AppOutcome::Error(Error::worker(panic_message(&panic))),
-                },
                 StageTimings::default(),
             ),
         }
@@ -478,9 +382,8 @@ pub struct StreamSummary {
 }
 
 /// The before-side snapshot of every counter a [`MetricsSummary`] is a
-/// delta over. Both run shapes ([`Engine::run`] and
-/// [`Engine::run_streamed`]) begin one and finish it, so the metrics
-/// accounting cannot drift between them.
+/// delta over, taken when [`Engine::run_streamed`] starts and differenced
+/// when it finishes.
 struct MetricsProbe {
     started: Instant,
     obs_before: Vec<(&'static str, ppchecker_obs::HistogramSnapshot)>,
@@ -583,36 +486,6 @@ fn stage_quantiles_since(
             (delta.count > 0).then(|| StageStats::from_snapshot(name, &delta))
         })
         .collect()
-}
-
-/// Best-effort prefetch of the head of one app's input buffers — the
-/// policy HTML and description strings that the store key's content
-/// hashing and the policy stage touch first. A hint only: it cannot
-/// fault, and it costs a few cycles when the data is already resident.
-fn prefetch_app_input(app: &AppInput) {
-    prefetch_head(app.policy_html.as_bytes());
-    prefetch_head(app.description.as_bytes());
-}
-
-/// Prefetches up to the first four cache lines of `bytes` (no-op off
-/// x86-64).
-fn prefetch_head(bytes: &[u8]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let lines = bytes.len().div_ceil(64).min(4);
-        for line in 0..lines {
-            // SAFETY: line * 64 < bytes.len() by construction, and
-            // _mm_prefetch is a cache hint with no architectural effect.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    bytes.as_ptr().add(line * 64) as *const i8,
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = bytes;
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
@@ -936,6 +809,38 @@ mod tests {
         assert_eq!(format!("{:?}", first.report), format!("{:?}", again.report));
         let snapshot = engine.metrics_snapshot().store.expect("store metrics");
         assert_eq!(snapshot.apps_skipped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_and_check_one_agree_per_app() {
+        let inputs = vec![app(0, "we may collect your location."), corrupt_app(1)];
+        let batch = Engine::new(PPChecker::new()).with_jobs(2).run(inputs.clone());
+        let single = Engine::new(PPChecker::new());
+
+        // A normal app: the same report.
+        let checked = single.check_one(&inputs[0]).expect("normal app checks");
+        let report = format!("{:?}", checked.report);
+        assert_eq!(format!("{:?}", batch.records[0].report().expect("batch report")), report);
+
+        // The corrupt-dex app: the same error, stage and message.
+        let error = single.check_one(&inputs[1]).expect_err("corrupt dex fails");
+        let batch_error = batch.records[1].error().expect("batch error record");
+        assert_eq!(error.stage(), batch_error.stage());
+        assert_eq!(error.to_string(), batch_error.to_string());
+
+        // A second pass with a store attached: both entry points replay.
+        let (dir, store) = scratch_store("agree");
+        let engine = Engine::new(PPChecker::new()).with_store(store).with_jobs(2);
+        let _ = engine.run(inputs.clone());
+        let warm = engine.run(inputs.clone());
+        assert_eq!(warm.metrics.store.as_ref().expect("store metrics").apps_skipped, 1);
+        assert_eq!(format!("{:?}", warm.records[0].report().expect("replayed report")), report);
+        assert_eq!(warm.records[1].error().expect("error record").to_string(), error.to_string());
+        let replayed = engine.check_one(&inputs[0]).expect("replayed check");
+        assert_eq!(replayed.timings, Some(StageTimings::default()));
+        assert_eq!(format!("{:?}", replayed.report), report);
+        assert_eq!(engine.metrics_snapshot().store.expect("store metrics").apps_skipped, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,10 +4,12 @@
 //! third-party lib policies. This crate turns the single-app [`PPChecker`]
 //! core into a corpus-scale runtime:
 //!
-//! * **Sharded scheduling** — [`Engine::run`] fans an app stream across a
-//!   worker pool (`jobs` threads) over a bounded channel, so a lazy corpus
-//!   source is consumed under backpressure instead of being materialized.
-//!   A panicking or failing app becomes one error record; the run survives.
+//! * **One run path** — [`Engine::run_streamed`] fans an app stream
+//!   across a worker pool (`jobs` threads) over bounded channels, so a
+//!   lazy corpus source is consumed under backpressure instead of being
+//!   materialized; [`Engine::run`] is the same loop collecting its
+//!   records. A panicking or failing app becomes one error record; the
+//!   run survives.
 //! * **Artifact caching** — [`ArtifactCache`] memoizes parsed policy
 //!   analyses keyed by the interned symbol of the HTML, and the ESA
 //!   interpreter memoizes interpretation vectors by phrase symbol, so
@@ -24,11 +26,12 @@
 //!   replay from disk across process restarts, so a re-run over an
 //!   updated corpus only re-analyzes apps that actually changed
 //!   ([`diff_batches`] then reports the per-app verdict movement).
-//! * **A resident face** — the same scheduler is exported as
-//!   [`WorkerPool`] (long-lived workers, ticketed admission control),
-//!   and [`Engine::check_one`] + [`Engine::metrics_snapshot`] serve
-//!   single requests against the warm caches; this is what the
-//!   `ppchecker-serve` daemon builds on.
+//! * **One per-app body** — [`Engine::check_one`] is what every batch
+//!   worker runs per app and what the `ppchecker-serve` daemon runs per
+//!   request: store probe, panic guard, cached policy analysis, persist.
+//!   The daemon admits requests through [`WorkerPool`] (long-lived
+//!   workers, ticketed admission control) and scrapes
+//!   [`Engine::metrics_snapshot`].
 //!
 //! ```
 //! use ppchecker_core::PPChecker;
@@ -51,7 +54,7 @@ pub mod scheduler;
 
 pub use cache::{ArtifactCache, CacheStats};
 pub use delta::{diff_batches, AppDelta, BatchDelta, DeltaKind, Verdict};
-pub use engine::{available_jobs, Engine, EngineConfig, StreamSummary};
+pub use engine::{available_jobs, Engine, StreamSummary};
 pub use metrics::{EngineSnapshot, MetricsSummary, StoreSummary};
 pub use pipeline::{sharded_stream, ShardedStream};
 pub use report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};

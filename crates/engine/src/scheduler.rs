@@ -1,14 +1,15 @@
-//! The sharded work scheduler, in its two faces.
+//! The sharded work scheduler, for batch runs and for the daemon.
 //!
-//! PR 1 buried the scheduler inside [`Engine::run`]: a bounded job
-//! channel feeding a worker pool that steals from one shared receiver.
-//! The serve daemon needs the same machinery with a different lifetime —
-//! workers that outlive any one call and admit work one request at a
-//! time — so the topology lives here, shared by both call shapes:
+//! Both share one topology: jobs flow through one `mpsc` channel whose
+//! receiver sits behind a mutex held only for the dequeue itself, so
+//! distribution order is FIFO and a slow job never blocks the queue
+//! behind a fast worker. They differ in lifetime:
 //!
-//! - `run_scoped`: the batch face. Borrows the processing closure,
-//!   spawns scoped workers, feeds a bounded channel under backpressure,
-//!   and returns every result. This is what [`Engine::run`] uses.
+//! - `run_scoped_streamed`: the batch loop behind
+//!   [`Engine::run_streamed`] (and so [`Engine::run`]). Borrows the
+//!   processing closure, spawns scoped workers for one run, feeds them
+//!   under backpressure, and emits results in submission order while the
+//!   run is in flight.
 //! - [`WorkerPool`]: the resident face. `'static` workers pull boxed
 //!   jobs for the life of the process; callers must hold an
 //!   [`AdmitTicket`] (bounded capacity — the admission-control layer of
@@ -17,80 +18,21 @@
 //!   which is what turns into an HTTP 429; bulk transports use
 //!   [`WorkerPool::admit_blocking`] and get classic backpressure instead.
 //!
-//! Both faces share the single-consumer-lock dequeue idiom: jobs flow
-//! through one `mpsc` channel whose receiver sits behind a mutex held
-//! only for the dequeue itself, so distribution order is FIFO and a slow
-//! job never blocks the queue behind a fast worker.
-//!
 //! [`Engine::run`]: crate::Engine::run
+//! [`Engine::run_streamed`]: crate::Engine::run_streamed
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-/// Runs `process` over every item of `items` on `jobs` workers with a
-/// bounded feed channel of `depth`, returning `(index, result)` pairs in
-/// completion order. `jobs` must be ≥ 2 (the serial path belongs to the
-/// caller, which can run inline without any channel).
-pub(crate) fn run_scoped<T, R, F>(
-    items: impl IntoIterator<Item = T>,
-    jobs: usize,
-    depth: usize,
-    process: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let (job_tx, job_rx) = mpsc::sync_channel::<(usize, T)>(depth.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (result_tx, result_rx) = mpsc::channel();
-
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            let job_rx = Arc::clone(&job_rx);
-            let result_tx = result_tx.clone();
-            let process = &process;
-            scope.spawn(move || loop {
-                // Hold the receiver lock only for the dequeue itself.
-                let wait = ppchecker_obs::span!("engine.queue_wait");
-                let job = job_rx.lock().expect("job queue lock").recv();
-                drop(wait);
-                match job {
-                    Ok((index, item)) => {
-                        if result_tx.send(process(index, item)).is_err() {
-                            break; // collector gone; shut down
-                        }
-                    }
-                    Err(_) => break, // producer done and queue drained
-                }
-            });
-        }
-        drop(result_tx);
-
-        // Produce under backpressure, then collect. The result channel
-        // is unbounded so workers never block sending while this
-        // thread is still feeding.
-        for job in items.into_iter().enumerate() {
-            if job_tx.send(job).is_err() {
-                break; // all workers died; stop feeding
-            }
-        }
-        drop(job_tx);
-
-        result_rx.iter().collect()
-    })
-}
-
-/// The streaming face of `run_scoped`: same worker topology, but results
-/// are handed to `emit` in submission order *while the run is still in
-/// flight*, and every channel is bounded. Nothing in this function holds
-/// more than `jobs + depth + result-bound` items at once, so memory stays
-/// constant no matter how long the input stream is — this is what lets a
-/// 100k–1M-app batch run without materializing either the corpus or the
-/// result vector.
+/// Runs `process` over every item of `items` on `jobs` workers fed by a
+/// job channel `depth` deep, handing each result to `emit` in submission
+/// order *while the run is still in flight*. Every channel is bounded:
+/// nothing here holds more than `jobs + depth + result-bound` items at
+/// once, so memory stays constant no matter how long the input stream is
+/// — this is what lets a 100k–1M-app batch run without materializing
+/// either the corpus or the result vector.
 ///
 /// The producer moves to a scoped thread (hence the `I::IntoIter: Send`
 /// bound) so the calling thread can drain results concurrently; workers
@@ -304,8 +246,8 @@ impl WorkerPool {
                         let job = job_rx.lock().expect("job queue lock").recv();
                         match job {
                             // A panicking job must not kill its resident
-                            // worker (the batch face gets the same
-                            // isolation from `Engine::process_one`). The
+                            // worker (batch runs get the same isolation
+                            // from `Engine::check_one`). The
                             // capacity slot still releases: the wrapper's
                             // guard drops during the unwind.
                             Ok(job) => {
@@ -436,17 +378,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
-
-    #[test]
-    fn scoped_runs_every_item() {
-        let results = run_scoped(0..100usize, 4, 8, |index, item| {
-            assert_eq!(index, item);
-            item * 2
-        });
-        let mut results = results;
-        results.sort_unstable();
-        assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn streamed_emits_in_submission_order() {

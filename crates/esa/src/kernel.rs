@@ -180,16 +180,16 @@ pub fn cosine(a: &SparseVector, b: &SparseVector) -> f64 {
 
 /// The dispatch-selected dot product behind [`cosine`]: ranked mask
 /// intersection ([`crate::simd::mask_dot`]) when both vectors' ids fit
-/// the exact 128-bit occupancy mask and SIMD is active, the (possibly
-/// vectorized) id merge otherwise. Both accelerated paths find matches
-/// differently but accumulate the scalar way (f64, ascending id), so the
-/// result is bit-identical across dispatch levels — see [`crate::simd`].
+/// the exact 128-bit occupancy mask and SIMD is active, the scalar id
+/// [`merge_dot`] otherwise. Both accumulate the same way (f64, ascending
+/// id), so the result is bit-identical across dispatch levels — see
+/// [`crate::simd`].
 #[inline]
 pub fn dot(a: &SparseVector, b: &SparseVector) -> f64 {
     if a.mask_exact && b.mask_exact && crate::simd::simd_active() {
         crate::simd::mask_dot(a.mask, &a.weights, b.mask, &b.weights)
     } else {
-        crate::simd::merge_dot_f32(&a.ids, &a.weights, &b.ids, &b.weights)
+        merge_dot(&a.ids, &a.weights, &b.ids, &b.weights)
     }
 }
 

@@ -28,4 +28,4 @@ pub mod simd;
 pub use interpreter::{cosine, ConceptVector, Interpreter, SIMILARITY_THRESHOLD};
 pub use kb::Concept;
 pub use kernel::{merge_dot, CsrIndex, SparseVector};
-pub use simd::{active_path, force_scalar, mask_dot, merge_dot_f32, simd_active, BoundSoa};
+pub use simd::{active_path, force_scalar, mask_dot, simd_active, BoundSoa};

@@ -1,27 +1,21 @@
 //! Runtime-dispatched SIMD paths for the ESA kernel.
 //!
-//! Two loops dominate corpus runs: the CSR two-pointer merge behind
+//! Two loops dominate corpus runs: the sparse dot behind
 //! [`crate::kernel::cosine`] and the norm-bound prune in front of it.
-//! This module vectorizes both with `std::arch` x86 intrinsics behind
-//! one runtime dispatch decision, keeping the scalar loops in
-//! [`crate::kernel`] as the always-available reference:
+//! This module accelerates both behind one runtime dispatch decision,
+//! keeping the scalar loops in [`crate::kernel`] as the always-available
+//! reference:
 //!
-//! * [`merge_dot_f32`] — the merge's *match finding* runs in SIMD: each
-//!   id of the shorter ("rare") vector is broadcast and compared against
-//!   an 8-lane (AVX2) or 4-lane (SSE2) block of the longer ("freq")
-//!   vector, with blocks galloped forward past ids that cannot match.
-//!   The *accumulation* stays scalar `f64`, one product per matching id
-//!   in ascending id order — exactly the reference loop's order — so the
-//!   SIMD dot is **bit-identical** to [`crate::kernel::merge_dot`], not
-//!   merely close. (IEEE multiplication is commutative, so picking the
-//!   rare side freely cannot change a single bit.)
 //! * [`mask_dot`] — vectors whose concept ids all fall below 128 (the
 //!   paper KB has 75 concepts, so that is the entire real workload) dot
 //!   by *ranked mask intersection* instead of the merge: one 128-bit AND
 //!   finds every common id, and hardware bit-manipulation (`tzcnt`,
 //!   `popcnt`) recovers each weight index, making the cost O(matches)
-//!   instead of O(|a| + |b|). Same ascending-id scalar accumulation,
-//!   same bit-identity guarantee.
+//!   instead of O(|a| + |b|). The accumulation is the merge's own: one
+//!   `f64` product per common id in ascending id order, so the result is
+//!   **bit-identical** to [`crate::kernel::merge_dot`], not merely close.
+//!   Wider vectors (ids ≥ 128, which only synthetic inputs have) take
+//!   the scalar merge.
 //! * [`BoundSoa`] — the norm-bound batch check over one-vs-many
 //!   comparisons (the description analyzer's permission profiles) folds
 //!   4 `f64` bounds per AVX2 step over structure-of-arrays inputs.
@@ -101,29 +95,6 @@ pub fn force_scalar(on: bool) {
     DISPATCH.store(if on { SCALAR } else { detect() }, Ordering::Relaxed);
 }
 
-/// Dot product of two sorted sparse `f32` vectors, accumulated in `f64`,
-/// dispatching to the widest available SIMD match-finder. Bit-identical
-/// to [`crate::kernel::merge_dot`] on every input (see module docs).
-#[inline]
-pub fn merge_dot_f32(a_ids: &[u32], a_w: &[f32], b_ids: &[u32], b_w: &[f32]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let (r_ids, r_w, f_ids, f_w) = if a_ids.len() <= b_ids.len() {
-            (a_ids, a_w, b_ids, b_w)
-        } else {
-            (b_ids, b_w, a_ids, a_w)
-        };
-        match dispatch() {
-            // SAFETY: dispatch() returns AVX2/SSE2 only after the CPUID
-            // check in detect() proved the feature is present.
-            AVX2 => return unsafe { merge_dot_avx2(r_ids, r_w, f_ids, f_w) },
-            SSE2 => return unsafe { merge_dot_sse2(r_ids, r_w, f_ids, f_w) },
-            _ => {}
-        }
-    }
-    crate::kernel::merge_dot(a_ids, a_w, b_ids, b_w)
-}
-
 /// Dot product of two *exact-mask* sparse vectors (every concept id
 /// < 128, so bit `id` of the mask is set iff the vector stores id) by
 /// ranked intersection: `a_mask & b_mask` enumerates the common ids in
@@ -134,7 +105,7 @@ pub fn merge_dot_f32(a_ids: &[u32], a_w: &[f32], b_ids: &[u32], b_w: &[f32]) -> 
 /// bit-identical to the merge on every eligible input.
 ///
 /// Callers gate on [`simd_active`] so `PPCHECKER_NO_SIMD` and
-/// [`force_scalar`] disable this path along with the vector merges.
+/// [`force_scalar`] disable this path along with the vector bound check.
 #[inline]
 pub fn mask_dot(a_mask: u128, a_w: &[f32], b_mask: u128, b_w: &[f32]) -> f64 {
     let mut common = a_mask & b_mask;
@@ -149,72 +120,6 @@ pub fn mask_dot(a_mask: u128, a_w: &[f32], b_mask: u128, b_w: &[f32]) -> f64 {
     }
     dot
 }
-
-/// The shared shape of both x86 match-finders, generated per lane width.
-/// For each rare id: gallop the freq block pointer past blocks whose last
-/// lane is still below the id, then compare the broadcast id against one
-/// block and fold the (at most one) hit into the scalar `f64` sum. The
-/// remainder past the last full block continues the scalar merge **on the
-/// same accumulator** — summing the tail separately and adding it would
-/// reassociate the sum and break bit-identity. The resumption point
-/// `(i, j)` is sound: every freq id before `j` is smaller than every
-/// unprocessed rare id.
-macro_rules! x86_merge_dot {
-    ($name:ident, $feature:literal, $lanes:expr, $eq_mask:expr) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = $feature)]
-        unsafe fn $name(rare_ids: &[u32], rare_w: &[f32], freq_ids: &[u32], freq_w: &[f32]) -> f64 {
-            const LANES: usize = $lanes;
-            let n = freq_ids.len();
-            let mut dot = 0.0f64;
-            let mut i = 0usize;
-            let mut j = 0usize;
-            while i < rare_ids.len() && j + LANES <= n {
-                let v = rare_ids[i];
-                while j + LANES <= n && freq_ids[j + LANES - 1] < v {
-                    j += LANES;
-                }
-                if j + LANES > n {
-                    break;
-                }
-                // SAFETY: j + LANES <= n bounds the unaligned block load.
-                let mask: i32 = unsafe { $eq_mask(freq_ids.as_ptr().add(j), v) };
-                if mask != 0 {
-                    // Strictly-sorted ids: at most one lane matches.
-                    let k = mask.trailing_zeros() as usize;
-                    dot += rare_w[i] as f64 * freq_w[j + k] as f64;
-                }
-                i += 1;
-            }
-            while i < rare_ids.len() && j < n {
-                let (cr, cf) = (rare_ids[i], freq_ids[j]);
-                if cr == cf {
-                    dot += rare_w[i] as f64 * freq_w[j] as f64;
-                    i += 1;
-                    j += 1;
-                } else {
-                    i += (cr < cf) as usize;
-                    j += (cf < cr) as usize;
-                }
-            }
-            dot
-        }
-    };
-}
-
-x86_merge_dot!(merge_dot_avx2, "avx2", 8, |p: *const u32, v: u32| {
-    use std::arch::x86_64::*;
-    let block = _mm256_loadu_si256(p as *const __m256i);
-    let eq = _mm256_cmpeq_epi32(block, _mm256_set1_epi32(v as i32));
-    _mm256_movemask_ps(_mm256_castsi256_ps(eq))
-});
-
-x86_merge_dot!(merge_dot_sse2, "sse2", 4, |p: *const u32, v: u32| {
-    use std::arch::x86_64::*;
-    let block = _mm_loadu_si128(p as *const __m128i);
-    let eq = _mm_cmpeq_epi32(block, _mm_set1_epi32(v as i32));
-    _mm_movemask_ps(_mm_castsi128_ps(eq))
-});
 
 /// Structure-of-arrays prune inputs for a fixed set of vectors, built
 /// once and checked against many queries: per-vector entry count and
@@ -373,26 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_merge_dot_is_bit_identical_to_scalar() {
-        let mut rng = Rng(7);
-        for case in 0..2000u64 {
-            // Mix dense-overlap and sparse-overlap id spaces so both the
-            // gallop and the match lanes are exercised.
-            let id_space = if case % 2 == 0 { 64 } else { 4096 };
-            let (a_ids, a_w) = random_sorted(&mut rng, 80, id_space);
-            let (b_ids, b_w) = random_sorted(&mut rng, 80, id_space);
-            let scalar = merge_dot(&a_ids, &a_w, &b_ids, &b_w);
-            let simd = merge_dot_f32(&a_ids, &a_w, &b_ids, &b_w);
-            assert_eq!(
-                scalar.to_bits(),
-                simd.to_bits(),
-                "case {case}: scalar {scalar} vs simd {simd} (path {})",
-                active_path()
-            );
-        }
-    }
-
-    #[test]
     fn mask_dot_is_bit_identical_to_merge_for_narrow_vectors() {
         let mut rng = Rng(17);
         for case in 0..2000u64 {
@@ -417,18 +302,6 @@ mod tests {
 
     fn mask_of(ids: &[u32]) -> u128 {
         ids.iter().fold(0u128, |m, &id| m | (1u128 << id))
-    }
-
-    #[test]
-    fn forced_scalar_matches_detected_path() {
-        let (a_ids, a_w) = random_sorted(&mut Rng(11), 60, 256);
-        let (b_ids, b_w) = random_sorted(&mut Rng(13), 60, 256);
-        let auto = merge_dot_f32(&a_ids, &a_w, &b_ids, &b_w);
-        force_scalar(true);
-        assert_eq!(active_path(), "scalar");
-        let forced = merge_dot_f32(&a_ids, &a_w, &b_ids, &b_w);
-        force_scalar(false);
-        assert_eq!(auto.to_bits(), forced.to_bits());
     }
 
     #[test]

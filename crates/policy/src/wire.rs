@@ -13,7 +13,9 @@ use crate::verbs::VerbCategory;
 use ppchecker_nlp::intern::intern;
 use ppchecker_store::{WireError, WireReader, WireWriter};
 
-fn category_byte(c: VerbCategory) -> u8 {
+/// The stored byte of a [`VerbCategory`]; the report codec in
+/// `ppchecker-core` shares it, so both record kinds agree on the tags.
+pub fn category_byte(c: VerbCategory) -> u8 {
     match c {
         VerbCategory::Collect => 0,
         VerbCategory::Use => 1,
@@ -22,7 +24,12 @@ fn category_byte(c: VerbCategory) -> u8 {
     }
 }
 
-fn category_from(b: u8) -> Result<VerbCategory, WireError> {
+/// Decodes a [`category_byte`] tag.
+///
+/// # Errors
+///
+/// Returns [`WireError`] for a byte no category encodes to.
+pub fn category_from(b: u8) -> Result<VerbCategory, WireError> {
     match b {
         0 => Ok(VerbCategory::Collect),
         1 => Ok(VerbCategory::Use),

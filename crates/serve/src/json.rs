@@ -160,7 +160,6 @@ mod tests {
         let ok = Ok(CheckOutcome {
             report: Report { package: "com.x".into(), ..Report::default() },
             timings: None,
-            trace: None,
         });
         let json = outcome_to_json("com.x", &ok);
         assert!(json.contains("\"ok\":true"));

@@ -408,7 +408,6 @@ mod tests {
             Ok(ppchecker_core::CheckOutcome {
                 report: Report { package: "com.x".into(), ..Report::default() },
                 timings: None,
-                trace: None,
             });
         let json = outcome_to_json("com.x", &ok);
         assert!(json.starts_with("{\"ok\":true,\"schema\":2,"), "{json}");

@@ -97,8 +97,11 @@ impl LibSummary {
 ///
 /// Mirrors the engine's `ArtifactCache` discipline: compute outside the
 /// write lock, first insert wins, `misses` counts distinct lib contents
-/// *computed this run* — a summary replayed from the disk tier counts as
-/// a hit, since the kernel skipped the work either way.
+/// *computed this run* — only the winning insert counts a miss, a losing
+/// insert (a worker that raced on the same new lib) counts a hit, and a
+/// summary replayed from the disk tier counts as a hit, since the kernel
+/// skipped the work either way. The counts are therefore the same for
+/// any worker interleaving.
 #[derive(Debug, Default)]
 pub struct TaintSummaryCache {
     map: RwLock<FnvMap<u64, Arc<LibSummary>>>,
@@ -120,22 +123,20 @@ impl TaintSummaryCache {
         let _ = self.disk.set(tier);
     }
 
-    /// Looks up the summary for a lib content hash, counting a hit or a
-    /// miss. On a memory miss the disk tier (when attached) is probed;
-    /// a decodable stored summary is promoted into memory and counts as
-    /// a hit, so `misses` stays "summaries computed this run".
+    /// Looks up the summary for a lib content hash, counting a hit when
+    /// one is found. On a memory miss the disk tier (when attached) is
+    /// probed; a decodable stored summary is promoted into memory and
+    /// counts as a hit. A `None` counts nothing: the caller computes the
+    /// summary and [`insert`](Self::insert) does the accounting.
     pub(crate) fn get(&self, key: u64) -> Option<Arc<LibSummary>> {
         let hit = self.map.read().expect("summary cache lock").get(&key).cloned();
         if let Some(summary) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(summary);
         }
-        if let Some(summary) = self.load_from_disk(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(summary);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let summary = self.load_from_disk(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(summary)
     }
 
     /// Disk-tier probe: decode, promote into memory (first insert wins).
@@ -151,8 +152,9 @@ impl TaintSummaryCache {
     }
 
     /// Stores a freshly computed summary; the first insert wins so every
-    /// consumer shares one allocation. The winning insert is also
-    /// persisted to the disk tier when one is attached.
+    /// consumer shares one allocation. The winning insert counts a miss
+    /// and is persisted to the disk tier when one is attached; a losing
+    /// insert counts a hit.
     pub(crate) fn insert(&self, key: u64, summary: LibSummary) -> Arc<LibSummary> {
         let fresh = Arc::new(summary);
         let mut map = self.map.write().expect("summary cache lock");
@@ -163,9 +165,12 @@ impl TaintSummaryCache {
         }));
         drop(map);
         if won {
+            self.misses.fetch_add(1, Ordering::Relaxed);
             if let Some(tier) = self.disk.get() {
                 tier.save(RecordKind::LibSummary, key, &encode_lib_summary(&shared));
             }
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         shared
     }
@@ -175,7 +180,7 @@ impl TaintSummaryCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found no summary (distinct lib contents seen).
+    /// Summaries computed and admitted (distinct lib contents seen).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -363,6 +368,20 @@ mod tests {
     }
 
     #[test]
+    fn racing_misses_on_one_key_count_one_miss() {
+        // Two workers both miss a new lib, both compute it, both insert:
+        // only the winning insert is a miss; the loser's work is a hit.
+        let cache = TaintSummaryCache::new();
+        assert!(cache.get(5).is_none());
+        assert!(cache.get(5).is_none());
+        cache.insert(5, LibSummary::default());
+        cache.insert(5, LibSummary::default());
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.entries(), 1);
+    }
+
+    #[test]
     fn first_insert_wins() {
         let cache = TaintSummaryCache::new();
         let a = cache.insert(7, LibSummary::default());
@@ -492,6 +511,9 @@ mod tests {
         let cache = TaintSummaryCache::new();
         cache.attach_disk_tier(Arc::new(GarbageTier));
         assert!(cache.get(1).is_none());
+        // The kernel then recomputes and inserts: one miss, no hit.
+        cache.insert(1, LibSummary::default());
         assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 0);
     }
 }
