@@ -3,14 +3,18 @@
 //! Policy texts repeat across a corpus — the 81 third-party lib policies
 //! are checked against every app embedding them, template policies are
 //! shared by whole app families, and re-runs see identical bytes. The
-//! cache interns each policy's HTML and keys parsed [`PolicyAnalysis`]
-//! results by the resulting [`Symbol`], so each distinct text is pushed
-//! through the NLP pipeline exactly once per run regardless of worker
-//! count, collisions are impossible by construction (the interner
-//! compares bytes, not hashes), and repeat lookups probe a `u32`-keyed
-//! map. The trade-off: each *distinct* policy text stays resident in the
-//! interner for the life of the process — bounded by corpus text volume,
-//! which the resident analyses already dominate (see DESIGN.md §9).
+//! cache keys parsed [`PolicyAnalysis`] results by the policy text itself,
+//! so each distinct text is pushed through the NLP pipeline exactly once
+//! per run regardless of worker count, and collisions are impossible by
+//! construction (the map compares bytes, not hashes). The map keeps std's
+//! randomly keyed SipHash, because its keys come from outside the
+//! program.
+//!
+//! Only admitted texts stay resident — at most [`POLICY_CACHE_CAP`] of
+//! them, each next to its analysis — and they go with the cache. Texts
+//! are deliberately *not* interned: an audit corpus is mostly distinct
+//! policies (91% of a 100k scale corpus), and an interned document would
+//! outlive the cache for the life of the process (see DESIGN.md §9).
 //!
 //! ## The disk tier
 //!
@@ -26,7 +30,6 @@
 //! invariant that `misses` equals the number of analyses *computed* by
 //! this process.
 
-use ppchecker_nlp::{intern, Symbol};
 use ppchecker_policy::{decode_analysis, encode_analysis, PolicyAnalysis, PolicyAnalyzer};
 use ppchecker_static::TaintSummaryCache;
 use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind};
@@ -61,15 +64,15 @@ impl CacheStats {
 /// admitting new entries (hits still serve, misses still compute) — the
 /// same stop-admitting idiom as the ESA vector cache — so a week-long
 /// daemon fed an unbounded stream of distinct policies holds at most
-/// this many parsed analyses. 32k entries ≈ hundreds of MB worst case;
-/// batch runs over the paper corpus use a few hundred.
+/// this many texts and parsed analyses. 32k entries ≈ hundreds of MB
+/// worst case; batch runs over the paper corpus use a few hundred.
 pub const POLICY_CACHE_CAP: usize = 32_768;
 
 /// Thread-safe memo of parsed policy analyses, shared by all workers of
 /// a batch run.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    policies: RwLock<HashMap<Symbol, Arc<PolicyAnalysis>>>,
+    policies: RwLock<HashMap<Box<str>, Arc<PolicyAnalysis>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     cap: usize,
@@ -131,8 +134,7 @@ impl ArtifactCache {
     /// `analyzer` on first sight of the text.
     pub fn policy(&self, analyzer: &PolicyAnalyzer, html: &str) -> Arc<PolicyAnalysis> {
         let _span = ppchecker_obs::span!("engine.cache_probe");
-        let key = intern(html);
-        if let Some(hit) = self.policies.read().expect("cache lock").get(&key) {
+        if let Some(hit) = self.policies.read().expect("cache lock").get(html) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
@@ -141,7 +143,7 @@ impl ArtifactCache {
             .get()
             .map(|(_, salt)| combine_hashes(&[content_hash(html.as_bytes()), *salt]));
         if let Some(stored) = self.load_from_disk(disk_key) {
-            return self.admit(key, stored, true).0;
+            return self.admit(html, stored, true).0;
         }
         // Analyze outside the write lock; a concurrent duplicate costs
         // one redundant parse but never blocks other texts. First insert
@@ -149,7 +151,7 @@ impl ArtifactCache {
         // winner counts a miss — the loser's lookup resolves from the
         // cache, so `misses` always equals the number of distinct texts.
         let fresh = Arc::new(analyzer.analyze_html(html));
-        let (out, won) = self.admit(key, fresh, false);
+        let (out, won) = self.admit(html, fresh, false);
         if won {
             if let (Some((tier, _)), Some(disk_key)) = (self.disk.get(), disk_key) {
                 tier.save(RecordKind::Policy, disk_key, &encode_analysis(&out));
@@ -175,12 +177,12 @@ impl ArtifactCache {
     /// the winner, persists a freshly computed analysis to disk).
     fn admit(
         &self,
-        key: Symbol,
+        html: &str,
         candidate: Arc<PolicyAnalysis>,
         from_disk: bool,
     ) -> (Arc<PolicyAnalysis>, bool) {
         let mut map = self.policies.write().expect("cache lock");
-        if let Some(hit) = map.get(&key) {
+        if let Some(hit) = map.get(html) {
             let out = Arc::clone(hit);
             drop(map);
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -190,7 +192,7 @@ impl ArtifactCache {
         // the analysis is still returned, just not retained, so a
         // resident process can't accrete unbounded parsed analyses.
         if map.len() < self.cap {
-            map.insert(key, Arc::clone(&candidate));
+            map.insert(html.into(), Arc::clone(&candidate));
         }
         drop(map);
         let counter = if from_disk { &self.hits } else { &self.misses };
@@ -225,15 +227,44 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppchecker_nlp::Interner;
 
+    /// Near-identical texts are different keys: each gets its own
+    /// analysis, and each hits on repeat.
     #[test]
-    fn distinct_texts_distinct_keys() {
-        let a = intern("we collect location");
-        let b = intern("we collect location!");
-        let c = intern("we collect locatioN");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, intern("we collect location"));
+    fn near_identical_texts_get_their_own_entries() {
+        let cache = ArtifactCache::new();
+        let analyzer = PolicyAnalyzer::new();
+        let texts = [
+            "<p>we collect location</p>",
+            "<p>we collect location!</p>",
+            "<p>we collect locatioN</p>",
+        ];
+        let first: Vec<_> = texts.iter().map(|html| cache.policy(&analyzer, html)).collect();
+        for (i, a) in first.iter().enumerate() {
+            for b in &first[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b), "near-identical texts share an analysis");
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (3, 0, 3));
+        for (html, analysis) in texts.iter().zip(&first) {
+            assert!(Arc::ptr_eq(&cache.policy(&analyzer, html), analysis), "{html} re-analyzed");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (3, 3, 3));
+    }
+
+    /// A policy text is a cache key, not vocabulary: looking it up must not
+    /// leave the whole document in the process-wide interner.
+    #[test]
+    fn policy_texts_stay_out_of_the_interner() {
+        let cache = ArtifactCache::new();
+        let html = "<p>we may collect your location to serve nearby forecasts, cache key 7f3a.</p>";
+        assert!(Interner::global().get(html).is_none(), "fresh text");
+        let analysis = cache.policy(&PolicyAnalyzer::new(), html);
+        assert!(!analysis.sentences.is_empty());
+        assert!(Interner::global().get(html).is_none(), "the document was interned");
     }
 
     #[test]

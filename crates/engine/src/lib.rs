@@ -11,7 +11,7 @@
 //!   records. A panicking or failing app becomes one error record; the
 //!   run survives.
 //! * **Artifact caching** — [`ArtifactCache`] memoizes parsed policy
-//!   analyses keyed by the interned symbol of the HTML, and the ESA
+//!   analyses keyed by the policy text, and the ESA
 //!   interpreter memoizes interpretation vectors by phrase symbol, so
 //!   duplicate texts (lib policies, template policies) are analyzed
 //!   exactly once per run.

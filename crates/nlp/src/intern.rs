@@ -9,14 +9,26 @@
 //! The global interner starts from a *pre-seeded static table* covering the
 //! closed vocabulary the pipeline consults on every sentence — the lexicon
 //! word classes, the verb-category lists, the synonym list, the negation
-//! markers and the sensitive-resource phrases — so steady-state analysis
-//! interns (and allocates) only for genuinely novel words. Everything else
-//! goes into the dynamic table, which grows monotonically for the life of
-//! the process (see DESIGN.md §9 for the lifetime rules).
+//! markers and the sensitive-resource phrases. That table is built once and
+//! then only read, so a pre-seeded word interns without taking a lock.
+//! Only a word that misses it takes the read lock of the *dynamic* map, and
+//! only a word never seen before takes its write lock; the dynamic table
+//! grows monotonically for the life of the process (see DESIGN.md §9 for
+//! the lifetime rules).
+//!
+//! Id → text goes through an append-only segmented table whose slots are
+//! written once, so [`Interner::resolve`] (and with it every
+//! [`Symbol::as_str`]) never locks. Each slot also carries the symbol's two
+//! memoized lemmas (see [`crate::lemma`]).
+//!
+//! Whole documents do not belong here: a symbol lives as long as the
+//! process, so the engine's policy cache keys analyses by the text itself
+//! and lets them go with the cache.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// An interned string handle. `Copy`, 4 bytes, order-stable within one
@@ -54,10 +66,71 @@ impl PartialEq<Symbol> for &str {
     }
 }
 
+/// Ids in segment 0 of the id table; segment `k` holds `SEGMENT_BASE << k`.
+/// Small enough that a fresh process touches only a few pages for it.
+const SEGMENT_BASE: usize = 1 << 10;
+
+/// Segments in the id table. Together they hold `SEGMENT_BASE ·
+/// (2^SEGMENTS − 1)` ids, which is less than `u32::MAX`, so `id + 1` never
+/// overflows in a lemma memo word.
+const SEGMENTS: usize = 22;
+
+/// One issued id: its text, written once, and its memoized lemmas.
 #[derive(Default)]
-struct Inner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+struct Slot {
+    text: OnceLock<&'static str>,
+    /// Verb lemma as `id + 1`; 0 until first computed.
+    verb_lemma: AtomicU32,
+    /// Noun lemma as `id + 1`; 0 until first computed.
+    noun_lemma: AtomicU32,
+}
+
+/// Which memoized lemma of a symbol (see [`crate::lemma`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LemmaKind {
+    Verb,
+    Noun,
+}
+
+/// Id → slot: geometrically growing segments, each allocated once on
+/// first use and never moved, so a reader needs no lock.
+struct Table {
+    segments: [OnceLock<Box<[Slot]>>; SEGMENTS],
+}
+
+impl Default for Table {
+    fn default() -> Self {
+        Table { segments: std::array::from_fn(|_| OnceLock::new()) }
+    }
+}
+
+impl Table {
+    /// The segment and offset of `id`. The segment is past the table for
+    /// an id at or beyond its capacity.
+    fn locate(id: u32) -> (usize, usize) {
+        let (id, base) = (u64::from(id), SEGMENT_BASE as u64);
+        let segment = (id / base + 1).ilog2();
+        (segment as usize, (id - base * ((1 << segment) - 1)) as usize)
+    }
+
+    /// The slot of `id`, if its segment has been allocated.
+    fn slot(&self, id: u32) -> Option<&Slot> {
+        let (segment, offset) = Table::locate(id);
+        self.segments.get(segment)?.get()?.get(offset)
+    }
+
+    /// Writes the text of a freshly issued `id`. Ids are issued in order
+    /// under the dynamic map's write lock (or before the interner is
+    /// shared), and the slot is written before the id is handed out.
+    fn publish(&self, id: u32, text: &'static str) {
+        let (segment, offset) = Table::locate(id);
+        let slots = self
+            .segments
+            .get(segment)
+            .expect("interner id space exhausted")
+            .get_or_init(|| (0..SEGMENT_BASE << segment).map(|_| Slot::default()).collect());
+        slots[offset].text.set(text).expect("an id is issued once");
+    }
 }
 
 /// Counters describing the interner's occupancy.
@@ -79,20 +152,27 @@ pub struct InternerStats {
     pub over_soft_cap: bool,
 }
 
-/// Default soft cap on interned text: 64 MiB. The steady-state pipeline
-/// interns only genuinely novel words, so a week-long daemon crossing
-/// this is a signal (adversarial vocabulary, unbounded corpus churn),
-/// not normal growth — corpus runs sit around a few MiB.
+/// Default soft cap on interned text: 64 MiB. The pipeline interns
+/// words, never whole documents, so occupancy tracks vocabulary rather
+/// than corpus size: a 100k-app streamed batch (seed 42) ends at 6,742
+/// symbols (608 of them pre-seeded) and 34,655 bytes, about 1/2000 of
+/// the cap. A daemon crossing it is being fed unbounded novel vocabulary
+/// (adversarial input, unbounded corpus churn), not growing normally.
 pub const DEFAULT_INTERN_SOFT_CAP_BYTES: usize = 64 * 1024 * 1024;
 
 /// A thread-safe append-only string interner.
 ///
 /// Interned text is leaked (for dynamic strings) or borrowed from rodata
-/// (for the pre-seeded vocabulary), so resolution hands out `&'static str`
-/// without holding any lock beyond the lookup itself.
+/// (for the pre-seeded vocabulary), so resolution hands out `&'static str`.
+/// Resolving and interning a pre-seeded word take no lock; see the module
+/// docs for which paths do.
 pub struct Interner {
-    inner: RwLock<Inner>,
-    preseeded: usize,
+    /// The pre-seeded vocabulary, written before the interner is shared
+    /// and only read after.
+    preseed: HashMap<&'static str, u32>,
+    /// Every word interned after construction.
+    dynamic: RwLock<HashMap<&'static str, u32>>,
+    table: Table,
     bytes: AtomicUsize,
     soft_cap_bytes: AtomicUsize,
     over_cap_interns: AtomicUsize,
@@ -105,8 +185,9 @@ impl Interner {
     /// [`global`]: Interner::global
     pub fn new() -> Self {
         Interner {
-            inner: RwLock::new(Inner::default()),
-            preseeded: 0,
+            preseed: HashMap::new(),
+            dynamic: RwLock::default(),
+            table: Table::default(),
             bytes: AtomicUsize::new(0),
             soft_cap_bytes: AtomicUsize::new(DEFAULT_INTERN_SOFT_CAP_BYTES),
             over_cap_interns: AtomicUsize::new(0),
@@ -117,58 +198,48 @@ impl Interner {
     /// The process-wide interner, pre-seeded with the pipeline vocabulary.
     pub fn global() -> &'static Interner {
         static GLOBAL: OnceLock<Interner> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let mut interner = Interner::new();
-            {
-                let inner = interner.inner.get_mut().expect("fresh lock");
-                let mut bytes = 0;
-                for word in preseed_vocabulary() {
-                    if !inner.map.contains_key(word) {
-                        let id = inner.strings.len() as u32;
-                        inner.strings.push(word);
-                        inner.map.insert(word, id);
-                        bytes += word.len();
-                    }
-                }
-                interner.preseeded = inner.strings.len();
-                *interner.bytes.get_mut() = bytes;
+        GLOBAL.get_or_init(Interner::preseeded)
+    }
+
+    /// A fresh interner holding the pipeline vocabulary.
+    fn preseeded() -> Self {
+        let mut interner = Interner::new();
+        for word in preseed_vocabulary() {
+            let id = interner.preseed.len() as u32;
+            if let Entry::Vacant(entry) = interner.preseed.entry(word) {
+                interner.table.publish(id, word);
+                entry.insert(id);
             }
-            interner
-        })
+        }
+        *interner.bytes.get_mut() = interner.preseed.keys().map(|w| w.len()).sum();
+        interner
     }
 
     /// Interns `s`, copying it into leaked storage on first sight.
     pub fn intern(&self, s: &str) -> Symbol {
-        if let Some(&id) = self.inner.read().expect("interner poisoned").map.get(s) {
-            return Symbol(id);
-        }
-        let mut inner = self.inner.write().expect("interner poisoned");
-        if let Some(&id) = inner.map.get(s) {
-            return Symbol(id);
-        }
-        let stored: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = inner.strings.len() as u32;
-        inner.strings.push(stored);
-        inner.map.insert(stored, id);
-        drop(inner);
-        self.account(stored.len());
-        Symbol(id)
+        self.get(s).unwrap_or_else(|| self.insert(s, || Box::leak(s.into())))
     }
 
     /// Interns a string that is already `'static`, without copying.
     pub fn intern_static(&self, s: &'static str) -> Symbol {
-        if let Some(&id) = self.inner.read().expect("interner poisoned").map.get(s) {
+        self.get(s).unwrap_or_else(|| self.insert(s, || s))
+    }
+
+    /// Issues the next id for `s` under the write lock, unless another
+    /// thread did since the caller's probe. `store` yields the text to
+    /// keep; it runs only for a word that really is new.
+    fn insert(&self, s: &str, store: impl FnOnce() -> &'static str) -> Symbol {
+        let mut dynamic = self.dynamic.write().expect("interner poisoned");
+        if let Some(&id) = dynamic.get(s) {
             return Symbol(id);
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
-        if let Some(&id) = inner.map.get(s) {
-            return Symbol(id);
-        }
-        let id = inner.strings.len() as u32;
-        inner.strings.push(s);
-        inner.map.insert(s, id);
-        drop(inner);
-        self.account(s.len());
+        let stored = store();
+        let id =
+            u32::try_from(self.preseed.len() + dynamic.len()).expect("interner id space exhausted");
+        self.table.publish(id, stored);
+        dynamic.insert(stored, id);
+        drop(dynamic);
+        self.account(stored.len());
         Symbol(id)
     }
 
@@ -206,26 +277,53 @@ impl Interner {
     /// probe candidate strings (lemmatizer stem restoration, unknown-verb
     /// checks) so junk candidates never enter the table.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.inner.read().expect("interner poisoned").map.get(s).map(|&id| Symbol(id))
+        if let Some(&id) = self.preseed.get(s) {
+            return Some(Symbol(id));
+        }
+        self.dynamic.read().expect("interner poisoned").get(s).map(|&id| Symbol(id))
     }
 
-    /// The text of `sym`.
+    /// The text of `sym`. Takes no lock.
     ///
     /// # Panics
     ///
-    /// Panics if `sym` did not come from this interner.
+    /// Panics if this interner never issued `sym`.
     pub fn resolve(&self, sym: Symbol) -> &'static str {
-        self.inner.read().expect("interner poisoned").strings[sym.0 as usize]
+        match self.table.slot(sym.0).and_then(|slot| slot.text.get()) {
+            Some(text) => text,
+            None => panic!("symbol {} was never issued by this interner", sym.0),
+        }
+    }
+
+    /// The memoized `kind` lemma of `sym`, if one has been recorded.
+    pub(crate) fn memoized_lemma(&self, sym: Symbol, kind: LemmaKind) -> Option<Symbol> {
+        // Acquire pairs with the Release in `memoize_lemma`: the lemma's
+        // own slot was written before its id was stored here.
+        self.memo_word(sym, kind).load(Ordering::Acquire).checked_sub(1).map(Symbol)
+    }
+
+    /// Records `lemma` as the `kind` lemma of `sym`. Racing writers
+    /// compute the same lemma, so the last store wins harmlessly.
+    pub(crate) fn memoize_lemma(&self, sym: Symbol, kind: LemmaKind, lemma: Symbol) {
+        self.memo_word(sym, kind).store(lemma.0 + 1, Ordering::Release);
+    }
+
+    fn memo_word(&self, sym: Symbol, kind: LemmaKind) -> &AtomicU32 {
+        let slot = self.table.slot(sym.0).expect("symbol was never issued by this interner");
+        match kind {
+            LemmaKind::Verb => &slot.verb_lemma,
+            LemmaKind::Noun => &slot.noun_lemma,
+        }
     }
 
     /// Current occupancy counters.
     pub fn stats(&self) -> InternerStats {
-        let symbols = self.inner.read().expect("interner poisoned").strings.len();
+        let dynamic = self.dynamic.read().expect("interner poisoned").len();
         let bytes = self.bytes.load(Ordering::Relaxed);
         let soft_cap_bytes = self.soft_cap_bytes.load(Ordering::Relaxed);
         InternerStats {
-            symbols,
-            preseeded: self.preseeded,
+            symbols: self.preseed.len() + dynamic,
+            preseeded: self.preseed.len(),
             bytes,
             soft_cap_bytes,
             over_soft_cap: soft_cap_bytes > 0 && bytes > soft_cap_bytes,
@@ -332,7 +430,7 @@ pub const SENSITIVE_RESOURCES: &[&str] = &[
 ];
 
 /// Everything installed into the global interner's static table.
-fn preseed_vocabulary() -> impl Iterator<Item = &'static str> {
+pub(crate) fn preseed_vocabulary() -> impl Iterator<Item = &'static str> {
     use crate::lexicon;
     let word_classes = [
         lexicon::MODALS,
@@ -462,6 +560,77 @@ mod tests {
         let stats = local.stats();
         assert_eq!(stats.bytes, 8);
         assert_eq!(stats.soft_cap_bytes, DEFAULT_INTERN_SOFT_CAP_BYTES);
+    }
+
+    /// Eight threads race to intern an overlapping set of novel words while
+    /// resolving and lemmatizing them: each word gets exactly one id, every
+    /// id resolves to its word, and each word is counted once.
+    #[test]
+    fn concurrent_interning_issues_one_id_per_word() {
+        use crate::lemma::{lemmatize_noun, lemmatize_verb, memoized};
+        use std::sync::Barrier;
+
+        let local = Interner::preseeded();
+        let preseeded = local.stats().preseeded;
+        // Every stem also appears with an "-s" whose lemmas are the stem,
+        // so lemmatizing adds no word outside the set. 4,000 words on top
+        // of the pre-seed also cross the first segment boundary.
+        let words: Vec<String> =
+            (0..2_000).flat_map(|i| [format!("zorblet{i}"), format!("zorblet{i}s")]).collect();
+        assert!(preseeded + words.len() > SEGMENT_BASE);
+        let threads = 8;
+        let stride = words.len() / threads;
+        let window = 2 * stride;
+        let barrier = Barrier::new(threads);
+        let issued: Vec<Vec<(&str, Symbol)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (local, words, barrier) = (&local, &words, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        (0..window)
+                            .map(|i| {
+                                let word = words[(t * stride + i) % words.len()].as_str();
+                                let sym = local.intern(word);
+                                assert_eq!(local.resolve(sym), word);
+                                let verb = memoized(local, sym, LemmaKind::Verb);
+                                assert_eq!(local.resolve(verb), lemmatize_verb(word));
+                                let noun = memoized(local, sym, LemmaKind::Noun);
+                                assert_eq!(local.resolve(noun), lemmatize_noun(word));
+                                (word, sym)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("interning thread panicked")).collect()
+        });
+        let mut ids: HashMap<&str, Symbol> = HashMap::new();
+        for (word, sym) in issued.into_iter().flatten() {
+            assert_eq!(*ids.entry(word).or_insert(sym), sym, "{word} got two ids");
+        }
+        assert_eq!(ids.len(), words.len(), "every word was interned");
+        let distinct: std::collections::HashSet<Symbol> = ids.values().copied().collect();
+        assert_eq!(distinct.len(), words.len(), "no two words share an id");
+        for (word, sym) in &ids {
+            assert_eq!(local.intern(word), *sym);
+            assert_eq!(local.resolve(*sym), *word);
+        }
+        assert_eq!(local.stats().symbols, preseeded + words.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "never issued")]
+    fn resolving_an_unissued_id_panics() {
+        let local = Interner::new();
+        let _ = local.intern("only-one");
+        let _ = local.resolve(Symbol(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "never issued")]
+    fn resolving_an_id_past_the_table_panics() {
+        let _ = Interner::new().resolve(Symbol(u32::MAX));
     }
 
     #[test]

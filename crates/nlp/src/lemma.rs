@@ -6,13 +6,11 @@
 //! "collecting" all match "collect".
 //!
 //! The symbol entry points ([`lemmatize_verb_sym`], [`lemmatize_noun_sym`])
-//! memoize form → lemma per distinct word, so in steady state a token's
-//! lemma costs one `u32`-keyed map probe instead of suffix analysis and a
-//! fresh `String`.
+//! memoize form → lemma per distinct word in two memo words of the
+//! symbol's interner slot, so in steady state a token's lemma costs one
+//! atomic load instead of suffix analysis and a fresh `String`.
 
-use crate::intern::{intern, Symbol};
-use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
+use crate::intern::{Interner, LemmaKind, Symbol};
 
 /// Irregular verb forms → base form.
 const IRREGULAR_VERBS: &[(&str, &str)] = &[
@@ -136,28 +134,28 @@ pub fn lemmatize_verb(lower: &str) -> String {
 
 /// Symbol-keyed, memoized verb lemmatization.
 pub fn lemmatize_verb_sym(lower: Symbol) -> Symbol {
-    static MEMO: OnceLock<RwLock<HashMap<Symbol, Symbol>>> = OnceLock::new();
-    memoized(MEMO.get_or_init(Default::default), lower, lemmatize_verb_impl)
+    memoized(Interner::global(), lower, LemmaKind::Verb)
 }
 
 /// Symbol-keyed, memoized noun lemmatization.
 pub fn lemmatize_noun_sym(lower: Symbol) -> Symbol {
-    static MEMO: OnceLock<RwLock<HashMap<Symbol, Symbol>>> = OnceLock::new();
-    memoized(MEMO.get_or_init(Default::default), lower, lemmatize_noun_impl)
+    memoized(Interner::global(), lower, LemmaKind::Noun)
 }
 
-fn memoized(
-    memo: &RwLock<HashMap<Symbol, Symbol>>,
-    lower: Symbol,
-    compute: fn(&str) -> String,
-) -> Symbol {
-    if let Some(&lemma) = memo.read().expect("lemma memo poisoned").get(&lower) {
+/// The `kind` lemma of `lower`, from its memo word in `interner` or
+/// computed, interned and memoized on first sight.
+pub(crate) fn memoized(interner: &Interner, lower: Symbol, kind: LemmaKind) -> Symbol {
+    if let Some(lemma) = interner.memoized_lemma(lower, kind) {
         return lemma;
     }
-    let computed = compute(lower.as_str());
+    let text = interner.resolve(lower);
+    let computed = match kind {
+        LemmaKind::Verb => lemmatize_verb_impl(text),
+        LemmaKind::Noun => lemmatize_noun_impl(text),
+    };
     // Reuse the input symbol when the form is already its own lemma.
-    let lemma = if computed == lower.as_str() { lower } else { intern(&computed) };
-    memo.write().expect("lemma memo poisoned").insert(lower, lemma);
+    let lemma = if computed == text { lower } else { interner.intern(&computed) };
+    interner.memoize_lemma(lower, kind, lemma);
     lemma
 }
 
@@ -292,6 +290,7 @@ pub(crate) fn preseed_lemma_vocabulary() -> impl Iterator<Item = &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::intern;
 
     #[test]
     fn verb_regular_s() {
@@ -351,13 +350,21 @@ mod tests {
         assert_eq!(lemmatize_verb("applies"), "apply");
     }
 
+    /// The memoized symbol path agrees with the plain string path for every
+    /// pre-seeded word and its "-s", "-ed" and "-ing" forms, on the first
+    /// (computing) call and on the second (memo word) call.
     #[test]
     fn symbol_lemmatization_matches_string_path() {
-        for w in ["collects", "stored", "sharing", "kept", "data", "was"] {
-            assert_eq!(lemmatize_verb_sym(intern(w)).as_str(), lemmatize_verb(w));
-        }
-        for w in ["locations", "companies", "children", "addresses", "gps"] {
-            assert_eq!(lemmatize_noun_sym(intern(w)).as_str(), lemmatize_noun(w));
+        let vocabulary = crate::intern::preseed_vocabulary();
+        let forms = vocabulary
+            .flat_map(|w| [w.to_string(), format!("{w}s"), format!("{w}ed"), format!("{w}ing")]);
+        let extra = ["stopped", "submitted", "logged", "addresses", "carries", "applied"];
+        for w in forms.chain(extra.map(String::from)) {
+            let sym = intern(&w);
+            for _ in 0..2 {
+                assert_eq!(lemmatize_verb_sym(sym).as_str(), lemmatize_verb(&w), "verb {w}");
+                assert_eq!(lemmatize_noun_sym(sym).as_str(), lemmatize_noun(&w), "noun {w}");
+            }
         }
     }
 
