@@ -32,6 +32,8 @@
 //! assert_eq!(apk.manifest.package, "com.example.weather");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apk;
 pub mod dex;
 pub mod hash;

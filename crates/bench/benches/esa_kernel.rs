@@ -134,62 +134,47 @@ fn report_kernel(esa: &Interpreter, texts: &[String]) {
     );
 }
 
-/// One-shot comparison of the scalar merge against the accelerated dot
-/// (the ranked mask intersection every KB vector qualifies for) over the
-/// intersecting pairs of the pairwise workload (disjoint pairs exit on
-/// the occupancy-mask AND before any merge runs, identically on both
-/// paths, so including them would only dilute the kernel ratio), using
-/// the runtime dispatch test hook. The acceptance bar for the
-/// accelerated dot is ≥ 1.5× over the scalar merge on AVX2 hardware;
-/// both paths produce bit-identical sums, so the accumulated totals are
-/// asserted equal.
+/// One-shot comparison of the two-pointer merge against [`kernel::dot`]
+/// (which takes the ranked mask intersection every KB vector qualifies
+/// for) over the intersecting pairs of the pairwise workload (disjoint
+/// pairs exit on the occupancy-mask AND before any dot runs, so
+/// including them would only dilute the ratio). Both bodies produce
+/// bit-identical sums, so the accumulated totals are asserted equal.
 fn report_simd(kernel_vectors: &[SparseVector]) {
     const PASSES: usize = 50;
-    println!("esa_kernel: scalar merge vs accelerated dot (detected path: {})", {
-        ppchecker_esa::force_scalar(false);
-        ppchecker_esa::active_path()
-    });
+    println!("esa_kernel: two-pointer merge vs mask dot");
     let pairs: Vec<(&SparseVector, &SparseVector)> = kernel_vectors
         .iter()
         .flat_map(|a| kernel_vectors.iter().map(move |b| (a, b)))
         .filter(|(a, b)| kernel::cosine(a, b) > 0.0)
         .collect();
     println!("  {} intersecting pairs per pass", pairs.len());
-    let sum_dots = |pairs: &[(&SparseVector, &SparseVector)]| -> f64 {
-        pairs.iter().map(|(a, b)| kernel::dot(a, b)).sum()
+    let time = |dot: &dyn Fn(&SparseVector, &SparseVector) -> f64| {
+        let sum = || pairs.iter().map(|(a, b)| dot(a, b)).sum::<f64>();
+        black_box(sum());
+        let t = Instant::now();
+        let mut acc = 0.0;
+        for _ in 0..PASSES {
+            acc += black_box(sum());
+        }
+        (acc, t.elapsed())
     };
+    let (merge_acc, merge_dt) =
+        time(&|a, b| kernel::merge_dot(a.ids(), a.weights(), b.ids(), b.weights()));
+    let (dot_acc, dot_dt) = time(&|a, b| kernel::dot(a, b));
 
-    ppchecker_esa::force_scalar(true);
-    black_box(sum_dots(&pairs));
-    let t = Instant::now();
-    let mut scalar_acc = 0.0;
-    for _ in 0..PASSES {
-        scalar_acc += black_box(sum_dots(&pairs));
-    }
-    let scalar_dt = t.elapsed();
-
-    ppchecker_esa::force_scalar(false);
-    black_box(sum_dots(&pairs));
-    let t = Instant::now();
-    let mut simd_acc = 0.0;
-    for _ in 0..PASSES {
-        simd_acc += black_box(sum_dots(&pairs));
-    }
-    let simd_dt = t.elapsed();
-
-    assert_eq!(scalar_acc, simd_acc, "accelerated and scalar dot must agree bit-for-bit");
-    let speedup = scalar_dt.as_secs_f64() / simd_dt.as_secs_f64();
-    println!("  scalar merge: {scalar_dt:?} for {PASSES} passes");
-    println!("  accelerated:  {simd_dt:?} for {PASSES} passes  speedup: {speedup:.2}x");
+    assert_eq!(merge_acc, dot_acc, "mask dot and merge must agree bit-for-bit");
+    let speedup = merge_dt.as_secs_f64() / dot_dt.as_secs_f64();
+    println!("  merge:    {merge_dt:?} for {PASSES} passes");
+    println!("  mask dot: {dot_dt:?} for {PASSES} passes  speedup: {speedup:.2}x");
 }
 
-/// Per-pass pairwise-kernel latencies on the detected SIMD path, emitted
-/// as `BENCH_esa.json` (see [`ppchecker_bench::emit`]); warmup passes
-/// are discarded so the quantiles report steady state.
+/// Per-pass pairwise-kernel latencies, emitted as `BENCH_esa.json` (see
+/// [`ppchecker_bench::emit`]); warmup passes are discarded so the
+/// quantiles report steady state.
 fn emit_bench_json(kernel_vectors: &[SparseVector]) {
     const WARMUP: usize = 2;
     const RUNS: usize = 10;
-    ppchecker_esa::force_scalar(false);
     for _ in 0..WARMUP {
         black_box(pairwise_kernel(kernel_vectors));
     }
@@ -207,7 +192,6 @@ fn emit_bench_json(kernel_vectors: &[SparseVector]) {
         config: vec![
             ("phrases".to_string(), kernel_vectors.len().to_string()),
             ("pairs".to_string(), pairs.to_string()),
-            ("simd".to_string(), format!("\"{}\"", ppchecker_esa::active_path())),
             ("warmup".to_string(), WARMUP.to_string()),
             ("runs".to_string(), RUNS.to_string()),
         ],

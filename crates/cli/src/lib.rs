@@ -27,6 +27,8 @@
 //! [`ppchecker_apk::packer`]; the manifest uses the line format of
 //! [`manifest_text`].
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod json;
 pub mod manifest_text;

@@ -18,6 +18,8 @@
 //!
 //! See [`PPChecker`] for the end-to-end entry point.
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod detector;
 pub mod error;

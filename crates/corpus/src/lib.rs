@@ -34,6 +34,8 @@
 //! assert_eq!(ev.problem_apps, 282);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 pub mod dataset;
 pub mod detectors;

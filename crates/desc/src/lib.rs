@@ -7,7 +7,10 @@
 //! AutoCog builds a semantic model relating description noun phrases to
 //! permissions; this reproduction compares each description noun phrase
 //! against a semantic profile per permission using the same ESA similarity
-//! and 0.67 threshold the rest of the pipeline uses.
+//! and 0.67 threshold the rest of the pipeline uses. Each (phrase,
+//! profile) pair goes through [`Interpreter::similarity_above`], the one
+//! threshold predicate the ESA crate has, so its norm-bound prune and
+//! prune counter cover this loop too.
 //!
 //! # Examples
 //!
@@ -22,8 +25,10 @@
 //! assert!(a.info.contains(&PrivateInfo::Location));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ppchecker_apk::{Permission, PrivateInfo};
-use ppchecker_esa::{BoundSoa, Interpreter, SparseVector};
+use ppchecker_esa::{Interpreter, SparseVector};
 use ppchecker_nlp::chunk::chunk_nps;
 use ppchecker_nlp::sentence::split_sentences;
 use ppchecker_nlp::tagger::tag_str;
@@ -79,21 +84,18 @@ pub fn analyze_description(text: &str) -> DescriptionAnalysis {
     analyze_description_with(text, Interpreter::shared())
 }
 
-/// Permission profiles as interpretation vectors, paired with their
-/// norm-bound SoA arrays for the batch prune.
-type ProfileSet = (Vec<(Permission, Arc<SparseVector>)>, BoundSoa);
+/// Permission profiles as interpretation vectors.
+type ProfileSet = Vec<(Permission, Arc<SparseVector>)>;
 
 /// The resolved [`ProfileSet`]: once per process for the shared
 /// interpreter (the common case), per call for a custom one.
 fn profile_vectors(esa: &Interpreter) -> std::borrow::Cow<'static, ProfileSet> {
     use std::borrow::Cow;
     fn resolve(esa: &Interpreter) -> ProfileSet {
-        let profiles: Vec<(Permission, Arc<SparseVector>)> = permission_profiles()
+        permission_profiles()
             .iter()
             .map(|(perm, text)| (perm.clone(), esa.vector_of(text)))
-            .collect();
-        let soa = BoundSoa::build(profiles.iter().map(|(_, v)| v.as_ref()));
-        (profiles, soa)
+            .collect()
     }
     if std::ptr::eq(esa, Interpreter::shared()) {
         static SHARED: OnceLock<ProfileSet> = OnceLock::new();
@@ -116,9 +118,7 @@ pub fn analyze_description_with(text: &str, esa: &Interpreter) -> DescriptionAna
     // directly: same cosines as `esa.similarity`, without a vector-cache
     // probe per (phrase, profile) pair. For the shared interpreter the
     // profile vectors are resolved once per process.
-    let cached = profile_vectors(esa);
-    let (profiles, soa) = (&cached.0, &cached.1);
-    let mut survive: Vec<bool> = Vec::new();
+    let profiles = profile_vectors(esa);
     for sent in split_sentences(text) {
         let tokens = tag_str(&sent);
         for np in chunk_nps(&tokens) {
@@ -131,21 +131,9 @@ pub fn analyze_description_with(text: &str, esa: &Interpreter) -> DescriptionAna
                 // No known terms: similarity against every profile is 0.
                 continue;
             }
-            // One SIMD-folded norm-bound pass over all profiles prunes
-            // most of them before any per-pair work; survivors still go
-            // through the exact per-pair predicate, so verdicts are
-            // unchanged (the batch bound never prunes a pair the per-pair
-            // bound would keep).
-            let survivors =
-                soa.survivors(&phrase_vec, ppchecker_esa::SIMILARITY_THRESHOLD, &mut survive);
-            esa.note_pruned((profiles.len() - survivors) as u64);
-            if survivors == 0 {
-                continue;
-            }
-            for (slot, (perm, profile_vec)) in profiles.iter().enumerate() {
-                if !survive[slot] {
-                    continue;
-                }
+            // The norm bound rejects most profiles before any dot
+            // product; the verdict is exactly `cosine >= threshold`.
+            for (perm, profile_vec) in profiles.iter() {
                 let Some(sim) = esa.similarity_above(
                     &phrase_vec,
                     profile_vec,
@@ -216,5 +204,58 @@ mod tests {
     fn evidence_records_similarity() {
         let a = analyze_description("See the weather at your current location now.");
         assert!(a.evidence.iter().any(|e| e.similarity >= 0.67));
+    }
+
+    #[test]
+    fn per_pair_prune_counts_every_bounded_pair_and_keeps_exact_verdicts() {
+        use ppchecker_esa::kernel::{cosine, cosine_upper_bound, PRUNE_MARGIN};
+        use ppchecker_esa::{kb, SIMILARITY_THRESHOLD};
+        // A private interpreter, so no other test moves its prune counter.
+        let esa = Interpreter::new(kb::concepts());
+        let profiles: Vec<(Permission, SparseVector)> = permission_profiles()
+            .iter()
+            .map(|(perm, text)| (perm.clone(), esa.interpret_sparse(text)))
+            .collect();
+        for text in [
+            "Location aware tasks will help you to utilize your field force in optimum way.",
+            "This app synchronizes all birthdays with your contacts list and facebook.",
+            "Take beautiful photos with powerful camera filters. Record voice memos too.",
+            "A fun and addictive puzzle game with hundreds of levels. Beat your high score!",
+            "Read your sms text messages and call history from any nearby city.",
+        ] {
+            // Brute force over the same noun phrases: every pair whose
+            // bound falls below the cut is a prune, and every pair whose
+            // exact cosine reaches the threshold is evidence.
+            let mut expected_pruned = 0u64;
+            let mut expected = Vec::new();
+            for sent in split_sentences(text) {
+                let tokens = tag_str(&sent);
+                for np in chunk_nps(&tokens) {
+                    let phrase = np.content_text(&tokens);
+                    let phrase_vec = esa.interpret_sparse(&phrase);
+                    if phrase.is_empty() || phrase_vec.is_empty() {
+                        continue;
+                    }
+                    for (perm, profile_vec) in &profiles {
+                        let bound = cosine_upper_bound(&phrase_vec, profile_vec);
+                        expected_pruned += (bound < SIMILARITY_THRESHOLD - PRUNE_MARGIN) as u64;
+                        let sim = cosine(&phrase_vec, profile_vec);
+                        if sim >= SIMILARITY_THRESHOLD {
+                            expected.push((phrase.clone(), perm.clone(), sim.to_bits()));
+                        }
+                    }
+                }
+            }
+            let before = esa.pruned_comparisons();
+            let analysis = analyze_description_with(text, &esa);
+            let pruned = esa.pruned_comparisons() - before;
+            assert_eq!(pruned, expected_pruned, "prune count diverged on {text:?}");
+            let evidence: Vec<_> = analysis
+                .evidence
+                .iter()
+                .map(|e| (e.phrase.clone(), e.permission.clone(), e.similarity.to_bits()))
+                .collect();
+            assert_eq!(evidence, expected, "evidence diverged on {text:?}");
+        }
     }
 }

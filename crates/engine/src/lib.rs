@@ -44,6 +44,8 @@
 //!
 //! [`PPChecker`]: ppchecker_core::PPChecker
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod delta;
 pub mod engine;

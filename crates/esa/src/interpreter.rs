@@ -5,6 +5,12 @@
 //! sorted [`SparseVector`]s, and the threshold predicate combines a
 //! norm-bound prune with a sharded symbol-pair verdict memo. The `f64`
 //! public API and the 0.67 verdict semantics are unchanged (DESIGN.md §10).
+//!
+//! Every threshold comparison goes through one function,
+//! [`Interpreter::similarity_above`]: the memoized verdicts and the
+//! description analyzer's one-phrase-against-many-profiles loop alike.
+//! It alone applies the norm-bound prune and counts what it pruned
+//! ([`Interpreter::pruned_comparisons`]).
 
 use crate::kb::{concepts, Concept};
 use crate::kernel::{self, CsrIndex, SparseVector};
@@ -344,15 +350,6 @@ impl Interpreter {
     /// product.
     pub fn pruned_comparisons(&self) -> u64 {
         self.pruned.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` comparisons answered by a batch norm-bound check
-    /// ([`crate::simd::BoundSoa::survivors`]) run outside the interpreter,
-    /// so the prune counter stays meaningful for batch callers.
-    pub fn note_pruned(&self, n: u64) {
-        if n > 0 {
-            self.pruned.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Cosine similarity of two texts in concept space, in `[0, 1]`.

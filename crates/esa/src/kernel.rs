@@ -13,12 +13,17 @@
 //!   with parallel weights (structure-of-arrays: the id scan of the merge
 //!   never drags weight bytes through cache) plus a 128-bit concept
 //!   occupancy mask, its L2 norm and its max weight, all precomputed.
-//! - Dot products are a branchless linear two-pointer merge
-//!   ([`merge_dot`]) — sequential reads, no hashing, no probing — behind
-//!   two O(1) rejections: the mask intersection proves disjointness
-//!   without touching the arrays, and [`cosine_upper_bound`] proves
-//!   "below threshold" for the predicate without computing the dot
-//!   (see DESIGN.md §10 for the exactness argument).
+//! - [`dot`] has two bodies, chosen by the vectors alone. When every id
+//!   of both vectors is below 128 (the paper KB has 75 concepts, so that
+//!   is the whole real workload), [`mask_dot`] intersects the 128-bit
+//!   occupancy masks; otherwise [`merge_dot`] runs a branchless linear
+//!   two-pointer merge. Both sum one `f64` product per common id in
+//!   ascending id order, so they agree bit for bit.
+//! - Two O(1) rejections guard the dot: the mask intersection proves
+//!   disjointness without touching the arrays, and
+//!   [`cosine_upper_bound`] proves "below threshold" for the predicate
+//!   without computing the dot (see DESIGN.md §10 for the exactness
+//!   argument).
 //!
 //! Weights are stored as `f32` (the tf-idf values carry nowhere near 24 bits
 //! of signal); all accumulation happens in `f64`, and the public similarity
@@ -39,10 +44,9 @@ pub struct SparseVector {
     /// ever create false overlap, handled by the merge).
     mask: u128,
     /// `true` when every id is < 128, i.e. the mask is an *exact* occupancy
-    /// set rather than a collision filter. Two exact vectors can dot by
-    /// ranked mask intersection ([`crate::simd::mask_dot`]) instead of the
-    /// merge — the paper KB has 75 concepts, so the entire real workload
-    /// qualifies.
+    /// set rather than a collision filter. Two exact vectors dot by
+    /// ranked mask intersection ([`mask_dot`]) instead of the merge — the
+    /// paper KB has 75 concepts, so the entire real workload qualifies.
     mask_exact: bool,
     norm: f64,
     max_weight: f32,
@@ -178,16 +182,38 @@ pub fn cosine(a: &SparseVector, b: &SparseVector) -> f64 {
     (dot(a, b) / (a.norm * b.norm)).clamp(0.0, 1.0)
 }
 
-/// The dispatch-selected dot product behind [`cosine`]: ranked mask
-/// intersection ([`crate::simd::mask_dot`]) when both vectors' ids fit
-/// the exact 128-bit occupancy mask and SIMD is active, the scalar id
-/// [`merge_dot`] otherwise. Both accumulate the same way (f64, ascending
-/// id), so the result is bit-identical across dispatch levels — see
-/// [`crate::simd`].
+/// Dot product of two *exact-mask* sparse vectors (every concept id
+/// < 128, so bit `id` of the mask is set iff the vector stores id) by
+/// ranked intersection: `a_mask & b_mask` enumerates the common ids in
+/// ascending order, and the weight index of id `c` in a vector is the
+/// popcount of its mask below bit `c` — exactly the CSR position,
+/// because ids are strictly sorted. The cost is O(matches) instead of
+/// O(|a| + |b|). Accumulation is the same f64 ascending-id sum as
+/// [`merge_dot`], so the result is bit-identical to the merge on every
+/// eligible input.
+#[inline]
+pub fn mask_dot(a_mask: u128, a_w: &[f32], b_mask: u128, b_w: &[f32]) -> f64 {
+    let mut common = a_mask & b_mask;
+    let mut dot = 0.0f64;
+    while common != 0 {
+        let bit = common.trailing_zeros();
+        let below = (1u128 << bit) - 1;
+        let ia = (a_mask & below).count_ones() as usize;
+        let ib = (b_mask & below).count_ones() as usize;
+        dot += a_w[ia] as f64 * b_w[ib] as f64;
+        common &= common - 1;
+    }
+    dot
+}
+
+/// The dot product behind [`cosine`]: [`mask_dot`] when both vectors'
+/// ids fit the exact 128-bit occupancy mask, [`merge_dot`] otherwise.
+/// Both accumulate the same way (f64, ascending id), so the choice never
+/// changes a bit of the result.
 #[inline]
 pub fn dot(a: &SparseVector, b: &SparseVector) -> f64 {
-    if a.mask_exact && b.mask_exact && crate::simd::simd_active() {
-        crate::simd::mask_dot(a.mask, &a.weights, b.mask, &b.weights)
+    if a.mask_exact && b.mask_exact {
+        mask_dot(a.mask, &a.weights, b.mask, &b.weights)
     } else {
         merge_dot(&a.ids, &a.weights, &b.ids, &b.weights)
     }
@@ -211,8 +237,6 @@ pub fn cosine_upper_bound(a: &SparseVector, b: &SparseVector) -> f64 {
         return 0.0;
     }
     let overlap = a.len().min(b.len()) as f64;
-    // Same association as simd::BoundSoa's scalar loop, so batch and
-    // per-pair pruning agree bit-for-bit.
     let bound = (overlap * a.prune_scale) * b.prune_scale;
     bound.min(1.0)
 }
@@ -365,6 +389,43 @@ mod tests {
                 bound + PRUNE_MARGIN >= exact,
                 "bound {bound} undercuts cosine {exact} beyond PRUNE_MARGIN"
             );
+        }
+    }
+
+    #[test]
+    fn mask_dot_is_bit_identical_to_merge_for_narrow_vectors() {
+        // Seed-deterministic xorshift (no rand dependency in unit tests).
+        let mut state = 17u64;
+        let mut next = move || {
+            let mut x = state.wrapping_add(0x9e3779b97f4a7c15);
+            state = x;
+            x ^= x >> 30;
+            x = x.wrapping_mul(0xbf58476d1ce4e5b9);
+            x ^= x >> 27;
+            x = x.wrapping_mul(0x94d049bb133111eb);
+            x ^ (x >> 31)
+        };
+        // A strictly-sorted random id list below 128 with positive weights.
+        let mut random_sorted = || {
+            let len = (next() % 40) as usize;
+            let mut ids: Vec<u32> = (0..len).map(|_| (next() % 128) as u32).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let weights: Vec<f32> =
+                ids.iter().map(|_| (1 + next() % 1000) as f32 / 250.0).collect();
+            (ids, weights)
+        };
+        let mask_of = |ids: &[u32]| ids.iter().fold(0u128, |m, &id| m | (1u128 << id));
+        for case in 0..2000u64 {
+            let (a_ids, a_w) = random_sorted();
+            let (b_ids, b_w) = random_sorted();
+            let merge = merge_dot(&a_ids, &a_w, &b_ids, &b_w);
+            let masked = mask_dot(mask_of(&a_ids), &a_w, mask_of(&b_ids), &b_w);
+            assert_eq!(merge.to_bits(), masked.to_bits(), "case {case}: {merge} vs {masked}");
+            // And through `dot`, which picks the mask path for these.
+            let a = SparseVector::from_sorted_pairs(a_ids.iter().copied().zip(a_w).collect());
+            let b = SparseVector::from_sorted_pairs(b_ids.iter().copied().zip(b_w).collect());
+            assert_eq!(dot(&a, &b).to_bits(), merge.to_bits(), "case {case}: dot diverged");
         }
     }
 

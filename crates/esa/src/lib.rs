@@ -20,12 +20,12 @@
 //! assert!(!esa.same_thing("camera", "calendar"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod interpreter;
 pub mod kb;
 pub mod kernel;
-pub mod simd;
 
 pub use interpreter::{cosine, ConceptVector, Interpreter, SIMILARITY_THRESHOLD};
 pub use kb::Concept;
-pub use kernel::{merge_dot, CsrIndex, SparseVector};
-pub use simd::{active_path, force_scalar, mask_dot, simd_active, BoundSoa};
+pub use kernel::{mask_dot, merge_dot, CsrIndex, SparseVector};

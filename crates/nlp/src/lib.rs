@@ -25,13 +25,14 @@
 //! [`Symbol`] handles rather than owned strings, and downstream crates
 //! compare, hash and memoize on those `u32` handles (see DESIGN.md §9).
 
+#![forbid(unsafe_code)]
+
 pub mod chunk;
 pub mod depparse;
 pub mod intern;
 pub mod lemma;
 pub mod lexicon;
 pub mod sentence;
-pub mod simd;
 pub mod tagger;
 pub mod token;
 pub mod tree;

@@ -1,4 +1,12 @@
 //! Tokens, part-of-speech tags, and the tokenizer.
+//!
+//! [`tokenize`] has two bodies, chosen by the input alone: ASCII text
+//! (almost all pipeline text) takes a byte-at-a-time scanner over the
+//! sentence's bytes, and anything else takes the char-at-a-time
+//! reference. The two mirror each other branch for branch, and the
+//! differential tests below hold them to identical output on arbitrary
+//! ASCII. The byte path stays because dropping it measurably slows
+//! end-to-end batch throughput (DESIGN.md §15).
 
 use crate::intern::{intern, Symbol};
 use std::fmt;
@@ -223,21 +231,50 @@ impl fmt::Display for Token {
 pub fn tokenize(sentence: &str) -> Vec<Token> {
     let _span = ppchecker_obs::span!("nlp.tokenize");
     if sentence.is_ascii() {
-        // Almost all pipeline text is ASCII: scan bytes directly with
-        // the SIMD classifiers — no per-sentence `Vec<(usize, char)>`.
+        // Almost all pipeline text is ASCII: scan bytes directly — no
+        // per-sentence `Vec<(usize, char)>`.
         tokenize_ascii(sentence)
     } else {
         tokenize_chars(sentence)
     }
 }
 
+/// Word-character class of the ASCII path: alphanumerics plus `_`
+/// (`char::is_alphanumeric || == '_'` restricted to ASCII).
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// ASCII subset of Unicode `White_Space`: `\t \n \x0B \x0C \r` and
+/// space. (`u8::is_ascii_whitespace` excludes `\x0B`, which
+/// `char::is_whitespace` includes; the char path uses the latter, so the
+/// byte path must too.)
+fn is_space_byte(b: u8) -> bool {
+    b == b' ' || (0x09..=0x0D).contains(&b)
+}
+
+/// First index `>= i` whose byte is not a word character, or
+/// `bytes.len()`.
+fn word_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && is_word_byte(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// First index `>= i` whose byte is not ASCII whitespace, or
+/// `bytes.len()`.
+fn skip_spaces(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && is_space_byte(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
 /// Byte-at-a-time tokenizer for ASCII input, structurally mirroring
 /// [`tokenize_chars`] (every branch corresponds one-to-one; the
-/// differential tests assert identical output on arbitrary ASCII). Word
-/// runs and whitespace runs advance through [`crate::simd`]'s
-/// block-classifying scanners.
+/// differential tests assert identical output on arbitrary ASCII).
 fn tokenize_ascii(sentence: &str) -> Vec<Token> {
-    use crate::simd::{is_space_byte, is_word_byte, skip_spaces, word_end};
     let bytes = sentence.as_bytes();
     let n = bytes.len();
     let mut tokens = Vec::new();
@@ -518,10 +555,6 @@ mod tests {
             ts.iter().map(|t| (t.text().to_string(), t.start)).collect()
         };
         assert_eq!(view(&fast), view(&reference), "paths diverge on {sentence:?}");
-        crate::simd::force_scalar(true);
-        let scalar = tokenize_ascii(sentence);
-        crate::simd::force_scalar(false);
-        assert_eq!(view(&fast), view(&scalar), "simd diverges on {sentence:?}");
     }
 
     #[test]
@@ -560,6 +593,23 @@ mod tests {
             let s: String =
                 (0..len).map(|_| ALPHABET[(next() as usize) % ALPHABET.len()] as char).collect();
             assert_paths_agree(&s);
+        }
+    }
+
+    #[test]
+    fn long_runs_cross_block_boundaries() {
+        let word: Vec<u8> = std::iter::repeat_n(b'x', 100).chain([b' ']).collect();
+        assert_eq!(word_end(&word, 0), 100);
+        let spaces: Vec<u8> = std::iter::repeat_n(b' ', 77).chain([b'q']).collect();
+        assert_eq!(skip_spaces(&spaces, 0), 77);
+    }
+
+    #[test]
+    fn class_predicates_match_char_semantics_on_ascii() {
+        for b in 0u8..128 {
+            let c = b as char;
+            assert_eq!(is_word_byte(b), c.is_alphanumeric() || c == '_', "byte {b:#x}");
+            assert_eq!(is_space_byte(b), c.is_whitespace(), "byte {b:#x}");
         }
     }
 }

@@ -85,14 +85,21 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level, so without a limit a body of nothing but `[` bytes
+/// overflows the stack of whichever thread parses it. Documents the
+/// workspace writes nest at most 4 levels (a Chrome trace's
+/// `traceEvents[].args`).
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a description with a byte offset on malformed input or
-/// trailing garbage.
+/// Returns a description with a byte offset on malformed input, on
+/// arrays and objects nested more than 128 deep, or on trailing garbage.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -105,6 +112,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +138,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -139,6 +148,21 @@ impl Parser<'_> {
             Some(other) => Err(format!("unexpected {:?} at byte {}", other as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing past
+    /// `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -347,5 +371,30 @@ mod tests {
         assert!(parse("1 2").unwrap_err().contains("trailing"));
         assert!(parse("nul").is_err());
         assert!(parse(r#""\ud800x""#).is_err());
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&doc).is_ok());
+        let doc = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&doc).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread gets the default 2 MiB stack, the same as a
+        // daemon connection thread; without the depth limit either body
+        // aborts the process.
+        let arrays = "[".repeat(1_000_000);
+        let objects = "{\"a\":".repeat(1_000_000);
+        let results = std::thread::spawn(move || (parse(&arrays), parse(&objects)))
+            .join()
+            .expect("parser thread survives");
+        assert!(results.0.unwrap_err().contains("nesting deeper than"));
+        assert!(results.1.unwrap_err().contains("nesting deeper than"));
     }
 }

@@ -35,6 +35,8 @@
 //! # ppchecker_obs::set_enabled(false);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod json;
 pub mod span;

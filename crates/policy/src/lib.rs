@@ -22,6 +22,8 @@
 //! assert!(analysis.resources(VerbCategory::Disclose, true).contains("contacts"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bootstrap;
 pub mod diff;
 pub mod disclaimer;

@@ -1,7 +1,7 @@
-//! Wire-layer matrix against a live daemon: malformed input, oversized
-//! bodies, mid-stream disconnects, admission under a full queue, cache
-//! warm-up across requests, JSONL ordering, graceful drain, per-phase
-//! request spans, and the loopback latency floors.
+//! Wire-layer matrix against a live daemon: malformed and deeply nested
+//! input, oversized bodies, mid-stream disconnects, admission under a
+//! full queue, cache warm-up across requests, JSONL ordering, graceful
+//! drain, per-phase request spans, and the loopback latency floors.
 
 use ppchecker_core::PPChecker;
 use ppchecker_corpus::small_dataset;
@@ -95,6 +95,26 @@ fn malformed_json_gets_400_and_connection_survives() {
 
     let metrics = client.metrics().unwrap();
     assert!(number(&metrics, &["requests", "malformed"]) >= 1.0);
+    shut_down(handle);
+}
+
+#[test]
+fn deeply_nested_body_is_refused_and_the_daemon_keeps_serving() {
+    let handle = daemon(1, 2, true);
+    let hostile = "[".repeat(20_000);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let (status, body) = client.request("POST", "/check", &hostile).unwrap();
+    assert_eq!(status, 400);
+    assert!(body.contains("nesting deeper than"), "body: {body}");
+
+    let jsonl = JsonlClient::connect(handle.jsonl_addr().unwrap()).unwrap();
+    let responses = jsonl.send_lines(&[hostile]).unwrap();
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    assert!(responses[0].contains("\"ok\":false"), "{responses:?}");
+    assert!(responses[0].contains("nesting deeper than"), "{responses:?}");
+
+    let (status, _) = Client::connect(handle.addr()).unwrap().healthz().unwrap();
+    assert_eq!(status, 200);
     shut_down(handle);
 }
 

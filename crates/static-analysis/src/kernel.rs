@@ -17,7 +17,7 @@
 //!   when a leak is reported.
 //! * **Bitset taint** — a taint set becomes `[u64; W]` words
 //!   (monomorphized for W = 1/2/4 ⇒ up to 64/128/256 distinct labels);
-//!   union, test and population count are branchless word ops. Apps with
+//!   union, test and population count are plain per-word loops. Apps with
 //!   more labels, or dexes with duplicate `(class, method)` declarations
 //!   (where name resolution is ambiguous), fall back to the reference
 //!   engine.
@@ -105,75 +105,24 @@ impl<const W: usize> Bits<W> {
     }
 
     /// Unions `other` in; true if any new bit arrived.
-    ///
-    /// Strip-mined over 4-word lanes with XOR-based change detection: for
-    /// W ∈ {1, 2, 4} the const-generic loops fully unroll into
-    /// straight-line `or`/`xor` word ops with a single final compare —
-    /// no loop-carried bool and no branch per word. A widened W keeps
-    /// working through the scalar remainder loop.
     #[inline]
     fn or(&mut self, other: &Self) -> bool {
         let mut changed = 0u64;
-        let mut i = 0usize;
-        while i + 4 <= W {
-            let n0 = self.0[i] | other.0[i];
-            let n1 = self.0[i + 1] | other.0[i + 1];
-            let n2 = self.0[i + 2] | other.0[i + 2];
-            let n3 = self.0[i + 3] | other.0[i + 3];
-            changed |= (n0 ^ self.0[i])
-                | (n1 ^ self.0[i + 1])
-                | (n2 ^ self.0[i + 2])
-                | (n3 ^ self.0[i + 3]);
-            self.0[i] = n0;
-            self.0[i + 1] = n1;
-            self.0[i + 2] = n2;
-            self.0[i + 3] = n3;
-            i += 4;
-        }
-        while i < W {
-            let next = self.0[i] | other.0[i];
-            changed |= next ^ self.0[i];
-            self.0[i] = next;
-            i += 1;
+        for (word, &add) in self.0.iter_mut().zip(&other.0) {
+            changed |= add & !*word;
+            *word |= add;
         }
         changed != 0
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
-        // OR-fold in 4-word strips: one test at the end instead of an
-        // early-exit branch per word (W ≤ 4 in practice, so scanning all
-        // words is cheaper than branching).
-        let mut acc = 0u64;
-        let mut i = 0usize;
-        while i + 4 <= W {
-            acc |= self.0[i] | self.0[i + 1] | self.0[i + 2] | self.0[i + 3];
-            i += 4;
-        }
-        while i < W {
-            acc |= self.0[i];
-            i += 1;
-        }
-        acc == 0
+        self.0.iter().all(|&word| word == 0)
     }
 
     #[inline]
     fn count(&self) -> u32 {
-        // Popcount-fold in 4-word strips; unrolls like `or`.
-        let mut acc = 0u32;
-        let mut i = 0usize;
-        while i + 4 <= W {
-            acc += self.0[i].count_ones()
-                + self.0[i + 1].count_ones()
-                + self.0[i + 2].count_ones()
-                + self.0[i + 3].count_ones();
-            i += 4;
-        }
-        while i < W {
-            acc += self.0[i].count_ones();
-            i += 1;
-        }
-        acc
+        self.0.iter().map(|word| word.count_ones()).sum()
     }
 
     /// Indexes of set bits, ascending.
@@ -881,21 +830,6 @@ impl<const W: usize> StateScratch<W> {
     }
 }
 
-/// Best-effort read prefetch of the cache line holding `*p` (no-op off
-/// x86-64). Prefetching never faults, even on dangling addresses, so the
-/// caller only needs a plausible pointer, not a live borrow.
-#[inline(always)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: _mm_prefetch is a hint; it cannot fault and has no
-    // observable effect beyond the cache.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p as *const i8, std::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 fn exec<const W: usize>(
     prog: &Program,
     cache: Option<&TaintSummaryCache>,
@@ -913,15 +847,6 @@ fn exec<const W: usize>(
     }
     while let Some(ix) = st.queue.pop_front() {
         st.dirty[ix as usize] = false;
-        if let Some(&next) = st.queue.front() {
-            // Pull the next queued method's op stream toward L1 while the
-            // current method interprets; the worklist order is known one
-            // step ahead, so the miss is overlapped instead of paid.
-            let next_meta = prog.cs.metas[next as usize];
-            let ops = prog.cs.ops.as_ptr().wrapping_add(next_meta.ops_start as usize);
-            prefetch_read(ops);
-            prefetch_read(ops.wrapping_byte_add(64));
-        }
         process(prog, st, ix);
     }
     collect_leaks(prog, st)
@@ -1496,10 +1421,10 @@ mod tests {
             prop_assert_eq!(kernel, reference);
         }
 
-        /// Differential: the strip-mined Bits ops (4-lane `or`,
-        /// OR-folded `is_empty`, popcount-folded `count`) agree with
-        /// plain per-word references on random bit patterns, at every
-        /// width the kernel instantiates.
+        /// Differential: the Bits ops (`or` with change detection,
+        /// `is_empty`, `count`) agree with per-word references on
+        /// random bit patterns, at every width the kernel instantiates
+        /// and at a width that is not a power of two.
         #[test]
         fn strip_mined_bits_match_reference(seed in any::<u64>()) {
             fn check<const W: usize>(rng: &mut Rng) {
@@ -1536,7 +1461,7 @@ mod tests {
                 check::<1>(&mut rng);
                 check::<2>(&mut rng);
                 check::<4>(&mut rng);
-                check::<7>(&mut rng); // non-multiple width: remainder loops
+                check::<7>(&mut rng);
             }
         }
     }

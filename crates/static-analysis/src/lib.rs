@@ -34,6 +34,8 @@
 //! # Ok::<(), ppchecker_apk::ParseDexError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod apg;
 pub mod callbacks;

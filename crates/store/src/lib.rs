@@ -41,6 +41,8 @@
 //! new record, or garbage in `tmp/` — never a torn record at the final
 //! path.
 
+#![forbid(unsafe_code)]
+
 pub mod store;
 pub mod wire;
 

@@ -1,27 +1,28 @@
-//! Byte-identity of the SIMD kernels over the golden corpus.
+//! Byte-identity of the ESA kernel's two dot bodies, and of the engine's
+//! reports, over the golden corpus.
 //!
-//! The SIMD merge-dot and the batch norm-bound check are engineered to
-//! be *bit*-identical to their scalar references (same accumulator, same
-//! ascending-id accumulation order, same bound association), not merely
-//! close. This test holds that line end to end: every cosine the golden
-//! corpus vocabulary produces must match to the last f64 bit between the
-//! forced-scalar path and the detected SIMD path, and the rendered JSON
-//! report of every golden-corpus app must be byte-for-byte identical
-//! across the two paths.
+//! [`kernel::dot`] picks its body from the vectors alone: the ranked
+//! mask intersection when every id of both vectors is below 128, the
+//! two-pointer merge otherwise. The mask path is engineered to be *bit*-
+//! identical to the merge (same f64 accumulator, same ascending-id
+//! order), not merely close. The first test holds that line over every
+//! pair of golden-corpus resource vectors; the second holds the parallel
+//! engine's rendered reports to the same golden snapshot the direct
+//! checker is held to in `golden_report_equivalence`.
 //!
-//! Both halves run in one process, so [`ppchecker_esa::force_scalar`]
-//! (the runtime-dispatch test hook) switches paths rather than the
-//! `PPCHECKER_NO_SIMD` environment variable, which is read once at first
-//! dispatch. CI additionally runs the whole tier-1 suite under
-//! `PPCHECKER_NO_SIMD=1` to cover the env-var route.
+//! The test names predate the removal of the runtime SIMD dispatch and
+//! its scalar switch; they are kept so that existing references to these
+//! test ids stay valid.
 
-use ppchecker_core::PPChecker;
 use ppchecker_corpus::small_dataset;
-use ppchecker_engine::Engine;
+use ppchecker_engine::{AppOutcome, Engine};
 use ppchecker_esa::{kernel, Interpreter, SparseVector};
 use ppchecker_policy::PolicyAnalyzer;
 use ppchecker_serve::json::report_to_json;
 use std::collections::BTreeSet;
+use std::path::Path;
+
+const GOLDEN_PATH: &str = "tests/golden/reports_seed42_50.txt";
 
 /// Sparse vectors for every distinct resource phrase the golden corpus
 /// policies mention, plus the canonical sensitive-resource phrases.
@@ -39,55 +40,53 @@ fn corpus_vectors() -> Vec<SparseVector> {
     phrases.iter().map(|p| esa.interpret_sparse(p)).collect()
 }
 
+/// The cosine [`kernel::cosine`] would compute if every dot took the
+/// two-pointer merge.
+fn merge_cosine(a: &SparseVector, b: &SparseVector) -> f64 {
+    if a.norm() == 0.0 || b.norm() == 0.0 {
+        return 0.0;
+    }
+    let dot = kernel::merge_dot(a.ids(), a.weights(), b.ids(), b.weights());
+    (dot / (a.norm() * b.norm())).clamp(0.0, 1.0)
+}
+
 #[test]
 fn simd_cosines_are_bit_identical_to_scalar_over_golden_corpus() {
     let vectors = corpus_vectors();
     assert!(vectors.len() >= 20, "corpus should mention a rich resource vocabulary");
-    // Detected path first (so the SIMD lanes are the ones actually
-    // computing), then forced scalar over the same pairs.
-    ppchecker_esa::force_scalar(false);
-    let simd_path = ppchecker_esa::active_path();
-    let simd: Vec<u64> = vectors
-        .iter()
-        .flat_map(|a| vectors.iter().map(|b| kernel::cosine(a, b).to_bits()))
-        .collect();
-    ppchecker_esa::force_scalar(true);
-    assert_eq!(ppchecker_esa::active_path(), "scalar");
-    let scalar: Vec<u64> = vectors
-        .iter()
-        .flat_map(|a| vectors.iter().map(|b| kernel::cosine(a, b).to_bits()))
-        .collect();
-    ppchecker_esa::force_scalar(false);
-    assert_eq!(simd, scalar, "cosine diverged between scalar and {simd_path} paths");
+    // Every golden-vocabulary vector fits the exact 128-bit mask, so the
+    // kernel's cosine runs the mask dot on every pair compared below.
+    for v in &vectors {
+        assert!(v.ids().iter().all(|&id| id < 128), "vector ids {:?} leave the mask", v.ids());
+    }
+    for (i, a) in vectors.iter().enumerate() {
+        for (j, b) in vectors.iter().enumerate() {
+            let (fast, merged) = (kernel::cosine(a, b), merge_cosine(a, b));
+            assert_eq!(fast.to_bits(), merged.to_bits(), "pair ({i}, {j}): {fast} vs {merged}");
+        }
+    }
 }
 
 #[test]
 fn golden_corpus_reports_are_byte_identical_with_simd_on_and_off() {
     let dataset = small_dataset(42, 50);
-
-    let render = |batch: &ppchecker_engine::BatchReport| -> Vec<String> {
-        batch
-            .records
-            .iter()
-            .map(|r| match &r.outcome {
-                ppchecker_engine::AppOutcome::Report(report) => report_to_json(report),
-                ppchecker_engine::AppOutcome::Error(e) => format!("error: {e:?}"),
-            })
-            .collect()
-    };
-
-    ppchecker_esa::force_scalar(false);
-    let simd_path = ppchecker_esa::active_path();
-    let engine = Engine::new(PPChecker::new()).with_jobs(2);
-    let with_simd = render(&engine.run(dataset.iter_apps().cloned()));
-
-    ppchecker_esa::force_scalar(true);
-    let engine = Engine::new(PPChecker::new()).with_jobs(2);
-    let without_simd = render(&engine.run(dataset.iter_apps().cloned()));
-    ppchecker_esa::force_scalar(false);
-
-    assert_eq!(with_simd.len(), dataset.apps.len());
-    for (i, (a, b)) in with_simd.iter().zip(without_simd.iter()).enumerate() {
-        assert_eq!(a, b, "app {i}: report bytes diverged between {simd_path} and scalar");
+    let engine = Engine::new(dataset.make_checker()).with_jobs(2);
+    let batch = engine.run(dataset.iter_apps().cloned());
+    assert_eq!(batch.records.len(), dataset.apps.len());
+    // Rendered exactly as `golden_report_equivalence` renders the
+    // direct checker's reports.
+    let mut rendered = String::new();
+    for record in &batch.records {
+        match &record.outcome {
+            AppOutcome::Report(report) => rendered.push_str(&report_to_json(report)),
+            AppOutcome::Error(e) => rendered.push_str(&format!("error[{}]: {e}", record.package)),
+        }
+        rendered.push('\n');
     }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+    let golden = std::fs::read_to_string(path).expect("golden snapshot present");
+    for (i, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "engine report diverged from the snapshot at line {}", i + 1);
+    }
+    assert_eq!(rendered.lines().count(), golden.lines().count(), "report count diverged");
 }
