@@ -8,13 +8,12 @@
 //! allocator, before the sampled criterion groups.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ppchecker_apk::Apk;
 use ppchecker_bench::emit::BenchResult;
 use ppchecker_corpus::small_dataset;
 use ppchecker_static::apg::Apg;
-use ppchecker_static::graph::NodeId;
 use ppchecker_static::{reach, taint};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -53,13 +52,14 @@ fn alloc_snapshot() -> (u64, u64) {
     )
 }
 
-/// The 50-app golden corpus, pre-built to APGs with their reachable sets
-/// so the bench isolates the taint fixpoint from dex parsing.
-fn golden_apgs() -> Vec<(Apg, HashSet<NodeId>)> {
-    small_dataset(42, 50)
-        .apps
-        .iter()
-        .filter_map(|app| Apg::build(&app.input.apk).ok())
+/// An APG with its reachable set (indexed by method id).
+type Scoped<'a> = (Apg<'a>, Vec<bool>);
+
+/// Pre-builds APGs with their reachable sets, so the bench isolates the
+/// taint fixpoint from dex parsing.
+fn scoped(apks: &[Apk]) -> Vec<Scoped<'_>> {
+    apks.iter()
+        .filter_map(|apk| Apg::build(apk).ok())
         .map(|apg| {
             let methods = reach::reachable_methods(&apg);
             (apg, methods)
@@ -67,23 +67,25 @@ fn golden_apgs() -> Vec<(Apg, HashSet<NodeId>)> {
         .collect()
 }
 
-fn run_reference(apps: &[(Apg, HashSet<NodeId>)]) -> usize {
+/// The 50-app golden corpus.
+fn golden_apks() -> Vec<Apk> {
+    small_dataset(42, 50).apps.into_iter().map(|app| app.input.apk).collect()
+}
+
+fn run_reference(apps: &[Scoped]) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze_reference(apg, methods).len()).sum()
 }
 
-fn run_kernel_cold(apps: &[(Apg, HashSet<NodeId>)]) -> usize {
+fn run_kernel_cold(apps: &[Scoped]) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze(apg, methods).len()).sum()
 }
 
-fn run_kernel_cached(
-    apps: &[(Apg, HashSet<NodeId>)],
-    cache: &ppchecker_static::TaintSummaryCache,
-) -> usize {
+fn run_kernel_cached(apps: &[Scoped], cache: &ppchecker_static::TaintSummaryCache) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze_cached(apg, methods, Some(cache)).len()).sum()
 }
 
-fn run_reachability(apps: &[(Apg, HashSet<NodeId>)]) -> usize {
-    apps.iter().map(|(apg, _)| reach::reachable_methods(apg).len()).sum()
+fn run_reachability(apps: &[Scoped]) -> usize {
+    apps.iter().map(|(apg, _)| reach::reachable_methods(apg).iter().filter(|&&r| r).count()).sum()
 }
 
 /// Runs `f` for `reps` timed rounds and returns the fastest — the usual
@@ -101,7 +103,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> Duration {
 /// One-shot report: cold fixpoint reference vs kernel (the acceptance
 /// number), warm summary-cache pass, reachability-only, and per-app
 /// allocation counts for both engines. Every duration is best-of-3.
-fn report_taint(apps: &[(Apg, HashSet<NodeId>)]) {
+fn report_taint(apps: &[Scoped]) {
     let n = apps.len();
     println!("taint_fixpoint: {n} apps (golden corpus)");
 
@@ -155,8 +157,8 @@ fn report_taint(apps: &[(Apg, HashSet<NodeId>)]) {
 /// summary cache's home turf — replaying `F_m(∅)` leaves every lib
 /// method's inputs at ∅, so the warm fixpoint skips their
 /// interpretation entirely instead of re-queueing them.
-fn lib_heavy_apps(n: usize) -> Vec<(Apg, HashSet<NodeId>)> {
-    use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
+fn lib_heavy_apks(n: usize) -> Vec<Apk> {
+    use ppchecker_apk::{ComponentKind, Dex, Manifest};
     (0..n)
         .map(|i| {
             let pkg = format!("com.libheavy{i}");
@@ -195,16 +197,14 @@ fn lib_heavy_apps(n: usize) -> Vec<(Apg, HashSet<NodeId>)> {
                     });
                 });
             }
-            let apk = Apk::new(manifest, builder.build());
-            let apg = Apg::build(&apk).unwrap();
-            let methods = reach::reachable_methods(&apg);
-            (apg, methods)
+            Apk::new(manifest, builder.build())
         })
         .collect()
 }
 
 fn report_lib_heavy() {
-    let apps = lib_heavy_apps(40);
+    let apks = lib_heavy_apks(40);
+    let apps = scoped(&apks);
     println!("taint_fixpoint: lib-heavy workload ({} apps sharing one reachable SDK)", apps.len());
     const PASSES: usize = 20;
     black_box(run_kernel_cold(&apps));
@@ -229,7 +229,7 @@ fn report_lib_heavy() {
 /// Per-run cold-fixpoint latencies over the golden corpus, emitted as
 /// `BENCH_taint.json` (see [`ppchecker_bench::emit`]); warmup runs are
 /// discarded so the quantiles report steady state, not lazy-init cost.
-fn emit_bench_json(apps: &[(Apg, HashSet<NodeId>)]) {
+fn emit_bench_json(apps: &[Scoped]) {
     const WARMUP: usize = 2;
     const RUNS: usize = 10;
     for _ in 0..WARMUP {
@@ -259,7 +259,8 @@ fn emit_bench_json(apps: &[(Apg, HashSet<NodeId>)]) {
 }
 
 fn bench_taint(c: &mut Criterion) {
-    let apps = golden_apgs();
+    let apks = golden_apks();
+    let apps = scoped(&apks);
     report_taint(&apps);
     report_lib_heavy();
     emit_bench_json(&apps);

@@ -119,6 +119,20 @@ fn deeply_nested_body_is_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn huge_parameter_count_gets_a_report_and_the_daemon_keeps_serving() {
+    // 246 bytes declaring three billion parameters: no table may be sized by it.
+    const BODY: &str = r#"{"policy_html":"<p>We log data.</p>","description":"","manifest":"package com.h\nactivity com.h.Main main\n","dex":"class com.h.Main extends android.app.Activity\n  method onCreate params 3000000000\n    invoke static android.util.Log d [0] -\n"}"#;
+    let handle = daemon(1, 2, false);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let (status, body) = client.request("POST", "/check", BODY).unwrap();
+    assert_eq!(status, 200, "body: {body}");
+    assert!(body.contains("\"ok\":true"), "body: {body}");
+    let (status, _) = Client::connect(handle.addr()).unwrap().healthz().unwrap();
+    assert_eq!(status, 200);
+    shut_down(handle);
+}
+
+#[test]
 fn malformed_http_gets_400_then_close() {
     let handle = daemon(1, 2, false);
     let mut client = Client::connect(handle.addr()).unwrap();

@@ -3,14 +3,13 @@
 
 use crate::apg::Apg;
 use crate::consts::{self, UriValue};
-use crate::graph::NodeId;
 use crate::libs::{self, KnownLib};
 use crate::reach;
 use crate::sensitive;
 use crate::taint::{self, Leak};
 use crate::uris;
 use ppchecker_apk::{Apk, Insn, ParseDexError, PrivateInfo};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Ablation switches (all on by default, matching the paper's system).
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +49,6 @@ pub struct StaticReport {
     pub retained: Vec<Leak>,
     /// Detected third-party libraries.
     pub libs: Vec<&'static KnownLib>,
-    /// Number of methods reachable from entry points.
-    pub reachable_method_count: usize,
     /// Sensitive call sites discarded as unreachable (dead code).
     pub unreachable_sensitive_calls: usize,
 }
@@ -103,63 +100,56 @@ pub fn analyze_with_cache(
         let _span = ppchecker_obs::span!("static.apg_build");
         Apg::build(apk)?
     };
-    let package = apk.manifest.package.clone();
+    let package = apk.manifest.package.as_str();
 
-    let in_scope: HashSet<NodeId> = if opts.reachability {
+    // The methods in scope, indexed by id.
+    let in_scope = if opts.reachability {
         reach::reachable_methods(&apg)
     } else {
-        apg.method_ids.values().copied().collect()
+        vec![true; apg.method_count()]
     };
 
-    let mut report = StaticReport {
-        libs: libs::detect_libs(&apg.dex),
-        reachable_method_count: in_scope.len(),
-        ..StaticReport::default()
-    };
+    let mut report = StaticReport { libs: libs::detect_libs(apg.dex()), ..StaticReport::default() };
 
     // Collect_code: scan sensitive API invocations and query() URIs.
     let scan_span = ppchecker_obs::span!("static.scan");
-    for class in &apg.dex.classes {
-        for m in &class.methods {
-            let mid = apg.method_ids[&(class.name.clone(), m.name.clone())];
-            let reachable = in_scope.contains(&mid);
-            let app_owned = class.name.starts_with(&package);
-            let record = |info: PrivateInfo, api: String, report: &mut StaticReport| {
-                let site = Callsite { class: class.name.clone(), method: m.name.clone(), api };
-                let map = if app_owned { &mut report.collected } else { &mut report.lib_collected };
-                let sites = map.entry(info).or_default();
-                if !sites.contains(&site) {
-                    sites.push(site);
-                }
-            };
+    for ix in 0..apg.method_count() as u32 {
+        let (class, m) = apg.method_def(ix);
+        let reachable = in_scope[ix as usize];
+        let app_owned = class.name.starts_with(package);
+        let record = |info: PrivateInfo, api: String, report: &mut StaticReport| {
+            let site = Callsite { class: class.name.clone(), method: m.name.clone(), api };
+            let map = if app_owned { &mut report.collected } else { &mut report.lib_collected };
+            let sites = map.entry(info).or_default();
+            if !sites.contains(&site) {
+                sites.push(site);
+            }
+        };
 
-            for insn in &m.instructions {
-                let Insn::Invoke { class: cc, method: mm, .. } = insn else {
-                    continue;
-                };
-                if let Some(api) = sensitive::lookup(cc, mm) {
-                    if reachable {
-                        record(api.info, format!("{cc}.{mm}"), &mut report);
-                    } else {
-                        report.unreachable_sensitive_calls += 1;
-                    }
+        for insn in &m.instructions {
+            let Insn::Invoke { class: cc, method: mm, .. } = insn else {
+                continue;
+            };
+            if let Some(api) = sensitive::lookup(cc, mm) {
+                if reachable {
+                    record(api.info, format!("{cc}.{mm}"), &mut report);
+                } else {
+                    report.unreachable_sensitive_calls += 1;
                 }
             }
+        }
 
-            if opts.uri_analysis {
-                for (_, uri) in consts::query_sites(m) {
-                    let (info, api) = match &uri {
-                        UriValue::Literal(s) => {
-                            (uris::match_uri_string(s).map(|u| u.info), s.clone())
-                        }
-                        UriValue::Field(f) => (uris::match_uri_field(f).map(|u| u.info), f.clone()),
-                    };
-                    if let Some(info) = info {
-                        if reachable {
-                            record(info, api, &mut report);
-                        } else {
-                            report.unreachable_sensitive_calls += 1;
-                        }
+        if opts.uri_analysis {
+            for (_, uri) in consts::query_sites(m) {
+                let (info, api) = match &uri {
+                    UriValue::Literal(s) => (uris::match_uri_string(s).map(|u| u.info), s.clone()),
+                    UriValue::Field(f) => (uris::match_uri_field(f).map(|u| u.info), f.clone()),
+                };
+                if let Some(info) = info {
+                    if reachable {
+                        record(info, api, &mut report);
+                    } else {
+                        report.unreachable_sensitive_calls += 1;
                     }
                 }
             }

@@ -1,21 +1,37 @@
-//! Android property graph (APG) construction.
+//! The Android property graph (APG), in dense form.
 //!
-//! The APG integrates the AST (class → method → instruction containment),
-//! the interprocedural CFG, the method call graph, and dependency edges
-//! into one property graph ([`crate::graph::Graph`]), as the paper does
-//! with its ValHunter-based module. Implicit callback edges (EdgeMiner
-//! substitute) and intent edges (IccTA substitute) are added during
-//! construction.
+//! The paper builds its APG with ValHunter and asks it two questions,
+//! `Collect_code` and `Retain_code` (§III-C). Both read only the method
+//! layer: the method bodies, the methods each one may call, and where
+//! the app is entered. So the APG is the dex plus three derived tables:
+//!
+//! * one dense `u32` id per distinct `(class, method)`, in declaration
+//!   order. When a dex declares a pair twice, the first declaration wins
+//!   and later bodies are never read;
+//! * the callee table in compressed-sparse-row (CSR) form: call edges
+//!   resolved by class-hierarchy analysis (CHA), implicit callback edges
+//!   (the EdgeMiner substitute, [`crate::callbacks`]) and inter-component
+//!   intent edges (the IccTA substitute);
+//! * the lifecycle entry methods of the manifest's components.
+//!
+//! Reachability ([`crate::reach`]), the `Collect_code` scan
+//! ([`crate::analysis`]) and both taint engines ([`crate::taint`]) index
+//! their per-method state by id.
 
 use crate::callbacks;
-use crate::graph::{EdgeKind, Graph, NodeId, NodeKind};
 use crate::libs::{self, KnownLib};
 use ppchecker_apk::{
-    stable_hash_classes, Apk, Class, ComponentKind, Dex, FnvMap, Insn, Method, MethodRef,
-    ParseDexError,
+    stable_hash_classes, Apk, Class, ComponentKind, Dex, Insn, Method, MethodRef, ParseDexError,
+    Reg,
 };
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::OnceLock;
+
+/// Superclass links CHA follows from a class.
+const MAX_ANCESTORS: usize = 32;
 
 /// Lifecycle entry methods per component kind.
 pub fn lifecycle_methods(kind: ComponentKind) -> &'static [&'static str] {
@@ -29,230 +45,103 @@ pub fn lifecycle_methods(kind: ComponentKind) -> &'static [&'static str] {
     }
 }
 
-/// The constructed property graph plus lookup indexes.
+/// The APG of one app: its dex, the method ids and the callee table.
 #[derive(Debug)]
-pub struct Apg {
-    /// The underlying graph store.
-    pub graph: Graph,
-    /// The recovered dex the graph was built from.
-    pub dex: Dex,
-    /// `(class, method)` → method node.
-    pub method_ids: HashMap<(String, String), NodeId>,
-    /// Method node → `(class, method)`.
-    pub method_names: HashMap<NodeId, (String, String)>,
-    /// Component nodes (from the manifest).
-    pub component_ids: Vec<NodeId>,
-    /// Dense `u32` method index + CSR call adjacency (see [`MethodIndex`]).
-    dense: MethodIndex,
+pub struct Apg<'a> {
+    /// Borrowed when the APK ships a plain dex, unpacked once otherwise.
+    dex: Cow<'a, Dex>,
+    /// id → the body's position in the dex.
+    refs: Vec<MethodRef>,
+    /// `(hash of (class, method), id)` for every id, sorted: the name
+    /// index. The hasher is keyed per APG, so app-chosen names cannot
+    /// be crafted to collide.
+    by_name: Vec<(u64, u32)>,
+    hasher: RandomState,
+    /// CSR row offsets (`method_count + 1` entries) into `callee_ids`.
+    callee_rows: Vec<u32>,
+    /// Callee ids; each row is sorted and deduplicated.
+    callee_ids: Vec<u32>,
+    /// Lifecycle entry methods of the manifest's components.
+    lifecycle: Vec<u32>,
     /// Detected known libs with their content-hash cache keys, computed
     /// on first use (see [`Apg::known_lib_keys`]).
     lib_keys: OnceLock<Vec<(&'static KnownLib, u64)>>,
 }
 
-/// Dense-ID view of the method layer, compiled once at APG construction.
-///
-/// Every method body gets a `u32` index in dex declaration order (stable
-/// across builds, unlike map iteration orders). The combined
-/// call/implicit-callback/intent adjacency is stored as CSR arrays over
-/// those indexes, so reachability and the taint fixpoint walk flat
-/// slices instead of hashing `(NodeId, EdgeKind)` keys per step.
-#[derive(Debug, Default)]
-pub struct MethodIndex {
-    /// ix → graph method node.
-    node_of: Vec<NodeId>,
-    /// ix → dense dex position.
-    ref_of: Vec<MethodRef>,
-    /// Graph method node → ix.
-    ix_of_node: FnvMap<NodeId, u32>,
-    /// class → method → ix: zero-allocation name lookup (a nested map is
-    /// queryable with borrowed `&str` keys, unlike `(String, String)`),
-    /// FNV-hashed — it is probed once per invoke in the taint kernel.
-    by_name: FnvMap<String, FnvMap<String, u32>>,
-    /// CSR row offsets (`method_count + 1` entries) of the combined
-    /// Call + ImplicitCallback + Icc adjacency, deduplicated per row.
-    call_row: Vec<u32>,
-    /// CSR column array of callee indexes.
-    call_col: Vec<u32>,
-    /// True when the dex declares the same `(class, method)` twice; the
-    /// dense view keeps the first body (mirroring `Dex::class` /
-    /// `Class::method` lookup), and callers that need exact duplicate
-    /// semantics fall back to name-resolved processing.
-    has_duplicates: bool,
-}
-
-impl Apg {
+impl<'a> Apg<'a> {
     /// Builds the APG for an APK, unpacking the dex first if needed.
     ///
     /// # Errors
     ///
     /// Returns [`ParseDexError`] if a packed dex cannot be recovered.
-    pub fn build(apk: &Apk) -> Result<Apg, ParseDexError> {
-        let dex = apk.dex()?;
-        let mut graph = Graph::new();
-        let mut method_ids = HashMap::new();
-        let mut method_names = HashMap::new();
-
-        // AST: classes, methods, instructions; intra-method CFG.
-        for class in &dex.classes {
-            let cid = graph.add_node(NodeKind::Class, class.name.clone());
-            graph.set_attr(cid, "superclass", class.superclass.clone());
-            for m in &class.methods {
-                let mid = graph.add_node(NodeKind::Method, m.name.clone());
-                graph.set_attr(mid, "class", class.name.clone());
-                graph.add_edge(cid, EdgeKind::Contains, mid);
-                method_ids.insert((class.name.clone(), m.name.clone()), mid);
-                method_names.insert(mid, (class.name.clone(), m.name.clone()));
-                let mut prev: Option<NodeId> = None;
-                let mut insn_nodes = Vec::with_capacity(m.instructions.len());
-                for (idx, insn) in m.instructions.iter().enumerate() {
-                    let iid = graph.add_node(NodeKind::Instruction, insn.to_string());
-                    graph.set_attr(iid, "index", idx.to_string());
-                    graph.add_edge(mid, EdgeKind::Contains, iid);
-                    if let Some(p) = prev {
-                        graph.add_edge(p, EdgeKind::CfgNext, iid);
-                    }
-                    insn_nodes.push(iid);
-                    prev = Some(iid);
-                }
-                // Branch edges.
-                for (idx, insn) in m.instructions.iter().enumerate() {
-                    let target = match insn {
-                        Insn::Goto { target } => Some(*target),
-                        Insn::IfNonZero { target, .. } => Some(*target),
-                        _ => None,
-                    };
-                    if let Some(t) = target {
-                        if t < insn_nodes.len() {
-                            graph.add_edge(insn_nodes[idx], EdgeKind::CfgNext, insn_nodes[t]);
-                        }
-                    }
-                }
-            }
-        }
-
+    pub fn build(apk: &'a Apk) -> Result<Apg<'a>, ParseDexError> {
+        let dex = match apk.plain_dex() {
+            Some(dex) => Cow::Borrowed(dex),
+            None => Cow::Owned(apk.dex()?),
+        };
+        let hasher = RandomState::new();
+        let (refs, by_name) = index_methods(&dex, &hasher);
         let mut apg = Apg {
-            graph,
             dex,
-            method_ids,
-            method_names,
-            component_ids: Vec::new(),
-            dense: MethodIndex::default(),
+            refs,
+            by_name,
+            hasher,
+            callee_rows: Vec::new(),
+            callee_ids: Vec::new(),
+            lifecycle: Vec::new(),
             lib_keys: OnceLock::new(),
         };
-
-        apg.add_call_edges();
-        apg.add_implicit_callback_edges();
-        apg.add_icc_edges();
-        apg.add_components(apk);
-        apg.build_dense_index();
+        apg.lifecycle = apk
+            .manifest
+            .components
+            .iter()
+            .flat_map(|comp| lifecycle_methods(comp.kind).iter().map(move |&e| (comp, e)))
+            .filter_map(|(comp, entry)| apg.lookup_ix(&comp.class_name, entry))
+            .collect();
+        (apg.callee_rows, apg.callee_ids) = callee_csr(&apg);
         Ok(apg)
     }
 
-    /// Compiles the dense method index and the combined call CSR. Runs
-    /// after all edges exist; everything here is derived state.
-    fn build_dense_index(&mut self) {
-        let mut dense = MethodIndex::default();
-        for r in self.dex.method_refs() {
-            let (class, m) = self.dex.method_at(r);
-            let methods = dense.by_name.entry(class.name.clone()).or_default();
-            if methods.contains_key(&m.name) {
-                dense.has_duplicates = true;
-                continue;
-            }
-            // Method nodes were created in the same declaration order the
-            // refs walk, so the name map resolves the first declaration's
-            // node — matching `Dex::class`/`Class::method` first-match
-            // semantics.
-            let ix = dense.node_of.len() as u32;
-            let node = self.method_ids[&(class.name.clone(), m.name.clone())];
-            methods.insert(m.name.clone(), ix);
-            dense.node_of.push(node);
-            dense.ref_of.push(r);
-        }
-        // With duplicate declarations, `method_ids` (last-wins) may hand a
-        // later node to the name map; the dense view is then advisory
-        // only, which `has_duplicates` already signals.
-        dense.ix_of_node =
-            dense.node_of.iter().enumerate().map(|(ix, &n)| (n, ix as u32)).collect();
-
-        // Combined Call + ImplicitCallback + Icc adjacency, deduplicated
-        // (CHA can record one call edge per matching override and repeat
-        // targets per site; reachability and taint only need the set).
-        let n = dense.node_of.len();
-        dense.call_row = Vec::with_capacity(n + 1);
-        dense.call_row.push(0);
-        let mut scratch: Vec<u32> = Vec::new();
-        for &node in &dense.node_of {
-            scratch.clear();
-            for kind in [EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc] {
-                for target in self.graph.successors(node, kind) {
-                    if let Some(&ix) = dense.ix_of_node.get(target) {
-                        scratch.push(ix);
-                    }
-                }
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            dense.call_col.extend_from_slice(&scratch);
-            dense.call_row.push(dense.call_col.len() as u32);
-        }
-        self.dense = dense;
+    /// The dex the APG was built from.
+    pub fn dex(&self) -> &Dex {
+        &self.dex
     }
 
-    /// Number of dense-indexed methods.
+    /// Number of method ids.
     pub fn method_count(&self) -> usize {
-        self.dense.node_of.len()
+        self.refs.len()
     }
 
-    /// The dense index of a method node.
-    pub fn method_ix(&self, id: NodeId) -> Option<u32> {
-        self.dense.ix_of_node.get(&id).copied()
-    }
-
-    /// The graph node of a dense method index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ix` is out of bounds.
-    pub fn method_node(&self, ix: u32) -> NodeId {
-        self.dense.node_of[ix as usize]
-    }
-
-    /// The class and body of a dense method index — O(1), no name lookup.
+    /// The class and body of a method id.
     ///
     /// # Panics
     ///
     /// Panics if `ix` is out of bounds.
     pub fn method_def(&self, ix: u32) -> (&Class, &Method) {
-        self.dex.method_at(self.dense.ref_of[ix as usize])
+        self.dex.method_at(self.refs[ix as usize])
     }
 
-    /// Dense callee indexes of `ix` over the combined call, implicit
-    /// callback, and intent adjacency (sorted, deduplicated).
+    /// The callee ids of `ix` over call, implicit callback and intent
+    /// edges (sorted, deduplicated).
     pub fn callees(&self, ix: u32) -> &[u32] {
-        let row = &self.dense.call_row;
-        &self.dense.call_col[row[ix as usize] as usize..row[ix as usize + 1] as usize]
+        let (lo, hi) = (self.callee_rows[ix as usize], self.callee_rows[ix as usize + 1]);
+        &self.callee_ids[lo as usize..hi as usize]
     }
 
-    /// Zero-allocation `(class, method)` → dense index lookup.
+    /// The id of `(class, method)`, by hash over the name index.
     pub fn lookup_ix(&self, class: &str, method: &str) -> Option<u32> {
-        self.dense.by_name.get(class)?.get(method).copied()
+        let key = self.hasher.hash_one((class, method));
+        let at = self.by_name.partition_point(|&(k, _)| k < key);
+        self.by_name[at..].iter().take_while(|&&(k, _)| k == key).map(|&(_, ix)| ix).find(|&ix| {
+            let (c, m) = self.method_def(ix);
+            c.name == class && m.name == method
+        })
     }
 
-    /// Zero-allocation `(class, method)` → method node lookup (the
-    /// borrowed-key counterpart of indexing [`Apg::method_ids`]).
-    pub fn method_id(&self, class: &str, method: &str) -> Option<NodeId> {
-        if self.dense.has_duplicates {
-            // Keep exact last-wins map semantics for degenerate dexes.
-            return self.method_ids.get(&(class.to_string(), method.to_string())).copied();
-        }
-        self.lookup_ix(class, method).map(|ix| self.method_node(ix))
-    }
-
-    /// True when the dex declares the same `(class, method)` twice, making
-    /// the dense view advisory (first declaration wins).
-    pub fn has_duplicate_methods(&self) -> bool {
-        self.dense.has_duplicates
+    /// The lifecycle entry methods of the manifest's components, in
+    /// manifest order.
+    pub fn lifecycle_entries(&self) -> &[u32] {
+        &self.lifecycle
     }
 
     /// Known third-party libs embedded in the app, each with the
@@ -276,210 +165,153 @@ impl Apg {
                 .collect()
         })
     }
+}
 
-    /// Method call graph: for each invoke, link the caller method to every
-    /// in-dex class that defines the callee (exact class or a subclass
-    /// overriding it — a simple class-hierarchy analysis).
-    fn add_call_edges(&mut self) {
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for class in &self.dex.classes {
-            for m in &class.methods {
-                let Some(&caller) = self.method_ids.get(&(class.name.clone(), m.name.clone()))
-                else {
-                    continue;
-                };
-                for insn in &m.instructions {
-                    let Insn::Invoke { class: cc, method: mm, .. } = insn else {
-                        continue;
-                    };
-                    for target in self.resolve_targets(cc, mm) {
-                        edges.push((caller, target));
-                    }
-                }
-            }
-        }
-        for (a, b) in edges {
-            self.graph.add_edge(a, EdgeKind::Call, b);
+/// Numbers the distinct `(class, method)` pairs in declaration order, the
+/// first declaration of a pair winning. Returns the id → body table and
+/// the name index.
+fn index_methods(dex: &Dex, hasher: &RandomState) -> (Vec<MethodRef>, Vec<(u64, u32)>) {
+    let all = dex.method_refs();
+    let name = |pos: u32| {
+        let (class, method) = dex.method_at(all[pos as usize]);
+        (class.name.as_str(), method.name.as_str())
+    };
+    // Declaration positions by (hash, name, position): the first
+    // declaration of a pair comes first, and `dedup_by` keeps it.
+    let mut by_name: Vec<(u64, u32)> =
+        (0..all.len() as u32).map(|pos| (hasher.hash_one(name(pos)), pos)).collect();
+    by_name.sort_unstable_by(|&(ka, a), &(kb, b)| (ka, name(a), a).cmp(&(kb, name(b), b)));
+    by_name.dedup_by(|later, first| later.0 == first.0 && name(later.1) == name(first.1));
+    // Mark the survivors, then number them in declaration order.
+    let mut id_of = vec![u32::MAX; all.len()];
+    for &(_, pos) in &by_name {
+        id_of[pos as usize] = 0;
+    }
+    let mut refs = Vec::with_capacity(by_name.len());
+    for (pos, &r) in all.iter().enumerate() {
+        if id_of[pos] != u32::MAX {
+            id_of[pos] = refs.len() as u32;
+            refs.push(r);
         }
     }
+    for entry in &mut by_name {
+        entry.1 = id_of[entry.1 as usize];
+    }
+    (refs, by_name)
+}
 
-    /// Resolves an invocation to method nodes: the named class itself, or
-    /// any class whose superclass chain reaches it.
-    fn resolve_targets(&self, class: &str, method: &str) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if let Some(&id) = self.method_ids.get(&(class.to_string(), method.to_string())) {
-            out.push(id);
+/// The callee table: per id, the sorted distinct callees.
+fn callee_csr(apg: &Apg) -> (Vec<u32>, Vec<u32>) {
+    let overriders = overriders(apg);
+    let mut rows = Vec::with_capacity(apg.method_count() + 1);
+    rows.push(0);
+    let mut ids = Vec::new();
+    let mut row = Vec::new();
+    for ix in 0..apg.method_count() as u32 {
+        row.clear();
+        let (class, method) = apg.method_def(ix);
+        push_callees(apg, &overriders, class, method, &mut row);
+        row.sort_unstable();
+        row.dedup();
+        ids.extend_from_slice(&row);
+        rows.push(ids.len() as u32);
+    }
+    (rows, ids)
+}
+
+/// CHA's index: `(ancestor, method name, id)` for every method whose
+/// class has `ancestor` among its first [`MAX_ANCESTORS`] superclass
+/// links, sorted and deduplicated. Each link is read from the first
+/// declaration of the class, as [`Dex::class`] resolves it.
+fn overriders<'d>(apg: &'d Apg) -> Vec<(&'d str, &'d str, u32)> {
+    // Class names come from the app: keep the default, collision-resistant hasher.
+    let mut first: HashMap<&str, &Class> = HashMap::new();
+    for class in &apg.dex.classes {
+        first.entry(class.name.as_str()).or_insert(class);
+    }
+    let mut out = Vec::new();
+    for ix in 0..apg.method_count() as u32 {
+        let (class, method) = apg.method_def(ix);
+        let mut cur = class.name.as_str();
+        for _ in 0..MAX_ANCESTORS {
+            let Some(c) = first.get(cur) else { break };
+            cur = c.superclass.as_str();
+            out.push((cur, method.name.as_str(), ix));
         }
-        for c in &self.dex.classes {
-            if c.name == class {
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Pushes the callees of one body, in any order and with repeats.
+fn push_callees(
+    apg: &Apg,
+    overriders: &[(&str, &str, u32)],
+    class: &Class,
+    method: &Method,
+    out: &mut Vec<u32>,
+) {
+    const LAUNCHERS: &[(&str, &[&str])] = &[
+        ("startActivity", &["onCreate"]),
+        ("startService", &["onCreate", "onStartCommand"]),
+        ("sendBroadcast", &["onReceive"]),
+    ];
+    // Register → last string constant, and intent register → target
+    // class, as the body's instructions set them up to this point.
+    let mut strings: HashMap<Reg, &str> = HashMap::new();
+    let mut intents: HashMap<Reg, &str> = HashMap::new();
+    for (idx, insn) in method.instructions.iter().enumerate() {
+        let (cc, mm, args) = match insn {
+            Insn::ConstString { dst, value } => {
+                strings.insert(*dst, value);
                 continue;
             }
-            if self.superclass_chain_contains(&c.name, class) && c.method(method).is_some() {
-                if let Some(&id) = self.method_ids.get(&(c.name.clone(), method.to_string())) {
-                    out.push(id);
+            Insn::Invoke { class: cc, method: mm, args, .. } => (cc.as_str(), mm.as_str(), args),
+            _ => continue,
+        };
+        // Call edges: the named method, plus every override in a class
+        // whose superclass links reach the named class.
+        out.extend(apg.lookup_ix(cc, mm));
+        let lo = overriders.partition_point(|&(a, m, _)| (a, m) < (cc, mm));
+        out.extend(
+            overriders[lo..].iter().take_while(|&&(a, m, _)| (a, m) == (cc, mm)).map(|o| o.2),
+        );
+        // Implicit callbacks: the listener instantiated into an argument
+        // register, or the registering class itself ("this" receivers).
+        if let Some(callback) = callbacks::callback_for(cc, mm) {
+            for &arg in args {
+                if let Some(listener) = last_new_instance(&method.instructions[..idx], arg) {
+                    out.extend(apg.lookup_ix(listener, callback));
                 }
             }
+            out.extend(apg.lookup_ix(&class.name, callback));
         }
-        out
-    }
-
-    fn superclass_chain_contains(&self, class: &str, ancestor: &str) -> bool {
-        let mut cur = class.to_string();
-        for _ in 0..32 {
-            let Some(c) = self.dex.class(&cur) else { return false };
-            if c.superclass == ancestor {
-                return true;
+        // Intent edges: `setClass`-style calls name an intent's target;
+        // launching the intent enters the target's lifecycle methods.
+        if cc == "android.content.Intent"
+            && matches!(mm, "setClass" | "setClassName" | "setComponent")
+        {
+            if let (Some(&intent), Some(&target)) =
+                (args.first(), args.iter().skip(1).find_map(|r| strings.get(r)))
+            {
+                intents.insert(intent, target);
             }
-            cur = c.superclass.clone();
-        }
-        false
-    }
-
-    /// EdgeMiner substitute: for each registration call, find the listener
-    /// object (a `new-instance` reaching one of the argument registers in
-    /// the same method) and add an edge to its callback method.
-    fn add_implicit_callback_edges(&mut self) {
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for class in &self.dex.classes {
-            for m in &class.methods {
-                let Some(&caller) = self.method_ids.get(&(class.name.clone(), m.name.clone()))
-                else {
-                    continue;
-                };
-                for (idx, insn) in m.instructions.iter().enumerate() {
-                    let Insn::Invoke { class: cc, method: mm, args, .. } = insn else {
-                        continue;
-                    };
-                    let Some(cb_name) = callbacks::callback_for(cc, mm) else {
-                        continue;
-                    };
-                    // Backward scan: which class was newly instantiated into
-                    // one of the argument registers?
-                    for &arg in args {
-                        if let Some(listener) = last_new_instance(&m.instructions[..idx], arg) {
-                            if let Some(&target) =
-                                self.method_ids.get(&(listener.clone(), cb_name.to_string()))
-                            {
-                                edges.push((caller, target));
-                            }
-                        }
-                    }
-                    // The registering class itself may implement the
-                    // listener interface ("this" receivers).
-                    if let Some(&target) =
-                        self.method_ids.get(&(class.name.clone(), cb_name.to_string()))
-                    {
-                        edges.push((caller, target));
-                    }
-                }
+        } else if let Some((_, entries)) = LAUNCHERS.iter().find(|(name, _)| *name == mm) {
+            for target in args.iter().skip(1).filter_map(|r| intents.get(r)) {
+                out.extend(entries.iter().filter_map(|entry| apg.lookup_ix(target, entry)));
             }
         }
-        for (a, b) in edges {
-            self.graph.add_edge(a, EdgeKind::ImplicitCallback, b);
-        }
-    }
-
-    /// IccTA substitute: intent construction + `startActivity`/`startService`
-    /// /`sendBroadcast` becomes an edge to the target component's lifecycle
-    /// entry methods.
-    fn add_icc_edges(&mut self) {
-        const LAUNCHERS: &[(&str, &[&str])] = &[
-            ("startActivity", &["onCreate"]),
-            ("startService", &["onCreate", "onStartCommand"]),
-            ("sendBroadcast", &["onReceive"]),
-        ];
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for class in &self.dex.classes {
-            for m in &class.methods {
-                let Some(&caller) = self.method_ids.get(&(class.name.clone(), m.name.clone()))
-                else {
-                    continue;
-                };
-                // Map register → intent target class (via setClass-style calls).
-                let mut intent_target: HashMap<u32, String> = HashMap::new();
-                let mut strings: HashMap<u32, String> = HashMap::new();
-                for insn in &m.instructions {
-                    match insn {
-                        Insn::ConstString { dst, value } => {
-                            strings.insert(*dst, value.clone());
-                        }
-                        Insn::Invoke { class: cc, method: mm, args, .. }
-                            if cc == "android.content.Intent"
-                                && matches!(
-                                    mm.as_str(),
-                                    "setClass" | "setClassName" | "setComponent"
-                                ) =>
-                        {
-                            if let (Some(&intent_reg), Some(target)) =
-                                (args.first(), args.iter().skip(1).find_map(|r| strings.get(r)))
-                            {
-                                intent_target.insert(intent_reg, target.clone());
-                            }
-                        }
-                        Insn::Invoke { method: mm, args, .. } => {
-                            let Some((_, entries)) = LAUNCHERS.iter().find(|(name, _)| name == mm)
-                            else {
-                                continue;
-                            };
-                            for arg in args.iter().skip(1) {
-                                if let Some(target_class) = intent_target.get(arg) {
-                                    for entry in *entries {
-                                        if let Some(&t) = self
-                                            .method_ids
-                                            .get(&(target_class.clone(), entry.to_string()))
-                                        {
-                                            edges.push((caller, t));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        for (a, b) in edges {
-            self.graph.add_edge(a, EdgeKind::Icc, b);
-        }
-    }
-
-    /// Component nodes and lifecycle edges from the manifest.
-    fn add_components(&mut self, apk: &Apk) {
-        for comp in &apk.manifest.components {
-            let nid = self.graph.add_node(NodeKind::Component, comp.class_name.clone());
-            self.graph.set_attr(nid, "kind", format!("{:?}", comp.kind));
-            if comp.main {
-                self.graph.set_attr(nid, "main", "true");
-            }
-            for entry in lifecycle_methods(comp.kind) {
-                if let Some(&mid) =
-                    self.method_ids.get(&(comp.class_name.clone(), entry.to_string()))
-                {
-                    self.graph.add_edge(nid, EdgeKind::Lifecycle, mid);
-                }
-            }
-            self.component_ids.push(nid);
-        }
-    }
-
-    /// The `(class, method)` names for a method node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a method node of this APG.
-    pub fn method_name(&self, id: NodeId) -> &(String, String) {
-        &self.method_names[&id]
     }
 }
 
 /// Finds the class most recently `new-instance`d into `reg` (also follows
 /// simple `move` chains), scanning backwards.
-fn last_new_instance(insns: &[Insn], reg: u32) -> Option<String> {
+fn last_new_instance(insns: &[Insn], reg: Reg) -> Option<&str> {
     let mut wanted = reg;
     for insn in insns.iter().rev() {
         match insn {
-            Insn::NewInstance { dst, class } if *dst == wanted => return Some(class.clone()),
+            Insn::NewInstance { dst, class } if *dst == wanted => return Some(class),
             Insn::Move { dst, src } if *dst == wanted => wanted = *src,
             _ => {}
         }
@@ -490,8 +322,9 @@ fn last_new_instance(insns: &[Insn], reg: u32) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::EdgeKind;
+    use crate::Rng;
     use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
+    use std::collections::BTreeSet;
 
     fn sample_apk() -> Apk {
         let mut manifest = Manifest::new("com.example.app");
@@ -518,68 +351,52 @@ mod tests {
         Apk::new(manifest, dex)
     }
 
-    #[test]
-    fn builds_ast_nodes() {
-        let apg = Apg::build(&sample_apk()).unwrap();
-        assert!(apg
-            .method_ids
-            .contains_key(&("com.example.app.Main".to_string(), "onCreate".to_string())));
-        assert!(apg.graph.node_count() > 5);
+    fn id(apg: &Apg, class: &str, method: &str) -> u32 {
+        apg.lookup_ix(class, method).unwrap_or_else(|| panic!("{class}.{method} has no id"))
     }
 
     #[test]
-    fn call_edge_to_helper() {
-        let apg = Apg::build(&sample_apk()).unwrap();
-        let caller = apg.method_ids[&("com.example.app.Main".into(), "onCreate".into())];
-        let callee = apg.method_ids[&("com.example.app.Helper".into(), "load".into())];
-        assert!(apg.graph.successors(caller, EdgeKind::Call).contains(&callee));
-    }
-
-    #[test]
-    fn implicit_callback_edge_to_listener() {
-        let apg = Apg::build(&sample_apk()).unwrap();
-        let caller = apg.method_ids[&("com.example.app.Main".into(), "onCreate".into())];
-        let cb = apg.method_ids[&("com.example.app.Listener".into(), "onClick".into())];
-        assert!(apg.graph.successors(caller, EdgeKind::ImplicitCallback).contains(&cb));
-    }
-
-    #[test]
-    fn lifecycle_edge_from_component() {
-        let apg = Apg::build(&sample_apk()).unwrap();
-        let comp = apg.component_ids[0];
-        let entry = apg.method_ids[&("com.example.app.Main".into(), "onCreate".into())];
-        assert!(apg.graph.successors(comp, EdgeKind::Lifecycle).contains(&entry));
-    }
-
-    #[test]
-    fn dense_index_round_trips() {
-        let apg = Apg::build(&sample_apk()).unwrap();
+    fn ids_follow_declaration_order_and_round_trip_by_name() {
+        let apk = sample_apk();
+        let apg = Apg::build(&apk).unwrap();
         assert_eq!(apg.method_count(), 3);
-        assert!(!apg.has_duplicate_methods());
         for ix in 0..apg.method_count() as u32 {
-            let node = apg.method_node(ix);
-            assert_eq!(apg.method_ix(node), Some(ix));
             let (class, m) = apg.method_def(ix);
             assert_eq!(apg.lookup_ix(&class.name, &m.name), Some(ix));
-            assert_eq!(apg.method_id(&class.name, &m.name), Some(node));
-            assert_eq!(apg.method_name(node), &(class.name.clone(), m.name.clone()));
         }
+        assert_eq!(id(&apg, "com.example.app.Helper", "load"), 2);
         assert_eq!(apg.lookup_ix("com.example.app.Main", "missing"), None);
+        assert_eq!(apg.lookup_ix("com.example.app.Missing", "onCreate"), None);
     }
 
     #[test]
-    fn dense_callees_mirror_graph_edges() {
-        use std::collections::HashSet;
-        let apg = Apg::build(&sample_apk()).unwrap();
-        for ix in 0..apg.method_count() as u32 {
-            let node = apg.method_node(ix);
-            let via_csr: HashSet<NodeId> =
-                apg.callees(ix).iter().map(|&c| apg.method_node(c)).collect();
-            let mut via_map: HashSet<NodeId> = HashSet::new();
-            for kind in [EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc] {
-                via_map.extend(apg.graph.successors(node, kind).iter().copied());
-            }
-            assert_eq!(via_csr, via_map);
+    fn call_and_callback_edges() {
+        let apk = sample_apk();
+        let apg = Apg::build(&apk).unwrap();
+        let caller = id(&apg, "com.example.app.Main", "onCreate");
+        let helper = id(&apg, "com.example.app.Helper", "load");
+        let listener = id(&apg, "com.example.app.Listener", "onClick");
+        assert_eq!(apg.callees(caller), [listener, helper]);
+        assert!(apg.callees(listener).is_empty());
+    }
+
+    #[test]
+    fn lifecycle_entries_come_from_the_manifest() {
+        let apk = sample_apk();
+        let apg = Apg::build(&apk).unwrap();
+        assert_eq!(apg.lifecycle_entries(), [id(&apg, "com.example.app.Main", "onCreate")]);
+    }
+
+    #[test]
+    fn packed_dex_is_unpacked_once_and_plain_dex_is_borrowed() {
+        let plain = sample_apk();
+        let packed = Apk::new_packed(plain.manifest.clone(), plain.plain_dex().unwrap(), 0x5C);
+        let a = Apg::build(&plain).unwrap();
+        let b = Apg::build(&packed).unwrap();
+        assert!(std::ptr::eq(a.dex(), plain.plain_dex().unwrap()));
+        assert_eq!(a.dex(), b.dex());
+        for ix in 0..a.method_count() as u32 {
+            assert_eq!(a.callees(ix), b.callees(ix));
         }
     }
 
@@ -602,10 +419,10 @@ mod tests {
                 c.method("onStartCommand", 3, |_| {});
             })
             .build();
-        let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
-        let caller = apg.method_ids[&("com.x.Main".into(), "onCreate".into())];
-        let target = apg.method_ids[&("com.x.Sync".into(), "onStartCommand".into())];
-        assert!(apg.graph.successors(caller, EdgeKind::Icc).contains(&target));
+        let apk = Apk::new(manifest, dex);
+        let apg = Apg::build(&apk).unwrap();
+        let caller = id(&apg, "com.x.Main", "onCreate");
+        assert_eq!(apg.callees(caller), [id(&apg, "com.x.Sync", "onStartCommand")]);
     }
 
     #[test]
@@ -624,66 +441,182 @@ mod tests {
                 });
             })
             .build();
-        let apg = Apg::build(&Apk::new(Manifest::new("com.x"), dex)).unwrap();
-        let caller = apg.method_ids[&("com.x.Caller".into(), "go".into())];
-        let base = apg.method_ids[&("com.x.Base".into(), "work".into())];
-        let derived = apg.method_ids[&("com.x.Derived".into(), "work".into())];
-        let succs = apg.graph.successors(caller, EdgeKind::Call);
-        assert!(succs.contains(&base) && succs.contains(&derived));
+        let apk = Apk::new(Manifest::new("com.x"), dex);
+        let apg = Apg::build(&apk).unwrap();
+        let caller = id(&apg, "com.x.Caller", "go");
+        assert_eq!(
+            apg.callees(caller),
+            [id(&apg, "com.x.Base", "work"), id(&apg, "com.x.Derived", "work")]
+        );
     }
-}
-
-/// Size summary of a constructed APG.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApgStats {
-    /// Class nodes.
-    pub classes: usize,
-    /// Method nodes.
-    pub methods: usize,
-    /// Instruction nodes.
-    pub instructions: usize,
-    /// Component nodes.
-    pub components: usize,
-    /// Total edges of all kinds.
-    pub edges: usize,
-}
-
-impl Apg {
-    /// Computes node/edge counts by kind.
-    pub fn stats(&self) -> ApgStats {
-        use crate::graph::NodeKind;
-        ApgStats {
-            classes: self.graph.nodes_of_kind(NodeKind::Class).count(),
-            methods: self.graph.nodes_of_kind(NodeKind::Method).count(),
-            instructions: self.graph.nodes_of_kind(NodeKind::Instruction).count(),
-            components: self.graph.nodes_of_kind(NodeKind::Component).count(),
-            edges: self.graph.edge_count(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod stats_tests {
-    use super::*;
-    use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
 
     #[test]
-    fn stats_count_every_kind() {
-        let mut manifest = Manifest::new("com.x");
-        manifest.add_component(ComponentKind::Activity, "com.x.Main", true);
+    fn first_declaration_of_a_pair_wins() {
+        // com.x.Main is declared twice and `go` three times. The first
+        // `go` body owns the id; the later ones are never read. A pair
+        // only the second declaration carries still gets its own id, and
+        // the superclass comes from the first declaration.
         let dex = Dex::builder()
             .class("com.x.Main", |c| {
-                c.method("onCreate", 1, |m| {
-                    m.const_string(1, "hello");
+                c.extends("com.x.Base");
+                c.method("go", 1, |m| {
+                    m.invoke_virtual("com.x.A", "first", &[0], None);
                 });
+                c.method("go", 1, |_| {});
+            })
+            .class("com.x.Main", |c| {
+                c.extends("com.x.Other");
+                c.method("go", 1, |m| {
+                    m.invoke_virtual("com.x.A", "second", &[0], None);
+                });
+                c.method("extra", 1, |_| {});
+            })
+            .class("com.x.A", |c| {
+                c.method("first", 1, |m| {
+                    m.invoke_virtual("com.x.Base", "extra", &[0], None);
+                    m.invoke_virtual("com.x.Other", "extra", &[0], None);
+                });
+                c.method("second", 1, |_| {});
             })
             .build();
-        let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
-        let s = apg.stats();
-        assert_eq!(s.classes, 1);
-        assert_eq!(s.methods, 1);
-        assert_eq!(s.instructions, 2); // const-string + implicit return
-        assert_eq!(s.components, 1);
-        assert!(s.edges >= 4); // contains ×3 + cfg + lifecycle
+        let apk = Apk::new(Manifest::new("com.x"), dex);
+        let apg = Apg::build(&apk).unwrap();
+        assert_eq!(apg.method_count(), 4);
+        let go = id(&apg, "com.x.Main", "go");
+        let extra = id(&apg, "com.x.Main", "extra");
+        let first = id(&apg, "com.x.A", "first");
+        assert_eq!((go, extra, first), (0, 1, 2));
+        assert!(std::ptr::eq(apg.method_def(go).1, &apg.dex().classes[0].methods[0]));
+        assert_eq!(apg.callees(go), [first]);
+        // CHA: Main extends Base (first declaration), not Other.
+        assert_eq!(apg.callees(first), [extra]);
+    }
+
+    /// Today's CHA resolution, name by name: the named method, plus the
+    /// method of every other class whose superclass chain (at most 32
+    /// links, each read through `Dex::class`) reaches the named class.
+    fn brute_force_targets(dex: &Dex, class: &str, method: &str) -> BTreeSet<(String, String)> {
+        let chain_reaches = |start: &str| {
+            let mut cur = start.to_string();
+            for _ in 0..32 {
+                let Some(c) = dex.class(&cur) else { return false };
+                if c.superclass == class {
+                    return true;
+                }
+                cur = c.superclass.clone();
+            }
+            false
+        };
+        let mut out = BTreeSet::new();
+        if dex.classes.iter().any(|c| c.name == class && c.method(method).is_some()) {
+            out.insert((class.to_string(), method.to_string()));
+        }
+        for c in &dex.classes {
+            if c.name != class && chain_reaches(&c.name) && c.method(method).is_some() {
+                out.insert((c.name.clone(), method.to_string()));
+            }
+        }
+        out
+    }
+
+    /// Up to 40 classes under random superclass links: self-links and
+    /// cycles, absent framework superclasses, or one chain of 40 (deeper
+    /// than CHA's 32 links). Some classes are declared twice, some
+    /// `(class, method)` pairs more than once.
+    fn random_hierarchy(rng: &mut Rng) -> Dex {
+        const METHODS: [&str; 3] = ["a", "b", "c"];
+        let chain = rng.below(3) == 0;
+        let n = if chain { 40 } else { 2 + rng.below(39) as usize };
+        let name = |i: usize| {
+            if i < n {
+                format!("com.h.C{i}")
+            } else {
+                "android.app.Activity".to_string()
+            }
+        };
+        let mut builder = Dex::builder();
+        for decl in 0..n + n / 4 {
+            let i = if decl < n { decl } else { rng.below(n as u64) as usize };
+            let superclass = match (chain, i) {
+                (true, 0) => "java.lang.Object".to_string(),
+                (true, _) => name(i - 1),
+                (false, _) => name(rng.below(n as u64 + 2) as usize),
+            };
+            builder = builder.class(&name(i), |c| {
+                c.extends(&superclass);
+                for _ in 0..rng.below(4) {
+                    let m = METHODS[rng.below(3) as usize];
+                    c.method(m, 1, |body| {
+                        for _ in 0..rng.below(4) {
+                            let target = name(rng.below(n as u64 + 1) as usize);
+                            body.invoke_virtual(
+                                &target,
+                                METHODS[rng.below(3) as usize],
+                                &[0],
+                                None,
+                            );
+                        }
+                    });
+                }
+            });
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn cha_targets_match_brute_force() {
+        for seed in 0..300 {
+            let apk = Apk::new(Manifest::new("com.h"), random_hierarchy(&mut Rng(seed)));
+            let apg = Apg::build(&apk).unwrap();
+            for ix in 0..apg.method_count() as u32 {
+                let (_, body) = apg.method_def(ix);
+                let mut expected = BTreeSet::new();
+                for insn in &body.instructions {
+                    if let Insn::Invoke { class, method, .. } = insn {
+                        expected.extend(brute_force_targets(apg.dex(), class, method));
+                    }
+                }
+                let actual: BTreeSet<(String, String)> = apg
+                    .callees(ix)
+                    .iter()
+                    .map(|&t| {
+                        let (c, m) = apg.method_def(t);
+                        (c.name.clone(), m.name.clone())
+                    })
+                    .collect();
+                assert_eq!(actual, expected, "seed {seed}, method {ix}");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_hierarchy_builds_in_linear_time() {
+        // C{i} extends C{i-1}; C{i}.run invokes C{i+1}.run, which CHA
+        // resolves to C{i+1} and the 32 subclasses below it.
+        const N: usize = 4000;
+        let mut builder = Dex::builder();
+        for i in 0..N {
+            let superclass = if i == 0 {
+                "java.lang.Object".to_string()
+            } else {
+                format!("com.deep.C{}", i - 1)
+            };
+            builder = builder.class(&format!("com.deep.C{i}"), |c| {
+                c.extends(&superclass);
+                c.method("run", 1, |m| {
+                    m.invoke_virtual(&format!("com.deep.C{}", (i + 1) % N), "run", &[0], None);
+                });
+            });
+        }
+        let apk = Apk::new(Manifest::new("com.deep"), builder.build());
+        let started = std::time::Instant::now();
+        let apg = Apg::build(&apk).unwrap();
+        let took = started.elapsed();
+        for i in 0..N as u32 {
+            let target = (i + 1) % N as u32;
+            let expected: Vec<u32> = (target..=(target + 32).min(N as u32 - 1)).collect();
+            assert_eq!(apg.callees(i), expected, "class {i}");
+        }
+        assert!(took.as_secs_f64() < 2.0, "Apg::build took {took:?} on a {N}-class chain");
     }
 }

@@ -3,9 +3,9 @@
 //! Android framework registration APIs cause later invocations of callback
 //! methods ("from `setOnClickListener()` to `onClick()`"). EdgeMiner mined
 //! these registration→callback pairs from the framework; this module ships
-//! the pairs the simulated apps exercise, and the APG builder uses them to
-//! add [`crate::graph::EdgeKind::ImplicitCallback`] edges from registration
-//! sites to the callback methods of the registered listener class.
+//! the pairs the simulated apps exercise, and the APG builder
+//! ([`crate::apg`]) uses them to add callee edges from registration sites
+//! to the callback methods of the registered listener class.
 
 /// A registration API and the callback method it implies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

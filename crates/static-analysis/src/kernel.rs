@@ -1,26 +1,23 @@
-//! Dense-ID bitset taint kernel.
+//! Dense-ID bitset taint kernel: the production taint engine.
 //!
-//! A drop-in replacement for the reference taint engine in
-//! [`crate::taint`] that computes the identical leak set (the corpus
-//! equivalence suite asserts byte-identical output) without touching a
-//! string or allocating inside the fixpoint:
+//! It computes the reference engine's leak set ([`crate::taint`]; the
+//! corpus equivalence suite asserts byte-identical output) on every app,
+//! without touching a string or allocating inside the fixpoint:
 //!
 //! * **Compile once, allocate never** — every in-scope method body is
 //!   lowered in a single pass to a flat op stream over `u32` ids: taint
 //!   labels, `(class, field)` pairs, ICC channels, sink sites and call
-//!   targets are all interned as they are first seen, so the hot loop
-//!   never hashes a string or probes a `HashMap`. All compile output
-//!   lives in thread-local scratch buffers that are cleared and reused
-//!   across apps — the interning tables hold static-table pointers and
-//!   dex locators rather than owned strings — so steady-state analysis
-//!   performs no heap allocation; witness strings are materialized only
-//!   when a leak is reported.
-//! * **Bitset taint** — a taint set becomes `[u64; W]` words
-//!   (monomorphized for W = 1/2/4 ⇒ up to 64/128/256 distinct labels);
-//!   union, test and population count are plain per-word loops. Apps with
-//!   more labels, or dexes with duplicate `(class, method)` declarations
-//!   (where name resolution is ambiguous), fall back to the reference
-//!   engine.
+//!   targets are all interned as they are first seen, and each body's
+//!   registers are renumbered to dense slots (the distinct registers it
+//!   uses), so register indexes and `param_count` never size a table.
+//!   All compile output lives in thread-local scratch buffers that are
+//!   cleared and reused across apps — the interning tables hold
+//!   static-table pointers and dex locators rather than owned strings —
+//!   so steady-state analysis performs no heap allocation; witness
+//!   strings are materialized only when a leak is reported.
+//! * **Bitset taint** — a taint set is `w = max(1, ⌈labels/64⌉)` words,
+//!   with `w` fixed per app; each table keeps its sets in one flat
+//!   array. Union, test and population count are plain per-word loops.
 //! * **Dirty-bit worklist** — instead of re-sweeping every method each
 //!   global round, a FIFO worklist re-processes only methods whose
 //!   inputs (parameter, field, return or ICC-channel taint) actually
@@ -36,11 +33,10 @@
 
 use crate::apg::Apg;
 use crate::consts::{self, UriValue};
-use crate::graph::NodeId;
 use crate::sensitive::{self, SensitiveApi};
 use crate::sinks::{self, SinkApi};
 use crate::summary::{LibSummary, MethodSummary, NamedLabel, SummaryLeak, TaintSummaryCache};
-use crate::taint::{intent_targets, Leak};
+use crate::taint::{body_regs, intent_targets, Leak};
 use crate::uris;
 use ppchecker_apk::{Class, Insn, PrivateInfo, Reg};
 use std::cell::RefCell;
@@ -49,95 +45,116 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Sentinel for "no id" in packed op fields.
 const NONE: u32 = u32::MAX;
 
-/// Labels beyond this fall back to the reference engine.
-const MAX_LABELS: usize = 256;
-
 thread_local! {
     /// Compile output, cleared and reused across apps on this thread.
     static COMPILE: RefCell<CompileScratch> = const { RefCell::new(CompileScratch::new()) };
-    /// Fixpoint state per bitset width, likewise reused.
-    static STATE1: RefCell<StateScratch<1>> = const { RefCell::new(StateScratch::new()) };
-    static STATE2: RefCell<StateScratch<2>> = const { RefCell::new(StateScratch::new()) };
-    static STATE4: RefCell<StateScratch<4>> = const { RefCell::new(StateScratch::new()) };
+    /// Fixpoint state, likewise reused.
+    static STATE: RefCell<StateScratch> = const { RefCell::new(StateScratch::new()) };
 }
 
-/// Runs the kernel, or returns `None` when the app is outside its
-/// supported envelope (duplicate method declarations, > 256 labels).
-pub(crate) fn run(
-    apg: &Apg,
-    methods: &HashSet<NodeId>,
-    cache: Option<&TaintSummaryCache>,
-) -> Option<Vec<Leak>> {
-    if apg.has_duplicate_methods() {
-        return None;
-    }
+/// Runs the kernel over the methods `in_scope` marks (indexed by id).
+pub(crate) fn run(apg: &Apg, in_scope: &[bool], cache: Option<&TaintSummaryCache>) -> Vec<Leak> {
     COMPILE.with(|cell| {
         let mut cs = cell.borrow_mut();
         {
             let _span = ppchecker_obs::span!("taint.compile");
-            compile(apg, methods, &mut cs)?;
+            compile(apg, in_scope, &mut cs);
         }
-        let cs = &*cs;
-        let prog = Program { apg, cs };
+        let prog = Program { apg, in_scope, cs: &cs };
         let _span = ppchecker_obs::span!("taint.fixpoint");
-        Some(match cs.labels.len() {
-            0..=64 => STATE1.with(|s| exec::<1>(&prog, cache, &mut s.borrow_mut())),
-            65..=128 => STATE2.with(|s| exec::<2>(&prog, cache, &mut s.borrow_mut())),
-            _ => STATE4.with(|s| exec::<4>(&prog, cache, &mut s.borrow_mut())),
-        })
+        STATE.with(|s| exec(&prog, cache, &mut s.borrow_mut()))
     })
 }
 
 // ---------------------------------------------------------------------------
-// Bitset
+// Bitsets
 // ---------------------------------------------------------------------------
 
-/// Fixed-width taint bitset: bit *i* = label *i* present.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Bits<const W: usize>([u64; W]);
+/// Words per taint bitset for `labels` distinct labels.
+fn width(labels: usize) -> usize {
+    labels.div_ceil(64).max(1)
+}
 
-impl<const W: usize> Bits<W> {
-    const EMPTY: Self = Bits([0u64; W]);
+/// Sets `bit`; true if it was clear.
+#[inline]
+fn set(bits: &mut [u64], bit: u32) -> bool {
+    let word = &mut bits[(bit / 64) as usize];
+    let mask = 1u64 << (bit % 64);
+    let fresh = *word & mask == 0;
+    *word |= mask;
+    fresh
+}
 
-    #[inline]
-    fn set(&mut self, bit: u32) {
-        self.0[(bit / 64) as usize] |= 1u64 << (bit % 64);
+/// Unions `add` into `bits`; true if any new bit arrived.
+#[inline]
+fn union(bits: &mut [u64], add: &[u64]) -> bool {
+    let mut changed = 0u64;
+    for (word, &a) in bits.iter_mut().zip(add) {
+        changed |= a & !*word;
+        *word |= a;
     }
+    changed != 0
+}
 
-    /// Unions `other` in; true if any new bit arrived.
-    #[inline]
-    fn or(&mut self, other: &Self) -> bool {
-        let mut changed = 0u64;
-        for (word, &add) in self.0.iter_mut().zip(&other.0) {
-            changed |= add & !*word;
-            *word |= add;
-        }
-        changed != 0
-    }
+#[inline]
+fn is_empty(bits: &[u64]) -> bool {
+    bits.iter().all(|&word| word == 0)
+}
 
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|&word| word == 0)
-    }
+#[inline]
+fn count(bits: &[u64]) -> usize {
+    bits.iter().map(|word| word.count_ones() as usize).sum()
+}
 
-    #[inline]
-    fn count(&self) -> u32 {
-        self.0.iter().map(|word| word.count_ones()).sum()
-    }
-
-    /// Indexes of set bits, ascending.
-    fn ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                Some(wi as u32 * 64 + bit)
-            })
+/// Indexes of set bits, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros();
+            w &= w - 1;
+            Some(wi as u32 * 64 + bit)
         })
+    })
+}
+
+/// One taint bitset of `w` words per row (register slot, field, method,
+/// channel or sink site), all rows in one flat array.
+#[derive(Debug)]
+struct Table {
+    w: usize,
+    words: Vec<u64>,
+}
+
+impl Table {
+    const fn new() -> Self {
+        Table { w: 1, words: Vec::new() }
+    }
+
+    /// Empties the table to `rows` all-zero rows of `w` words.
+    fn reset(&mut self, rows: usize, w: usize) {
+        self.w = w;
+        self.words.clear();
+        self.words.resize(rows * w, 0);
+    }
+
+    #[inline]
+    fn row(&self, i: u32) -> &[u64] {
+        let at = i as usize * self.w;
+        &self.words[at..at + self.w]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, i: u32) -> &mut [u64] {
+        let at = i as usize * self.w;
+        &mut self.words[at..at + self.w]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[u64]> {
+        self.words.chunks_exact(self.w)
     }
 }
 
@@ -145,8 +162,9 @@ impl<const W: usize> Bits<W> {
 // Compiled program
 // ---------------------------------------------------------------------------
 
-/// One lowered instruction. Register-only ops inline their operands;
-/// invokes index the side table in [`CompileScratch::invokes`].
+/// One lowered instruction over register slots. Register-only ops inline
+/// their operands; invokes index the side table in
+/// [`CompileScratch::invokes`].
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// `ConstString` / `NewInstance`: strong clear of `dst`.
@@ -171,7 +189,7 @@ struct InvokeOp {
     /// Range into [`CompileScratch::arg_regs`].
     args_start: u32,
     args_len: u32,
-    /// Destination register or [`NONE`].
+    /// Destination slot or [`NONE`].
     dst: u32,
     /// Sensitive-API label introduced into `dst`, or [`NONE`].
     source_label: u32,
@@ -183,7 +201,7 @@ struct InvokeOp {
     icc_get: u32,
     /// Interned sink site, or [`NONE`].
     sink_site: u32,
-    /// In-scope app call target (method ix), or [`NONE`].
+    /// In-scope app call target (method id), or [`NONE`].
     call: u32,
     /// Framework call: result carries argument taint.
     taint_through: bool,
@@ -194,9 +212,10 @@ struct InvokeOp {
 struct MethodMeta {
     ops_start: u32,
     ops_end: u32,
-    /// Registers used (≥ `param_count`).
-    reg_count: u32,
-    param_count: u32,
+    /// Register slots: the distinct registers the body uses.
+    slots: u32,
+    /// Leading slots that hold parameter registers.
+    param_slots: u32,
     /// False ⇔ out of scope (never processed).
     compiled: bool,
     /// True when one interpretation pass provably reaches the body's
@@ -217,10 +236,10 @@ enum LabelRef {
     Uri { info: PrivateInfo, src: String },
 }
 
-/// A sink call site: static table entry × dense method ix. With
-/// duplicate declarations excluded, this bijects onto the reference
-/// engine's `(sink_api, at_method)` witness strings, so (label × site)
-/// pairs biject onto its deduplicated `Leak` set.
+/// A sink call site: static table entry × method id. Ids are distinct
+/// `(class, method)` pairs, so sites map onto the reference engine's
+/// `(sink_api, at_method)` witness strings, and (label × site) pairs onto
+/// its `Leak` set.
 #[derive(Debug, Clone, Copy)]
 struct SiteRef {
     api: &'static SinkApi,
@@ -267,12 +286,11 @@ impl Csr {
 /// per-app interning tables and the dependency CSRs. Everything is
 /// `clear()`ed — capacity retained — at the start of each app, so a
 /// steady-state compile performs no heap allocation: labels and sites
-/// hold `&'static` table pointers, and fields are `(method ix,
+/// hold `&'static` table pointers, and fields are `(method id,
 /// instruction index)` locators into the dex instead of owned strings.
 #[derive(Debug)]
 struct CompileScratch {
-    in_scope: Vec<bool>,
-    /// In-scope method ixs, ascending.
+    /// In-scope method ids, ascending.
     scope_ixs: Vec<u32>,
     metas: Vec<MethodMeta>,
     ops: Vec<Op>,
@@ -290,25 +308,26 @@ struct CompileScratch {
     channel_pairs: Vec<(u32, u32)>,
     /// field id → in-scope methods with a `FieldGet` of it.
     field_readers: Csr,
-    /// method ix → in-scope callers.
+    /// method id → in-scope callers.
     callers_of: Csr,
     /// channel id → in-scope methods with a `get*Extra` on it.
     channel_readers: Csr,
+    /// The current body's registers, sorted: slot *i* is `body[i]`.
+    body: Vec<Reg>,
     /// Write-tracking scratch for the single-pass check (one entry per
-    /// register / field / channel, reused across methods).
-    wr_regs: Vec<bool>,
+    /// slot / field / channel, reused across methods).
+    wr_slots: Vec<bool>,
     wr_fields: Vec<bool>,
     wr_chans: Vec<bool>,
-    /// Largest `reg_count` (scratch sizing).
-    max_regs: u32,
-    /// Total dense methods in the app (indexable tables).
+    /// Largest slot count of any body (scratch sizing).
+    max_slots: u32,
+    /// Total method ids in the app (indexable tables).
     method_total: usize,
 }
 
 impl CompileScratch {
     const fn new() -> Self {
         CompileScratch {
-            in_scope: Vec::new(),
             scope_ixs: Vec::new(),
             metas: Vec::new(),
             ops: Vec::new(),
@@ -324,10 +343,11 @@ impl CompileScratch {
             field_readers: Csr::new(),
             callers_of: Csr::new(),
             channel_readers: Csr::new(),
-            wr_regs: Vec::new(),
+            body: Vec::new(),
+            wr_slots: Vec::new(),
             wr_fields: Vec::new(),
             wr_chans: Vec::new(),
-            max_regs: 0,
+            max_slots: 0,
             method_total: 0,
         }
     }
@@ -335,12 +355,13 @@ impl CompileScratch {
 
 /// Everything the fixpoint needs, borrowed together.
 struct Program<'a, 's> {
-    apg: &'a Apg,
+    apg: &'a Apg<'a>,
+    in_scope: &'a [bool],
     cs: &'s CompileScratch,
 }
 
 /// The `(class, field)` strings behind a field locator.
-fn field_at(apg: &Apg, ix: u32, idx: u32) -> (&str, &str) {
+fn field_at<'d>(apg: &'d Apg, ix: u32, idx: u32) -> (&'d str, &'d str) {
     match &apg.method_def(ix).1.instructions[idx as usize] {
         Insn::FieldPut { class, field, .. } | Insn::FieldGet { class, field, .. } => {
             (class.as_str(), field.as_str())
@@ -349,20 +370,13 @@ fn field_at(apg: &Apg, ix: u32, idx: u32) -> (&str, &str) {
     }
 }
 
-/// Single-pass lowering of every in-scope body into `cs`. Returns `None`
-/// past the label budget.
-fn compile(apg: &Apg, methods: &HashSet<NodeId>, cs: &mut CompileScratch) -> Option<()> {
+/// Single-pass lowering of every in-scope body into `cs`.
+fn compile(apg: &Apg, in_scope: &[bool], cs: &mut CompileScratch) {
     let method_total = apg.method_count();
     cs.method_total = method_total;
-    cs.max_regs = 0;
-    cs.in_scope.clear();
-    cs.in_scope.resize(method_total, false);
+    cs.max_slots = 0;
     cs.scope_ixs.clear();
-    cs.scope_ixs.extend(methods.iter().filter_map(|&m| apg.method_ix(m)));
-    cs.scope_ixs.sort_unstable();
-    for &ix in &cs.scope_ixs {
-        cs.in_scope[ix as usize] = true;
-    }
+    cs.scope_ixs.extend((0..method_total as u32).filter(|&ix| in_scope[ix as usize]));
     cs.metas.clear();
     cs.metas.resize(method_total, MethodMeta::default());
     cs.ops.clear();
@@ -379,13 +393,9 @@ fn compile(apg: &Apg, methods: &HashSet<NodeId>, cs: &mut CompileScratch) -> Opt
     // Detach the scope list so `cs` stays mutably borrowable per method.
     let scope = std::mem::take(&mut cs.scope_ixs);
     for &ix in &scope {
-        compile_method(apg, ix, cs);
+        compile_method(apg, in_scope, ix, cs);
     }
     cs.scope_ixs = scope;
-
-    if cs.labels.len() > MAX_LABELS {
-        return None;
-    }
 
     let n_fields = cs.fields.len();
     let n_channels = cs.channels.len();
@@ -401,10 +411,9 @@ fn compile(apg: &Apg, methods: &HashSet<NodeId>, cs: &mut CompileScratch) -> Opt
     field_readers.build(field_pairs, n_fields);
     callers_of.build(caller_pairs, method_total);
     channel_readers.build(channel_pairs, n_channels);
-    Some(())
 }
 
-fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
+fn compile_method(apg: &Apg, in_scope: &[bool], ix: u32, cs: &mut CompileScratch) {
     let (class, method) = apg.method_def(ix);
     let class_name = class.name.as_str();
 
@@ -422,49 +431,35 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
     let targets = if has_put_extra { intent_targets(method) } else { HashMap::new() };
     let query_uris = if has_query { consts::query_sites(method) } else { Vec::new() };
 
-    let param_count = method.param_count;
-    let mut reg_count = param_count;
-    let mut touch = |r: Reg| {
-        if r + 1 > reg_count {
-            reg_count = r + 1;
-        }
-    };
+    // Dense register slots: slot i is the i-th smallest register the body
+    // uses, so the parameter registers it uses are the leading slots.
+    let mut body = std::mem::take(&mut cs.body);
+    body_regs(method, &mut body);
+    let slot = |r: Reg| body.binary_search(&r).expect("body_regs covers every operand") as Reg;
     let ops_start = cs.ops.len() as u32;
     for (idx, insn) in method.instructions.iter().enumerate() {
         match insn {
             Insn::ConstString { dst, .. } | Insn::NewInstance { dst, .. } => {
-                touch(*dst);
-                cs.ops.push(Op::Clear(*dst));
+                cs.ops.push(Op::Clear(slot(*dst)));
             }
             Insn::Move { dst, src } => {
-                touch(*dst);
-                touch(*src);
-                cs.ops.push(Op::Copy { dst: *dst, src: *src });
+                cs.ops.push(Op::Copy { dst: slot(*dst), src: slot(*src) });
             }
             Insn::FieldPut { src, .. } => {
-                touch(*src);
                 let field = intern_field(apg, cs, ix, idx as u32);
-                cs.ops.push(Op::FieldPut { field, src: *src });
+                cs.ops.push(Op::FieldPut { field, src: slot(*src) });
             }
             Insn::FieldGet { dst, .. } => {
-                touch(*dst);
                 let field = intern_field(apg, cs, ix, idx as u32);
                 cs.field_pairs.push((field, ix));
-                cs.ops.push(Op::FieldGet { field, dst: *dst });
+                cs.ops.push(Op::FieldGet { field, dst: slot(*dst) });
             }
             Insn::Return { src: Some(s) } => {
-                touch(*s);
-                cs.ops.push(Op::Ret { src: *s });
+                cs.ops.push(Op::Ret { src: slot(*s) });
             }
             Insn::Invoke { class: c, method: m, args, dst, .. } => {
-                for &a in args.iter() {
-                    touch(a);
-                }
-                if let Some(d) = dst {
-                    touch(*d);
-                }
                 let args_start = cs.arg_regs.len() as u32;
-                cs.arg_regs.extend_from_slice(args);
+                cs.arg_regs.extend(args.iter().map(|&a| slot(a)));
 
                 let source_label =
                     sensitive::lookup(c, m).map(|api| intern_label_api(cs, api)).unwrap_or(NONE);
@@ -503,7 +498,7 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
                 let mut call = NONE;
                 let mut taint_through = false;
                 match apg.lookup_ix(c, m) {
-                    Some(t) if cs.in_scope[t as usize] => {
+                    Some(t) if in_scope[t as usize] => {
                         call = t;
                         cs.caller_pairs.push((t, ix));
                     }
@@ -514,7 +509,7 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
                 let inv = InvokeOp {
                     args_start,
                     args_len: args.len() as u32,
-                    dst: dst.unwrap_or(NONE),
+                    dst: dst.map_or(NONE, slot),
                     source_label,
                     uri_label,
                     icc_put,
@@ -530,13 +525,16 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
             _ => {}
         }
     }
-    cs.max_regs = cs.max_regs.max(reg_count);
-    let single_pass = is_single_pass(cs, ops_start as usize, ix, reg_count);
+    let slots = body.len() as u32;
+    let param_slots = body.partition_point(|&r| r < method.param_count) as u32;
+    cs.body = body;
+    cs.max_slots = cs.max_slots.max(slots);
+    let single_pass = is_single_pass(cs, ops_start as usize, ix, slots);
     cs.metas[ix as usize] = MethodMeta {
         ops_start,
         ops_end: cs.ops.len() as u32,
-        reg_count,
-        param_count,
+        slots,
+        param_slots,
         compiled: true,
         single_pass,
     };
@@ -547,20 +545,20 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
 /// never invokes itself. For such bodies a second interpretation pass
 /// sees every input unchanged (unions are idempotent, clears and copies
 /// recompute the same values), so one pass is the local fixpoint.
-fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count: u32) -> bool {
+fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, slots: u32) -> bool {
     let CompileScratch {
         ops,
         invokes,
         arg_regs,
         fields,
         channels,
-        wr_regs,
+        wr_slots,
         wr_fields,
         wr_chans,
         ..
     } = cs;
-    wr_regs.clear();
-    wr_regs.resize(reg_count as usize, false);
+    wr_slots.clear();
+    wr_slots.resize(slots as usize, false);
     wr_fields.clear();
     wr_fields.resize(fields.len(), false);
     wr_chans.clear();
@@ -569,15 +567,15 @@ fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count:
         // Check this op's reads against everything written after it,
         // *then* record its own writes.
         match *op {
-            Op::Clear(dst) => wr_regs[dst as usize] = true,
+            Op::Clear(dst) => wr_slots[dst as usize] = true,
             Op::Copy { dst, src } => {
-                if wr_regs[src as usize] {
+                if wr_slots[src as usize] {
                     return false;
                 }
-                wr_regs[dst as usize] = true;
+                wr_slots[dst as usize] = true;
             }
             Op::FieldPut { field, src } => {
-                if wr_regs[src as usize] {
+                if wr_slots[src as usize] {
                     return false;
                 }
                 wr_fields[field as usize] = true;
@@ -586,10 +584,10 @@ fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count:
                 if wr_fields[field as usize] {
                     return false;
                 }
-                wr_regs[dst as usize] = true;
+                wr_slots[dst as usize] = true;
             }
             Op::Ret { src } => {
-                if wr_regs[src as usize] {
+                if wr_slots[src as usize] {
                     return false;
                 }
             }
@@ -597,7 +595,7 @@ fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count:
                 let inv = invokes[i as usize];
                 let args =
                     &arg_regs[inv.args_start as usize..(inv.args_start + inv.args_len) as usize];
-                if args.iter().any(|&r| wr_regs[r as usize]) {
+                if args.iter().any(|&r| wr_slots[r as usize]) {
                     return false;
                 }
                 if inv.icc_get != NONE && wr_chans[inv.icc_get as usize] {
@@ -607,7 +605,7 @@ fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count:
                     return false; // self-recursion: return feeds back in
                 }
                 if inv.dst != NONE {
-                    wr_regs[inv.dst as usize] = true;
+                    wr_slots[inv.dst as usize] = true;
                 }
                 if inv.icc_put != NONE {
                     wr_chans[inv.icc_put as usize] = true;
@@ -726,88 +724,73 @@ fn site_matches(prog: &Program, site: &SiteRef, sl: &SummaryLeak) -> bool {
 /// Flat bitset tables + the dirty worklist, cleared and reused across
 /// apps (capacity retained).
 #[derive(Debug)]
-struct StateScratch<const W: usize> {
-    regs: Vec<Bits<W>>,
-    field_taint: Vec<Bits<W>>,
-    param_taint: Vec<Bits<W>>,
-    return_taint: Vec<Bits<W>>,
-    icc_taint: Vec<Bits<W>>,
+struct StateScratch {
+    regs: Table,
+    field_taint: Table,
+    param_taint: Table,
+    return_taint: Table,
+    icc_taint: Table,
     /// site id → labels that reached it; `leak_total` tracks Σ popcount
     /// so the local stopping rule can mirror the reference's
     /// `leaks.len()` term exactly.
-    sink_leaks: Vec<Bits<W>>,
+    sink_leaks: Table,
     leak_total: usize,
+    /// The current invoke's argument taint (one bitset).
+    arg: Vec<u64>,
     dirty: Vec<bool>,
     /// Methods seeded from a summary: their initial processing is elided.
     skip: Vec<bool>,
     queue: VecDeque<u32>,
-    /// Staging area for summary application (reused across methods).
-    pend: Pend<W>,
+    /// Staging area for summary application (reused across methods): one
+    /// `(where, label)` entry per label a method summary contributes.
+    pend: Vec<(Contribution, u32)>,
 }
 
-/// One method summary's contributions, translated into dense ids and
-/// staged here before any state mutation — so a summary that fails
-/// validation halfway leaves no trace, and replaying summaries performs
-/// no allocation in the steady state.
-#[derive(Debug)]
-struct Pend<const W: usize> {
-    ret: Bits<W>,
-    fields: Vec<(u32, Bits<W>)>,
-    params: Vec<(u32, Bits<W>)>,
-    channels: Vec<(u32, Bits<W>)>,
-    leaks: Vec<(u32, u32)>,
+/// Where one summary label lands.
+#[derive(Debug, Clone, Copy)]
+enum Contribution {
+    /// The summarized method's return taint.
+    Ret,
+    /// A field id's taint.
+    Field(u32),
+    /// A lib-internal callee's parameter taint.
+    Param(u32),
+    /// An ICC channel's taint.
+    Channel(u32),
+    /// A sink site's leaks.
+    Leak(u32),
 }
 
-impl<const W: usize> Pend<W> {
-    const fn new() -> Self {
-        Pend {
-            ret: Bits::EMPTY,
-            fields: Vec::new(),
-            params: Vec::new(),
-            channels: Vec::new(),
-            leaks: Vec::new(),
-        }
-    }
-}
-
-impl<const W: usize> Default for Pend<W> {
-    fn default() -> Self {
-        Pend::new()
-    }
-}
-
-impl<const W: usize> StateScratch<W> {
+impl StateScratch {
     const fn new() -> Self {
         StateScratch {
-            regs: Vec::new(),
-            field_taint: Vec::new(),
-            param_taint: Vec::new(),
-            return_taint: Vec::new(),
-            icc_taint: Vec::new(),
-            sink_leaks: Vec::new(),
+            regs: Table::new(),
+            field_taint: Table::new(),
+            param_taint: Table::new(),
+            return_taint: Table::new(),
+            icc_taint: Table::new(),
+            sink_leaks: Table::new(),
             leak_total: 0,
+            arg: Vec::new(),
             dirty: Vec::new(),
             skip: Vec::new(),
             queue: VecDeque::new(),
-            pend: Pend::new(),
+            pend: Vec::new(),
         }
     }
 
     fn reset(&mut self, prog: &Program) {
         let cs = prog.cs;
-        self.regs.clear();
-        self.regs.resize(cs.max_regs as usize, Bits::EMPTY);
-        self.field_taint.clear();
-        self.field_taint.resize(cs.fields.len(), Bits::EMPTY);
-        self.param_taint.clear();
-        self.param_taint.resize(cs.method_total, Bits::EMPTY);
-        self.return_taint.clear();
-        self.return_taint.resize(cs.method_total, Bits::EMPTY);
-        self.icc_taint.clear();
-        self.icc_taint.resize(cs.channels.len(), Bits::EMPTY);
-        self.sink_leaks.clear();
-        self.sink_leaks.resize(cs.sites.len(), Bits::EMPTY);
+        let w = width(cs.labels.len());
+        self.regs.reset(cs.max_slots as usize, w);
+        self.field_taint.reset(cs.fields.len(), w);
+        self.param_taint.reset(cs.method_total, w);
+        self.return_taint.reset(cs.method_total, w);
+        self.icc_taint.reset(cs.channels.len(), w);
+        self.sink_leaks.reset(cs.sites.len(), w);
         self.leak_total = 0;
+        self.arg.clear();
+        self.arg.resize(w, 0);
         self.dirty.clear();
         self.dirty.resize(cs.method_total, false);
         self.skip.clear();
@@ -830,11 +813,7 @@ impl<const W: usize> StateScratch<W> {
     }
 }
 
-fn exec<const W: usize>(
-    prog: &Program,
-    cache: Option<&TaintSummaryCache>,
-    st: &mut StateScratch<W>,
-) -> Vec<Leak> {
+fn exec(prog: &Program, cache: Option<&TaintSummaryCache>, st: &mut StateScratch) -> Vec<Leak> {
     st.reset(prog);
     if let Some(cache) = cache {
         let _span = ppchecker_obs::span!("taint.summary_replay");
@@ -852,23 +831,20 @@ fn exec<const W: usize>(
     collect_leaks(prog, st)
 }
 
-/// One application of the method transfer function: reset registers,
-/// seed parameters, interpret up to 4 local passes with the reference
-/// engine's exact stopping rule (Σ register popcount + leak count).
-fn process<const W: usize>(prog: &Program, st: &mut StateScratch<W>, ix: u32) {
+/// One application of the method transfer function: reset the body's
+/// slots, seed the parameter slots, interpret up to 4 local passes with
+/// the reference engine's exact stopping rule (Σ register popcount +
+/// leak count).
+fn process(prog: &Program, st: &mut StateScratch, ix: u32) {
     let meta = prog.cs.metas[ix as usize];
     if !meta.compiled {
         return;
     }
-    let reg_count = meta.reg_count as usize;
-    for r in &mut st.regs[..reg_count] {
-        *r = Bits::EMPTY;
-    }
-    let incoming = st.param_taint[ix as usize];
-    if !incoming.is_empty() {
-        for r in &mut st.regs[..meta.param_count as usize] {
-            *r = incoming;
-        }
+    // Rows 0..slots of `regs` are this body's register file.
+    let live = meta.slots as usize * st.regs.w;
+    st.regs.words[..live].fill(0);
+    for s in 0..meta.param_slots {
+        st.regs.row_mut(s).copy_from_slice(st.param_taint.row(ix));
     }
     if meta.single_pass {
         // Straight-line body: one pass is the local fixpoint (see
@@ -879,13 +855,14 @@ fn process<const W: usize>(prog: &Program, st: &mut StateScratch<W>, ix: u32) {
     // The reference engine's stopping rule: iterate (≤ 4 passes) until
     // Σ register popcount + leak count stops growing. Both are monotone
     // during interpretation, so the score after one pass is the score
-    // before the next — compute it once per pass.
-    let mut before =
-        st.regs[..reg_count].iter().map(|b| b.count() as usize).sum::<usize>() + st.leak_total;
+    // before the next — compute it once per pass. Registers the body
+    // never uses would add the same constant to both sides, so summing
+    // the body's slots decides exactly as the reference does.
+    let score = |st: &StateScratch| count(&st.regs.words[..live]) + st.leak_total;
+    let mut before = score(st);
     for _pass in 0..4 {
         interpret(prog, st, ix, meta);
-        let after =
-            st.regs[..reg_count].iter().map(|b| b.count() as usize).sum::<usize>() + st.leak_total;
+        let after = score(st);
         if after == before {
             break;
         }
@@ -893,90 +870,81 @@ fn process<const W: usize>(prog: &Program, st: &mut StateScratch<W>, ix: u32) {
     }
 }
 
-fn interpret<const W: usize>(prog: &Program, st: &mut StateScratch<W>, ix: u32, meta: MethodMeta) {
+fn interpret(prog: &Program, st: &mut StateScratch, ix: u32, meta: MethodMeta) {
     let cs = prog.cs;
     for op in &cs.ops[meta.ops_start as usize..meta.ops_end as usize] {
         match *op {
-            Op::Clear(dst) => st.regs[dst as usize] = Bits::EMPTY,
-            Op::Copy { dst, src } => st.regs[dst as usize] = st.regs[src as usize],
+            Op::Clear(dst) => st.regs.row_mut(dst).fill(0),
+            Op::Copy { dst, src } => {
+                let w = st.regs.w;
+                let from = src as usize * w;
+                st.regs.words.copy_within(from..from + w, dst as usize * w);
+            }
             Op::FieldPut { field, src } => {
-                let t = st.regs[src as usize];
-                if !t.is_empty() && st.field_taint[field as usize].or(&t) {
+                if union(st.field_taint.row_mut(field), st.regs.row(src)) {
                     st.mark_all(cs.field_readers.row(field));
                 }
             }
             Op::FieldGet { field, dst } => {
-                let t = st.field_taint[field as usize];
-                if !t.is_empty() {
-                    st.regs[dst as usize].or(&t);
-                }
+                union(st.regs.row_mut(dst), st.field_taint.row(field));
             }
             Op::Ret { src } => {
-                let t = st.regs[src as usize];
-                if !t.is_empty() && st.return_taint[ix as usize].or(&t) {
+                if union(st.return_taint.row_mut(ix), st.regs.row(src)) {
                     st.mark_all(cs.callers_of.row(ix));
                 }
             }
             Op::Invoke(i) => {
                 let inv = cs.invokes[i as usize];
-                let mut arg = Bits::<W>::EMPTY;
+                st.arg.fill(0);
                 let args =
                     &cs.arg_regs[inv.args_start as usize..(inv.args_start + inv.args_len) as usize];
                 for &r in args {
-                    arg.or(&st.regs[r as usize]);
+                    union(&mut st.arg, st.regs.row(r));
                 }
                 if inv.source_label != NONE && inv.dst != NONE {
-                    st.regs[inv.dst as usize].set(inv.source_label);
+                    set(st.regs.row_mut(inv.dst), inv.source_label);
                 }
                 if inv.uri_label != NONE && inv.dst != NONE {
-                    st.regs[inv.dst as usize].set(inv.uri_label);
+                    set(st.regs.row_mut(inv.dst), inv.uri_label);
                 }
-                if inv.icc_put != NONE
-                    && !arg.is_empty()
-                    && st.icc_taint[inv.icc_put as usize].or(&arg)
-                {
+                if inv.icc_put != NONE && union(st.icc_taint.row_mut(inv.icc_put), &st.arg) {
                     st.mark_all(cs.channel_readers.row(inv.icc_put));
                 }
                 if inv.icc_get != NONE && inv.dst != NONE {
-                    let t = st.icc_taint[inv.icc_get as usize];
-                    if !t.is_empty() {
-                        st.regs[inv.dst as usize].or(&t);
+                    union(st.regs.row_mut(inv.dst), st.icc_taint.row(inv.icc_get));
+                }
+                if inv.sink_site != NONE {
+                    let site = st.sink_leaks.row_mut(inv.sink_site);
+                    let before = count(site);
+                    if union(site, &st.arg) {
+                        st.leak_total += count(site) - before;
                     }
                 }
-                if inv.sink_site != NONE && !arg.is_empty() {
-                    let site = &mut st.sink_leaks[inv.sink_site as usize];
-                    let before = site.count();
-                    site.or(&arg);
-                    st.leak_total += (site.count() - before) as usize;
-                }
-                let mut returned = Bits::<W>::EMPTY;
                 if inv.call != NONE {
-                    if !arg.is_empty() && st.param_taint[inv.call as usize].or(&arg) {
+                    if union(st.param_taint.row_mut(inv.call), &st.arg) {
                         st.mark(inv.call);
                     }
-                    returned = st.return_taint[inv.call as usize];
-                } else if inv.taint_through {
-                    returned = arg;
-                }
-                if inv.dst != NONE && !returned.is_empty() {
-                    st.regs[inv.dst as usize].or(&returned);
+                    if inv.dst != NONE {
+                        union(st.regs.row_mut(inv.dst), st.return_taint.row(inv.call));
+                    }
+                } else if inv.taint_through && inv.dst != NONE {
+                    union(st.regs.row_mut(inv.dst), &st.arg);
                 }
             }
         }
     }
 }
 
-fn collect_leaks<const W: usize>(prog: &Program, st: &StateScratch<W>) -> Vec<Leak> {
+fn collect_leaks(prog: &Program, st: &StateScratch) -> Vec<Leak> {
     let mut out = Vec::with_capacity(st.leak_total);
-    for (sid, bits) in st.sink_leaks.iter().enumerate() {
-        if bits.is_empty() {
+    for (site, bits) in prog.cs.sites.iter().zip(st.sink_leaks.rows()) {
+        if is_empty(bits) {
             continue;
         }
-        let site = &prog.cs.sites[sid];
         let (at_class, at_method) = prog.apg.method_def(site.at_ix);
         let sink_api = format!("{}.{}", site.api.class, site.api.method);
         let at = format!("{}.{}", at_class.name, at_method.name);
-        for bit in bits.ones() {
+        for bit in ones(bits) {
             let (info, source_api) = label_parts(&prog.cs.labels[bit as usize]);
             out.push(Leak {
                 info,
@@ -987,9 +955,12 @@ fn collect_leaks<const W: usize>(prog: &Program, st: &StateScratch<W>) -> Vec<Le
             });
         }
     }
-    // (label × site) pairs are unique by interning, so this sort yields
-    // exactly the reference engine's BTreeSet iteration order.
+    // The reference engine's `BTreeSet` order. Distinct (label × site)
+    // pairs can still spell one `Leak` when names contain dots (class
+    // `a.b` method `c` vs class `a` method `b.c`), so dedup as the set
+    // does.
     out.sort_unstable();
+    out.dedup();
     out
 }
 
@@ -1000,11 +971,7 @@ fn collect_leaks<const W: usize>(prog: &Program, st: &StateScratch<W>) -> Vec<Le
 /// For every known lib embedded in the app: on a cache hit, replay the
 /// summary into the state (marking summarized methods skippable); on a
 /// miss, compute `F_m(∅)` for each in-scope lib method and store it.
-fn seed_from_summaries<const W: usize>(
-    prog: &Program,
-    st: &mut StateScratch<W>,
-    cache: &TaintSummaryCache,
-) {
+fn seed_from_summaries(prog: &Program, st: &mut StateScratch, cache: &TaintSummaryCache) {
     for &(lib, key) in prog.apg.known_lib_keys() {
         match cache.get(key) {
             Some(summary) => {
@@ -1024,13 +991,13 @@ fn seed_from_summaries<const W: usize>(
                 // class walk; hits above never touch the dex.
                 let mut classes: Vec<&Class> = prog
                     .apg
-                    .dex
+                    .dex()
                     .classes
                     .iter()
                     .filter(|c| c.name.starts_with(lib.prefix))
                     .collect();
                 classes.sort_by(|a, b| a.name.cmp(&b.name));
-                let summary = compute_lib_summary::<W>(prog, &classes);
+                let summary = compute_lib_summary(prog, &classes);
                 cache.insert(key, summary);
             }
         }
@@ -1042,13 +1009,9 @@ fn seed_from_summaries<const W: usize>(
 /// downstream methods (including other summarized ones) are re-queued
 /// when their inputs grow beyond ∅. Any validation failure leaves the
 /// method un-skipped — it is simply processed normally.
-fn apply_method_summary<const W: usize>(
-    prog: &Program,
-    st: &mut StateScratch<W>,
-    ms: &MethodSummary,
-) {
+fn apply_method_summary(prog: &Program, st: &mut StateScratch, ms: &MethodSummary) {
     let Some(ix) = prog.apg.lookup_ix(&ms.class, &ms.method) else { return };
-    if !prog.cs.in_scope[ix as usize] {
+    if !prog.in_scope[ix as usize] {
         return; // never processed in this app; contributions would be unsound
     }
 
@@ -1056,60 +1019,61 @@ fn apply_method_summary<const W: usize>(
     // summary that fails validation halfway mutates nothing.
     let cs = prog.cs;
     let mut pend = std::mem::take(&mut st.pend);
-    if !stage_summary(prog, ms, &mut pend) {
-        st.pend = pend;
-        return;
-    }
-
-    // Apply through the dirty-marking grow paths.
-    if !pend.ret.is_empty() && st.return_taint[ix as usize].or(&pend.ret) {
-        st.mark_all(cs.callers_of.row(ix));
-    }
-    for &(fid, ref bits) in &pend.fields {
-        if st.field_taint[fid as usize].or(bits) {
-            st.mark_all(cs.field_readers.row(fid));
+    if stage_summary(prog, ms, &mut pend) {
+        // Apply through the dirty-marking grow paths.
+        for &(to, label) in &pend {
+            match to {
+                Contribution::Ret => {
+                    if set(st.return_taint.row_mut(ix), label) {
+                        st.mark_all(cs.callers_of.row(ix));
+                    }
+                }
+                Contribution::Field(f) => {
+                    if set(st.field_taint.row_mut(f), label) {
+                        st.mark_all(cs.field_readers.row(f));
+                    }
+                }
+                Contribution::Param(t) => {
+                    if set(st.param_taint.row_mut(t), label) {
+                        st.mark(t);
+                    }
+                }
+                Contribution::Channel(ch) => {
+                    if set(st.icc_taint.row_mut(ch), label) {
+                        st.mark_all(cs.channel_readers.row(ch));
+                    }
+                }
+                Contribution::Leak(site) => {
+                    if set(st.sink_leaks.row_mut(site), label) {
+                        st.leak_total += 1;
+                    }
+                }
+            }
         }
-    }
-    for &(t, ref bits) in &pend.params {
-        if st.param_taint[t as usize].or(bits) {
-            st.mark(t);
-        }
-    }
-    for &(ch, ref bits) in &pend.channels {
-        if st.icc_taint[ch as usize].or(bits) {
-            st.mark_all(cs.channel_readers.row(ch));
-        }
-    }
-    for &(sid, lid) in &pend.leaks {
-        let site = &mut st.sink_leaks[sid as usize];
-        let before = site.count();
-        site.set(lid);
-        st.leak_total += (site.count() - before) as usize;
+        st.skip[ix as usize] = true;
     }
     st.pend = pend;
-    st.skip[ix as usize] = true;
 }
 
 /// Translates one method summary into dense ids, clearing and filling
 /// `pend`. Returns false — staging incomplete, nothing to apply — if any
 /// name fails to resolve against this app's interned tables. All
 /// matching is by content; no strings are built.
-fn stage_summary<const W: usize>(prog: &Program, ms: &MethodSummary, pend: &mut Pend<W>) -> bool {
+fn stage_summary(prog: &Program, ms: &MethodSummary, pend: &mut Vec<(Contribution, u32)>) -> bool {
     let cs = prog.cs;
-    pend.fields.clear();
-    pend.params.clear();
-    pend.channels.clear();
-    pend.leaks.clear();
-    let translate = |labels: &[NamedLabel]| -> Option<Bits<W>> {
-        let mut bits = Bits::EMPTY;
+    pend.clear();
+    let stage = |pend: &mut Vec<(Contribution, u32)>, to, labels: &[NamedLabel]| -> bool {
         for nl in labels {
-            let id = cs.labels.iter().position(|l| label_matches(l, nl))?;
-            bits.set(id as u32);
+            let Some(id) = cs.labels.iter().position(|l| label_matches(l, nl)) else {
+                return false;
+            };
+            pend.push((to, id as u32));
         }
-        Some(bits)
+        true
     };
-    let Some(ret) = translate(&ms.ret) else { return false };
-    pend.ret = ret;
+    if !stage(pend, Contribution::Ret, &ms.ret) {
+        return false;
+    }
     for (class, field, labels) in &ms.fields {
         let Some(fid) = cs.fields.iter().position(|&(fix, fidx)| {
             let (c, f) = field_at(prog.apg, fix, fidx);
@@ -1117,30 +1081,29 @@ fn stage_summary<const W: usize>(prog: &Program, ms: &MethodSummary, pend: &mut 
         }) else {
             return false;
         };
-        let Some(bits) = translate(labels) else { return false };
-        pend.fields.push((fid as u32, bits));
+        if !stage(pend, Contribution::Field(fid as u32), labels) {
+            return false;
+        }
     }
     for (class, method, labels) in &ms.params {
         let Some(t) = prog.apg.lookup_ix(class, method) else { return false };
-        if !cs.in_scope[t as usize] {
+        if !prog.in_scope[t as usize] || !stage(pend, Contribution::Param(t), labels) {
             return false;
         }
-        let Some(bits) = translate(labels) else { return false };
-        pend.params.push((t, bits));
     }
     for (name, labels) in &ms.channels {
         let Some(ch) = cs.channels.iter().position(|c| c == name) else { return false };
-        let Some(bits) = translate(labels) else { return false };
-        pend.channels.push((ch as u32, bits));
+        if !stage(pend, Contribution::Channel(ch as u32), labels) {
+            return false;
+        }
     }
     for sl in &ms.leaks {
         let Some(sid) = cs.sites.iter().position(|s| site_matches(prog, s, sl)) else {
             return false;
         };
-        let Some(lid) = cs.labels.iter().position(|l| label_matches(l, &sl.label)) else {
+        if !stage(pend, Contribution::Leak(sid as u32), std::slice::from_ref(&sl.label)) {
             return false;
-        };
-        pend.leaks.push((sid as u32, lid as u32));
+        }
     }
     true
 }
@@ -1149,20 +1112,22 @@ fn stage_summary<const W: usize>(prog: &Program, ms: &MethodSummary, pend: &mut 
 /// running the *compiled* program against a private scratch state — the
 /// same interpreter that drives the live fixpoint, so summary semantics
 /// can never drift from kernel semantics.
-fn compute_lib_summary<const W: usize>(prog: &Program, classes: &[&Class]) -> LibSummary {
+fn compute_lib_summary(prog: &Program, classes: &[&Class]) -> LibSummary {
     let lib_names: HashSet<(&str, &str)> = classes
         .iter()
         .flat_map(|c| c.methods.iter().map(move |m| (c.name.as_str(), m.name.as_str())))
         .collect();
-    let mut scratch = StateScratch::<W>::new();
+    let mut scratch = StateScratch::new();
     let mut out = LibSummary::default();
     for class in classes {
         for method in &class.methods {
             let Some(ix) = prog.apg.lookup_ix(&class.name, &method.name) else { continue };
-            if !prog.cs.in_scope[ix as usize] {
+            // A later declaration of a pair is never read (the first
+            // declaration owns the id).
+            if !prog.in_scope[ix as usize] || !std::ptr::eq(prog.apg.method_def(ix).1, method) {
                 continue;
             }
-            if let Some(ms) = summarize_method::<W>(
+            if let Some(ms) = summarize_method(
                 prog,
                 &mut scratch,
                 ix,
@@ -1180,9 +1145,9 @@ fn compute_lib_summary<const W: usize>(prog: &Program, classes: &[&Class]) -> Li
     out
 }
 
-fn summarize_method<const W: usize>(
+fn summarize_method(
     prog: &Program,
-    scratch: &mut StateScratch<W>,
+    scratch: &mut StateScratch,
     ix: u32,
     class: &Class,
     method: &ppchecker_apk::Method,
@@ -1198,7 +1163,7 @@ fn summarize_method<const W: usize>(
             // Lib-internal: must resolve to an in-scope method so the
             // recorded param push matches live semantics.
             match prog.apg.lookup_ix(c, m) {
-                Some(t) if prog.cs.in_scope[t as usize] => {}
+                Some(t) if prog.in_scope[t as usize] => {}
                 _ => return None,
             }
         } else if prog.apg.lookup_ix(c, m).is_some() {
@@ -1214,43 +1179,41 @@ fn summarize_method<const W: usize>(
     process(prog, scratch, ix);
 
     let cs = prog.cs;
-    let labels_of = |bits: &Bits<W>| -> Vec<NamedLabel> {
-        bits.ones().map(|b| named_of(&cs.labels[b as usize])).collect()
+    let labels_of = |bits: &[u64]| -> Vec<NamedLabel> {
+        ones(bits).map(|b| named_of(&cs.labels[b as usize])).collect()
     };
     let mut ms = MethodSummary {
         class: class.name.clone(),
         method: method.name.clone(),
-        ret: labels_of(&scratch.return_taint[ix as usize]),
+        ret: labels_of(scratch.return_taint.row(ix)),
         fields: Vec::new(),
         params: Vec::new(),
         channels: Vec::new(),
         leaks: Vec::new(),
     };
-    for (fid, bits) in scratch.field_taint.iter().enumerate() {
-        if !bits.is_empty() {
-            let (fix, fidx) = cs.fields[fid];
+    for (&(fix, fidx), bits) in cs.fields.iter().zip(scratch.field_taint.rows()) {
+        if !is_empty(bits) {
             let (c, f) = field_at(prog.apg, fix, fidx);
             ms.fields.push((c.to_string(), f.to_string(), labels_of(bits)));
         }
     }
-    for (t, bits) in scratch.param_taint.iter().enumerate() {
-        if !bits.is_empty() {
-            let (c, m) = prog.apg.method_name(prog.apg.method_node(t as u32));
-            ms.params.push((c.clone(), m.clone(), labels_of(bits)));
+    for (t, bits) in scratch.param_taint.rows().enumerate() {
+        if !is_empty(bits) {
+            let (c, m) = prog.apg.method_def(t as u32);
+            ms.params.push((c.name.clone(), m.name.clone(), labels_of(bits)));
         }
     }
-    for (ch, bits) in scratch.icc_taint.iter().enumerate() {
-        if !bits.is_empty() {
-            ms.channels.push((cs.channels[ch].clone(), labels_of(bits)));
+    for (channel, bits) in cs.channels.iter().zip(scratch.icc_taint.rows()) {
+        if !is_empty(bits) {
+            ms.channels.push((channel.clone(), labels_of(bits)));
         }
     }
-    for (sid, bits) in scratch.sink_leaks.iter().enumerate() {
-        if bits.is_empty() {
+    for (site, bits) in cs.sites.iter().zip(scratch.sink_leaks.rows()) {
+        if is_empty(bits) {
             continue;
         }
-        let site = &cs.sites[sid];
         let (at_class, at_method) = prog.apg.method_def(site.at_ix);
-        for bit in bits.ones() {
+        for bit in ones(bits) {
             ms.leaks.push(SummaryLeak {
                 label: named_of(&cs.labels[bit as usize]),
                 api: site.api,
@@ -1267,26 +1230,9 @@ mod tests {
     use super::*;
     use crate::reach;
     use crate::taint::{analyze, analyze_cached, analyze_reference};
+    use crate::Rng;
     use ppchecker_apk::{Apk, ComponentKind, Dex, DexBuilder, Manifest, MethodBuilder};
     use proptest::prelude::*;
-
-    /// Tiny xorshift so random-app generation is seed-deterministic
-    /// without a rand dependency.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            self.0 = x;
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94d049bb133111eb);
-            x ^ (x >> 31)
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n.max(1)
-        }
-    }
 
     const SOURCES: &[(&str, &str)] = &[
         ("android.location.Location", "getLatitude"),
@@ -1306,8 +1252,6 @@ mod tests {
     fn random_body(rng: &mut Rng, m: &mut MethodBuilder, methods: &[(String, String)]) {
         let len = 2 + rng.below(10);
         for _ in 0..len {
-            let r = || 0;
-            let _ = r;
             let a = rng.below(6) as Reg;
             let b = rng.below(6) as Reg;
             match rng.below(12) {
@@ -1361,6 +1305,9 @@ mod tests {
         }
     }
 
+    /// A random app whose classes are each split over two declarations,
+    /// sometimes with one `(class, method)` pair declared again with
+    /// another body (which the first-declaration rule never reads).
     fn random_apk(seed: u64) -> Apk {
         let mut rng = Rng(seed);
         let n_classes = 2 + rng.below(3) as usize;
@@ -1387,17 +1334,24 @@ mod tests {
             }
         }
         for (class, ms) in by_class {
-            let methods = methods.clone();
-            let seed = rng.next();
-            builder = builder.class(&class, |c| {
-                c.extends("android.app.Activity");
-                let mut inner = Rng(seed);
-                for m in ms {
-                    c.method(&m, 1 + inner.below(3) as u32, |mb| {
-                        random_body(&mut inner, mb, &methods);
-                    });
-                }
-            });
+            let cut = rng.below(ms.len() as u64 + 1) as usize;
+            let mut second = ms[cut..].to_vec();
+            if rng.below(2) == 0 {
+                second.push(ms[rng.below(ms.len() as u64) as usize].clone());
+            }
+            for part in [ms[..cut].to_vec(), second] {
+                let methods = methods.clone();
+                let seed = rng.next();
+                builder = builder.class(&class, |c| {
+                    c.extends("android.app.Activity");
+                    let mut inner = Rng(seed);
+                    for m in part {
+                        c.method(&m, 1 + inner.below(3) as u32, |mb| {
+                            random_body(&mut inner, mb, &methods);
+                        });
+                    }
+                });
+            }
         }
         Apk::new(manifest, builder.build())
     }
@@ -1405,15 +1359,13 @@ mod tests {
     fn leaks_both_ways(apk: &Apk) -> (Vec<Leak>, Vec<Leak>) {
         let apg = Apg::build(apk).unwrap();
         let methods = reach::reachable_methods(&apg);
-        let kernel = run(&apg, &methods, None).expect("kernel should handle generated apps");
-        let reference = analyze_reference(&apg, &methods);
-        (kernel, reference)
+        (run(&apg, &methods, None), analyze_reference(&apg, &methods))
     }
 
     proptest! {
         /// Differential fuzz: the kernel's leak vector is byte-identical
         /// to the reference engine on randomly generated apps exercising
-        /// every instruction kind.
+        /// every instruction kind and duplicate declarations.
         #[test]
         fn kernel_matches_reference_on_random_apps(seed in any::<u64>()) {
             let apk = random_apk(seed);
@@ -1421,56 +1373,62 @@ mod tests {
             prop_assert_eq!(kernel, reference);
         }
 
-        /// Differential: the Bits ops (`or` with change detection,
-        /// `is_empty`, `count`) agree with per-word references on
-        /// random bit patterns, at every width the kernel instantiates
-        /// and at a width that is not a power of two.
+        /// Differential: the bitset helpers (`union` with change
+        /// detection, `set`, `ones`, `is_empty`, `count`) agree with
+        /// per-word references on random bit patterns, at runtime widths
+        /// of one, two, four and seven words.
         #[test]
         fn strip_mined_bits_match_reference(seed in any::<u64>()) {
-            fn check<const W: usize>(rng: &mut Rng) {
-                let mut a = Bits::<W>::EMPTY;
-                let mut b = Bits::<W>::EMPTY;
-                for i in 0..W {
-                    // AND two draws for sparse words; mix in a dense draw
-                    // and an all-zero word so the changed/empty edges hit.
-                    a.0[i] = match rng.below(4) {
-                        0 => 0,
-                        1 => rng.next(),
-                        _ => rng.next() & rng.next(),
-                    };
-                    b.0[i] = match rng.below(4) {
-                        0 => 0,
-                        1 => rng.next(),
-                        _ => rng.next() & rng.next(),
-                    };
+            // AND two draws for sparse words; mix in a dense draw and an
+            // all-zero word so the changed/empty edges hit.
+            fn draw(rng: &mut Rng) -> u64 {
+                match rng.below(4) {
+                    0 => 0,
+                    1 => rng.next(),
+                    _ => rng.next() & rng.next(),
                 }
-                let ref_count: u32 = a.0.iter().map(|w| w.count_ones()).sum();
-                let ref_empty = a.0.iter().all(|&w| w == 0);
-                let ref_changed = a.0.iter().zip(b.0.iter()).any(|(&x, &y)| x | y != x);
-                let ref_union: Vec<u64> = a.0.iter().zip(b.0.iter()).map(|(&x, &y)| x | y).collect();
-                assert_eq!(a.count(), ref_count);
-                assert_eq!(a.is_empty(), ref_empty);
-                let mut unioned = a;
-                assert_eq!(unioned.or(&b), ref_changed);
-                assert_eq!(&unioned.0[..], &ref_union[..]);
-                // A second union of the same operand never reports change.
-                assert!(!unioned.or(&b));
             }
             let mut rng = Rng(seed);
             for _ in 0..64 {
-                check::<1>(&mut rng);
-                check::<2>(&mut rng);
-                check::<4>(&mut rng);
-                check::<7>(&mut rng);
+                for w in [1usize, 2, 4, 7] {
+                    assert_eq!(width(64 * w), w);
+                    assert_eq!(width(64 * w + 1), w + 1);
+                    let a: Vec<u64> = (0..w).map(|_| draw(&mut rng)).collect();
+                    let b: Vec<u64> = (0..w).map(|_| draw(&mut rng)).collect();
+                    let ref_count: usize = a.iter().map(|x| x.count_ones() as usize).sum();
+                    let ref_changed = a.iter().zip(&b).any(|(&x, &y)| x | y != x);
+                    let ref_union: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x | y).collect();
+                    assert_eq!(count(&a), ref_count);
+                    assert_eq!(is_empty(&a), a.iter().all(|&x| x == 0));
+                    let mut unioned = a.clone();
+                    assert_eq!(union(&mut unioned, &b), ref_changed);
+                    assert_eq!(unioned, ref_union);
+                    // A second union of the same operand never reports change.
+                    assert!(!union(&mut unioned, &b));
+                    let mut rebuilt = vec![0u64; w];
+                    for bit in ones(&unioned) {
+                        assert!(set(&mut rebuilt, bit));
+                        assert!(!set(&mut rebuilt, bit));
+                    }
+                    assert_eq!(rebuilt, unioned);
+                }
             }
         }
     }
 
+    fn reachable_leaks(apk: &Apk) -> Vec<Leak> {
+        let apg = Apg::build(apk).unwrap();
+        let methods = reach::reachable_methods(&apg);
+        let leaks = analyze(&apg, &methods);
+        assert_eq!(leaks, analyze_reference(&apg, &methods), "kernel diverged from reference");
+        leaks
+    }
+
     #[test]
-    fn kernel_declines_duplicate_method_declarations() {
-        // Two declarations of com.d.Main.go: name resolution is ambiguous,
-        // so the kernel must bow out and `analyze` must still answer (via
-        // the reference engine).
+    fn duplicate_method_declarations_keep_the_first() {
+        // Two declarations of com.d.Main.go: the first owns the id, so
+        // only its location leak exists; the second body's device-id leak
+        // is never read, by the kernel or by the reference.
         let mut manifest = Manifest::new("com.d");
         manifest.add_component(ComponentKind::Activity, "com.d.Main", true);
         let dex = Dex::builder()
@@ -1482,21 +1440,50 @@ mod tests {
                     m.invoke_virtual("android.location.Location", "getLatitude", &[0], Some(1));
                     m.invoke_static("android.util.Log", "d", &[1], None);
                 });
-                c.method("go", 1, |_| {});
+                c.method("go", 1, |m| {
+                    m.invoke_virtual(
+                        "android.telephony.TelephonyManager",
+                        "getDeviceId",
+                        &[0],
+                        Some(1),
+                    );
+                    m.invoke_static("android.util.Log", "d", &[1], None);
+                });
             })
             .build();
-        let apk = Apk::new(manifest, dex);
-        let apg = Apg::build(&apk).unwrap();
-        assert!(apg.has_duplicate_methods());
-        let methods = reach::reachable_methods(&apg);
-        assert!(run(&apg, &methods, None).is_none());
-        assert_eq!(analyze(&apg, &methods), analyze_reference(&apg, &methods));
+        let leaks = reachable_leaks(&Apk::new(manifest, dex));
+        assert_eq!(leaks.len(), 1, "{leaks:?}");
+        assert_eq!(leaks[0].info, PrivateInfo::Location);
+        assert_eq!(leaks[0].at_method, "com.d.Main.go");
     }
 
     #[test]
-    fn kernel_declines_label_overflow() {
-        // More than 256 distinct (info, witness) labels — via distinct
-        // sensitive URI literals — must force the reference fallback.
+    fn class_declared_twice_contributes_the_methods_of_both_declarations() {
+        // onCreate lives in the first declaration of com.d.Main, the
+        // leaking onClick only in the second: it has its own id, and both
+        // engines read its body.
+        let mut manifest = Manifest::new("com.d");
+        manifest.add_component(ComponentKind::Activity, "com.d.Main", true);
+        let dex = Dex::builder()
+            .class("com.d.Main", |c| {
+                c.method("onCreate", 1, |_| {});
+            })
+            .class("com.d.Main", |c| {
+                c.method("onClick", 1, |m| {
+                    m.invoke_virtual("android.location.Location", "getLatitude", &[0], Some(1));
+                    m.invoke_static("android.util.Log", "d", &[1], None);
+                });
+            })
+            .build();
+        let leaks = reachable_leaks(&Apk::new(manifest, dex));
+        assert_eq!(leaks.len(), 1, "{leaks:?}");
+        assert_eq!(leaks[0].at_method, "com.d.Main.onClick");
+    }
+
+    #[test]
+    fn label_overflow_widens_the_bitsets() {
+        // 300 distinct (info, witness) labels — via distinct sensitive URI
+        // literals — need five-word bitsets; every label reaches the sink.
         let mut manifest = Manifest::new("com.o");
         manifest.add_component(ComponentKind::Activity, "com.o.Main", true);
         let dex = Dex::builder()
@@ -1515,13 +1502,73 @@ mod tests {
                 });
             })
             .build();
-        let apk = Apk::new(manifest, dex);
-        let apg = Apg::build(&apk).unwrap();
-        let methods = reach::reachable_methods(&apg);
-        assert!(run(&apg, &methods, None).is_none(), "301 labels exceed the bitset envelope");
-        let leaks = analyze(&apg, &methods);
-        assert_eq!(leaks, analyze_reference(&apg, &methods));
-        assert!(!leaks.is_empty());
+        let leaks = reachable_leaks(&Apk::new(manifest, dex));
+        assert_eq!(leaks.len(), 300);
+        for i in 0..300u32 {
+            let witness = format!("content://com.android.contacts/u{i}");
+            assert!(leaks.iter().any(|l| l.source_api == witness), "no leak for {witness}");
+        }
+    }
+
+    #[test]
+    fn names_that_spell_one_leak_are_reported_once() {
+        // Class `com.d.Main` method `x` and class `com.d` method `Main.x`
+        // are two ids, but both sites spell `at_method` "com.d.Main.x".
+        let mut manifest = Manifest::new("com.d");
+        manifest.add_component(ComponentKind::Activity, "com.d.Main", true);
+        let dex = Dex::builder()
+            .class("com.d.Main", |c| {
+                c.method("onCreate", 1, |m| {
+                    m.invoke_virtual("android.location.Location", "getLatitude", &[0], Some(1));
+                    m.invoke_virtual("com.d.Main", "x", &[1], None);
+                    m.invoke_virtual("com.d", "Main.x", &[1], None);
+                });
+                c.method("x", 1, |m| {
+                    m.invoke_static("android.util.Log", "d", &[0], None);
+                });
+            })
+            .class("com.d", |c| {
+                c.method("Main.x", 1, |m| {
+                    m.invoke_static("android.util.Log", "d", &[0], None);
+                });
+            })
+            .build();
+        let leaks = reachable_leaks(&Apk::new(manifest, dex));
+        assert_eq!(leaks.len(), 1, "{leaks:?}");
+    }
+
+    /// Device id → `r1` → `r2` → Log and into `save`, whose body only
+    /// touches register 0 and writes it to a file.
+    fn registers_app(r1: Reg, r2: Reg, save_params: u32) -> Apk {
+        let mut manifest = Manifest::new("com.g");
+        manifest.add_component(ComponentKind::Activity, "com.g.Main", true);
+        let dex = Dex::builder()
+            .class("com.g.Main", |c| {
+                c.method("onCreate", 1, |m| {
+                    m.invoke_virtual(
+                        "android.telephony.TelephonyManager",
+                        "getDeviceId",
+                        &[0],
+                        Some(r1),
+                    );
+                    m.mov(r2, r1);
+                    m.invoke_virtual("com.g.Main", "save", &[r2], None);
+                    m.invoke_static("android.util.Log", "d", &[r2], None);
+                });
+                c.method("save", save_params, |m| {
+                    m.invoke_virtual("java.io.FileOutputStream", "write", &[0], None);
+                });
+            })
+            .build();
+        Apk::new(manifest, dex)
+    }
+
+    #[test]
+    fn register_numbers_and_param_counts_do_not_size_state() {
+        let small = reachable_leaks(&registers_app(1, 2, 1));
+        assert_eq!(small.len(), 2, "{small:?}");
+        let huge = reachable_leaks(&registers_app(u32::MAX, 3_000_000_000, u32::MAX));
+        assert_eq!(huge, small);
     }
 
     /// An app embedding an admob-prefixed SDK whose entry method leaks

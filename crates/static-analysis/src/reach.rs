@@ -5,92 +5,47 @@
 //! components' entry functions (e.g., `query()` in content provider), and
 //! UI related callbacks (e.g., `onClick()`)" and ignores sensitive APIs
 //! with no feasible path from an entry point (dead code).
+//!
+//! Both work on the APG's dense method ids; a method set is a `Vec<bool>`
+//! indexed by id.
 
-use crate::apg::{lifecycle_methods, Apg};
+use crate::apg::Apg;
 use crate::callbacks::UI_CALLBACKS;
-use crate::graph::{EdgeKind, NodeId};
-use std::collections::HashSet;
 
-/// Collects the entry-point method nodes of an APG.
+/// The entry-point method ids of an APG, ascending.
 ///
-/// Entry points: lifecycle methods of manifest components, UI callbacks in
-/// any application class, and `run`/`doInBackground` bodies (threads wired
-/// from XML or the framework).
-pub fn entry_points(apg: &Apg) -> Vec<NodeId> {
-    let mut entries: Vec<NodeId> = Vec::new();
-    let mut seen: HashSet<NodeId> = HashSet::new();
-
-    // Lifecycle methods reachable from components.
-    for &comp in &apg.component_ids {
-        for &m in apg.graph.successors(comp, EdgeKind::Lifecycle) {
-            if seen.insert(m) {
-                entries.push(m);
-            }
-        }
-    }
-
-    // Lifecycle-named methods in classes extending framework components but
-    // not declared in the manifest (defensive: exported fragments etc.) are
-    // NOT entries — the paper starts only from declared components — but UI
-    // callbacks anywhere in the app are (XML-wired handlers). Sorted by
-    // (class, method) so the entry order is independent of HashMap iteration.
-    let mut ui: Vec<(&(String, String), NodeId)> = apg
-        .method_ids
-        .iter()
-        .filter(|((_, method), _)| UI_CALLBACKS.contains(&method.as_str()))
-        .map(|(key, &mid)| (key, mid))
-        .collect();
-    ui.sort_unstable_by_key(|&(key, _)| key);
-    for (_, mid) in ui {
-        if seen.insert(mid) {
-            entries.push(mid);
-        }
-    }
+/// Entry points: the lifecycle methods of manifest components, and UI
+/// callbacks in any application class (handlers wired from XML layouts).
+/// Lifecycle-named methods of classes the manifest does not declare are
+/// not entries: the paper starts only from declared components.
+pub fn entry_points(apg: &Apg) -> Vec<u32> {
+    let mut entries = apg.lifecycle_entries().to_vec();
+    entries.extend(
+        (0..apg.method_count() as u32)
+            .filter(|&ix| UI_CALLBACKS.contains(&apg.method_def(ix).1.name.as_str())),
+    );
+    entries.sort_unstable();
+    entries.dedup();
     entries
 }
 
-/// Returns the set of methods reachable from the entry points over call,
-/// implicit-callback, and intent edges.
-pub fn reachable_methods(apg: &Apg) -> HashSet<NodeId> {
-    let entries = entry_points(apg);
-    if apg.has_duplicate_methods() {
-        // The dense method index skips shadowed duplicate declarations, so
-        // fall back to the exact HashMap-adjacency walk for odd inputs.
-        return apg
-            .graph
-            .reachable_from(&entries, &[EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc])
-            .into_iter()
-            .collect();
+/// The methods reachable from the entry points over call,
+/// implicit-callback and intent edges, as a set indexed by method id.
+pub fn reachable_methods(apg: &Apg) -> Vec<bool> {
+    let mut reached = vec![false; apg.method_count()];
+    let mut stack = entry_points(apg);
+    for &ix in &stack {
+        reached[ix as usize] = true;
     }
-    // Dense BFS over the precompiled method CSR (Call + ImplicitCallback +
-    // Icc rows), avoiding a HashMap probe per (node, kind) expansion.
-    let n = apg.method_count();
-    let mut visited = vec![false; n];
-    let mut queue: std::collections::VecDeque<u32> = entries
-        .iter()
-        .filter_map(|&e| apg.method_ix(e))
-        .inspect(|&ix| visited[ix as usize] = true)
-        .collect();
-    let mut out = HashSet::with_capacity(queue.len() * 2);
-    for &e in &entries {
-        out.insert(e);
-    }
-    while let Some(ix) = queue.pop_front() {
-        out.insert(apg.method_node(ix));
+    while let Some(ix) = stack.pop() {
         for &next in apg.callees(ix) {
-            if !visited[next as usize] {
-                visited[next as usize] = true;
-                queue.push_back(next);
+            if !reached[next as usize] {
+                reached[next as usize] = true;
+                stack.push(next);
             }
         }
     }
-    out
-}
-
-/// Convenience used by tests and ablations: is the lifecycle table sane for
-/// every component kind?
-pub fn lifecycle_table_covers(kind: ppchecker_apk::ComponentKind) -> bool {
-    !lifecycle_methods(kind).is_empty()
+    reached
 }
 
 #[cfg(test)]
@@ -122,22 +77,23 @@ mod tests {
         Apk::new(manifest, dex)
     }
 
+    fn reached(apg: &Apg, class: &str, method: &str) -> bool {
+        reachable_methods(apg)[apg.lookup_ix(class, method).unwrap() as usize]
+    }
+
     #[test]
     fn entry_points_include_lifecycle() {
-        let apg = Apg::build(&apk_with_dead_code()).unwrap();
-        let entries = entry_points(&apg);
-        let on_create = apg.method_ids[&("com.x.Main".into(), "onCreate".into())];
-        assert!(entries.contains(&on_create));
+        let apk = apk_with_dead_code();
+        let apg = Apg::build(&apk).unwrap();
+        assert_eq!(entry_points(&apg), [apg.lookup_ix("com.x.Main", "onCreate").unwrap()]);
     }
 
     #[test]
     fn dead_method_is_unreachable() {
-        let apg = Apg::build(&apk_with_dead_code()).unwrap();
-        let reach = reachable_methods(&apg);
-        let live = apg.method_ids[&("com.x.Main".into(), "live".into())];
-        let dead = apg.method_ids[&("com.x.Main".into(), "dead".into())];
-        assert!(reach.contains(&live));
-        assert!(!reach.contains(&dead));
+        let apk = apk_with_dead_code();
+        let apg = Apg::build(&apk).unwrap();
+        assert!(reached(&apg, "com.x.Main", "live"));
+        assert!(!reached(&apg, "com.x.Main", "dead"));
     }
 
     #[test]
@@ -157,10 +113,9 @@ mod tests {
                 c.method("go", 1, |_| {});
             })
             .build();
-        let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
-        let reach = reachable_methods(&apg);
-        let worker = apg.method_ids[&("com.x.Worker".into(), "go".into())];
-        assert!(reach.contains(&worker));
+        let apk = Apk::new(manifest, dex);
+        let apg = Apg::build(&apk).unwrap();
+        assert!(reached(&apg, "com.x.Worker", "go"));
     }
 
     #[test]
@@ -184,16 +139,13 @@ mod tests {
                 c.method("fetch", 1, |_| {});
             })
             .build();
-        let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
-        let reach = reachable_methods(&apg);
-        let deep = apg.method_ids[&("com.x.Deep".into(), "fetch".into())];
-        assert!(reach.contains(&deep));
+        let apk = Apk::new(manifest, dex);
+        let apg = Apg::build(&apk).unwrap();
+        assert!(reached(&apg, "com.x.Deep", "fetch"));
     }
 
     #[test]
-    fn entry_points_are_deterministic() {
-        // Many UI-callback classes exercise the former HashMap-iteration
-        // ordering bug: two independently built APGs must agree exactly.
+    fn every_ui_callback_is_an_entry() {
         let mut manifest = Manifest::new("com.x");
         manifest.add_component(ComponentKind::Activity, "com.x.Main", true);
         let mut builder = Dex::builder().class("com.x.Main", |c| {
@@ -204,31 +156,13 @@ mod tests {
             builder = builder.class(&format!("com.x.Handler{i}"), |c| {
                 c.method("onClick", 1, |_| {});
                 c.method("onTouch", 1, |_| {});
+                c.method("helper", 1, |_| {});
             });
         }
         let apk = Apk::new(manifest, builder.build());
-        let a = Apg::build(&apk).unwrap();
-        let b = Apg::build(&apk).unwrap();
-        let ea = entry_points(&a);
-        let eb = entry_points(&b);
-        assert_eq!(ea.len(), 49);
-        let names_a: Vec<_> = ea.iter().map(|&m| a.method_name(m)).collect();
-        let names_b: Vec<_> = eb.iter().map(|&m| b.method_name(m)).collect();
-        assert_eq!(names_a, names_b);
-        // NodeIds are assigned in dex declaration order, so the id vectors
-        // themselves must also match between the two builds.
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn lifecycle_tables_nonempty() {
-        for kind in [
-            ComponentKind::Activity,
-            ComponentKind::Service,
-            ComponentKind::Receiver,
-            ComponentKind::Provider,
-        ] {
-            assert!(lifecycle_table_covers(kind));
-        }
+        let apg = Apg::build(&apk).unwrap();
+        let entries = entry_points(&apg);
+        assert_eq!(entries.len(), 49);
+        assert!(entries.iter().all(|&ix| apg.method_def(ix).1.name != "helper"));
     }
 }

@@ -6,15 +6,18 @@
 //! framework calls (argument → result), application-method calls
 //! (argument → parameter) and returns, iterated to a global fixpoint over
 //! the reachable portion of the call graph.
+//!
+//! Production runs the dense-id bitset kernel (`crate::kernel`) on every
+//! app. [`analyze_reference`] is the executable specification the kernel
+//! is tested against; nothing in the analysis pipeline calls it.
 
 use crate::apg::Apg;
 use crate::consts::{self, UriValue};
-use crate::graph::NodeId;
 use crate::sensitive;
 use crate::sinks::{self, SinkKind};
 use crate::uris;
 use ppchecker_apk::{Insn, Method, PrivateInfo, Reg};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// A detected source→sink flow: the paper's `Retain_code` evidence.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,31 +45,42 @@ pub(crate) struct Label {
 
 type TaintSet = BTreeSet<Label>;
 
-/// Runs the taint analysis over `methods` (normally the reachable set).
+/// Runs the taint analysis over `methods`, a set indexed by method id
+/// (normally the reachable set), and returns the sorted, deduplicated
+/// leaks.
 ///
-/// Returns the deduplicated leaks. Dispatches to the dense-ID bitset
-/// kernel (`crate::kernel`) whenever the app fits its envelope (no
-/// duplicate method declarations, ≤ 256 taint labels), falling back to
-/// the reference engine otherwise; both produce the identical leak set.
-pub fn analyze(apg: &Apg, methods: &HashSet<NodeId>) -> Vec<Leak> {
+/// # Panics
+///
+/// Panics if `methods` does not hold one entry per method id.
+pub fn analyze(apg: &Apg, methods: &[bool]) -> Vec<Leak> {
     analyze_cached(apg, methods, None)
 }
 
 /// [`analyze`] with an optional cross-app library summary cache: known
 /// libs embedded in the app get their per-method taint summaries reused
 /// across apps with byte-identical lib classes (see [`crate::summary`]).
+///
+/// # Panics
+///
+/// Panics if `methods` does not hold one entry per method id.
 pub fn analyze_cached(
     apg: &Apg,
-    methods: &HashSet<NodeId>,
+    methods: &[bool],
     cache: Option<&crate::summary::TaintSummaryCache>,
 ) -> Vec<Leak> {
-    crate::kernel::run(apg, methods, cache).unwrap_or_else(|| analyze_reference(apg, methods))
+    assert_eq!(methods.len(), apg.method_count(), "one scope entry per method id");
+    crate::kernel::run(apg, methods, cache)
 }
 
-/// The reference engine: string-keyed maps, whole-corpus sweeps. Kept as
-/// the oracle the kernel is property-tested against (and the fallback
-/// for apps outside the kernel envelope).
-pub fn analyze_reference(apg: &Apg, methods: &HashSet<NodeId>) -> Vec<Leak> {
+/// The reference engine: string-keyed maps, whole-scope sweeps. The
+/// oracle the kernel is tested against; it returns the same leaks as
+/// [`analyze`].
+///
+/// # Panics
+///
+/// Panics if `methods` does not hold one entry per method id.
+pub fn analyze_reference(apg: &Apg, methods: &[bool]) -> Vec<Leak> {
+    assert_eq!(methods.len(), apg.method_count(), "one scope entry per method id");
     let mut engine = Engine {
         apg,
         field_taint: HashMap::new(),
@@ -80,13 +94,13 @@ pub fn analyze_reference(apg: &Apg, methods: &HashSet<NodeId>) -> Vec<Leak> {
 }
 
 struct Engine<'a> {
-    apg: &'a Apg,
+    apg: &'a Apg<'a>,
     /// Class → field → taint. Nested (rather than keyed by a
     /// `(String, String)` pair) so the hot read path probes with two
     /// borrowed `&str`s instead of allocating a fresh tuple per lookup.
     field_taint: HashMap<String, HashMap<String, TaintSet>>,
-    param_taint: HashMap<NodeId, TaintSet>,
-    return_taint: HashMap<NodeId, TaintSet>,
+    param_taint: HashMap<u32, TaintSet>,
+    return_taint: HashMap<u32, TaintSet>,
     /// Inter-component channel taint: intent extras put for a target
     /// class become readable by that class's `get*Extra` calls (the
     /// data-flow half of IccTA).
@@ -95,14 +109,11 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    fn run(&mut self, methods: &HashSet<NodeId>) {
+    fn run(&mut self, methods: &[bool]) {
         // Global fixpoint: method summaries (param/return/field taint) grow
         // monotonically, so iterate until stable.
-        let ordered: Vec<NodeId> = {
-            let mut v: Vec<NodeId> = methods.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        let ordered: Vec<u32> =
+            (0..methods.len() as u32).filter(|&ix| methods[ix as usize]).collect();
         for _round in 0..8 {
             let before = self.state_size();
             for &mid in &ordered {
@@ -126,10 +137,9 @@ impl Engine<'_> {
             + self.leaks.len()
     }
 
-    fn process_method(&mut self, mid: NodeId, in_scope: &HashSet<NodeId>) {
-        let (class_name, method_name) = self.apg.method_name(mid).clone();
-        let Some(class) = self.apg.dex.class(&class_name) else { return };
-        let Some(method) = class.method(&method_name) else { return };
+    fn process_method(&mut self, mid: u32, in_scope: &[bool]) {
+        let (class, method) = self.apg.method_def(mid);
+        let (class_name, method_name) = (class.name.as_str(), method.name.as_str());
 
         // Pre-resolve query URIs once.
         let query_uris: HashMap<usize, UriValue> =
@@ -139,10 +149,15 @@ impl Engine<'_> {
 
         // Parameters share one taint set (the IR is name-resolved, not
         // signature-resolved, so per-index precision is not meaningful).
+        // Only the parameter registers the body uses are seeded: no other
+        // register is read, and each would add a constant to the stopping
+        // rule's sums.
         let incoming = self.param_taint.get(&mid).cloned().unwrap_or_default();
         let mut regs: HashMap<Reg, TaintSet> = HashMap::new();
-        for p in 0..method.param_count {
-            if !incoming.is_empty() {
+        if !incoming.is_empty() {
+            let mut used = Vec::new();
+            body_regs(method, &mut used);
+            for &p in used.iter().take_while(|&&r| r < method.param_count) {
                 regs.insert(p, incoming.clone());
             }
         }
@@ -152,8 +167,8 @@ impl Engine<'_> {
             let before: usize = regs.values().map(|s| s.len()).sum::<usize>() + self.leaks.len();
             self.interpret(
                 method,
-                &class_name,
-                &method_name,
+                class_name,
+                method_name,
                 mid,
                 &query_uris,
                 &intent_targets,
@@ -173,11 +188,11 @@ impl Engine<'_> {
         method: &Method,
         class_name: &str,
         method_name: &str,
-        mid: NodeId,
+        mid: u32,
         query_uris: &HashMap<usize, UriValue>,
         intent_targets: &HashMap<Reg, String>,
         regs: &mut HashMap<Reg, TaintSet>,
-        in_scope: &HashSet<NodeId>,
+        in_scope: &[bool],
     ) {
         for (idx, insn) in method.instructions.iter().enumerate() {
             match insn {
@@ -263,7 +278,7 @@ impl Engine<'_> {
         query_uris: &HashMap<usize, UriValue>,
         intent_targets: &HashMap<Reg, String>,
         regs: &mut HashMap<Reg, TaintSet>,
-        in_scope: &HashSet<NodeId>,
+        in_scope: &[bool],
     ) {
         let arg_taint: TaintSet =
             args.iter().filter_map(|r| regs.get(r)).flat_map(|s| s.iter().cloned()).collect();
@@ -333,9 +348,9 @@ impl Engine<'_> {
         // taint out. Framework call: taint-through (args → result).
         let mut returned = TaintSet::new();
         let mut is_app_call = false;
-        if let Some(target) = self.apg.method_id(class, callee) {
+        if let Some(target) = self.apg.lookup_ix(class, callee) {
             is_app_call = true;
-            if in_scope.contains(&target) {
+            if in_scope[target as usize] {
                 if !arg_taint.is_empty() {
                     self.param_taint.entry(target).or_default().extend(arg_taint.iter().cloned());
                 }
@@ -355,6 +370,28 @@ impl Engine<'_> {
             }
         }
     }
+}
+
+/// The sorted distinct registers a body reads or writes, into `out`.
+/// Taint reaches no other register, whatever `param_count` says.
+pub(crate) fn body_regs(method: &Method, out: &mut Vec<Reg>) {
+    out.clear();
+    for insn in &method.instructions {
+        match insn {
+            Insn::ConstString { dst, .. }
+            | Insn::NewInstance { dst, .. }
+            | Insn::FieldGet { dst, .. } => out.push(*dst),
+            Insn::Move { dst, src } => out.extend([*dst, *src]),
+            Insn::FieldPut { src, .. } | Insn::Return { src: Some(src) } => out.push(*src),
+            Insn::Invoke { args, dst, .. } => {
+                out.extend_from_slice(args);
+                out.extend(*dst);
+            }
+            _ => {}
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// Maps intent registers to their `setClass`-style target classes inside

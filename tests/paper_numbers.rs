@@ -3,7 +3,8 @@
 //! evaluation section (§V).
 
 use ppchecker_apk::Permission;
-use ppchecker_corpus::{evaluate, paper_dataset};
+use ppchecker_corpus::{evaluate, paper_dataset, small_dataset};
+use ppchecker_static::{analyze_with, AnalysisOptions};
 
 #[test]
 fn full_dataset_reproduces_every_paper_statistic() {
@@ -77,4 +78,28 @@ fn statistics_are_seed_stable() {
     assert_eq!(ev1.incomplete_code_tp, ev2.incomplete_code_tp);
     assert_eq!(ev1.cur.flagged, ev2.cur.flagged);
     assert_eq!(ev1.disclose.flagged, ev2.disclose.flagged);
+}
+
+/// The static-analysis ablations `repro_ablations` prints over 300 apps:
+/// collected info categories with the full analysis, without
+/// reachability (dead code becomes findings) and without URI analysis
+/// (provider reads vanish), and the sensitive call sites pruned as
+/// unreachable.
+#[test]
+fn static_ablations_match_repro_ablations() {
+    let dataset = small_dataset(42, 300);
+    let (mut full, mut no_reach, mut no_uri, mut pruned) = (0, 0, 0, 0);
+    let collected = |apk: &ppchecker_apk::Apk, reachability, uri_analysis| {
+        let opts = AnalysisOptions { reachability, uri_analysis };
+        analyze_with(apk, opts).unwrap().collect_code().len()
+    };
+    for app in &dataset.apps {
+        let apk = &app.input.apk;
+        full += collected(apk, true, true);
+        pruned +=
+            analyze_with(apk, AnalysisOptions::default()).unwrap().unreachable_sensitive_calls;
+        no_reach += collected(apk, false, true);
+        no_uri += collected(apk, true, false);
+    }
+    assert_eq!((full, no_reach, no_uri, pruned), (262, 270, 210, 308));
 }

@@ -199,13 +199,17 @@ proptest! {
 // ---------- static analysis ----------
 
 proptest! {
-    /// The APG builds for any generated dex and reachability stays within
-    /// the node set.
+    /// The APG builds for any generated dex, with at most one method id
+    /// per declared body, a reachable set over exactly those ids, and an
+    /// analysis that completes.
     #[test]
     fn apg_builds_for_arbitrary_dex(dex in arb_dex()) {
         let apk = ppchecker_apk::Apk::new(ppchecker_apk::Manifest::new("com.x"), dex);
-        let report = ppchecker_static::analyze(&apk).expect("plain dex");
-        prop_assert!(report.reachable_method_count <= 1000);
+        let apg = ppchecker_static::Apg::build(&apk).expect("plain dex");
+        prop_assert!(apg.method_count() <= apg.dex().method_count());
+        let reachable = ppchecker_static::reach::reachable_methods(&apg);
+        prop_assert_eq!(reachable.len(), apg.method_count());
+        ppchecker_static::analyze(&apk).expect("plain dex");
     }
 }
 
