@@ -124,12 +124,12 @@ fn report_kernel(esa: &Interpreter, texts: &[String]) {
     println!("  hashmap reference: {:?} for {PASSES} passes", hashmap_dt);
     println!("  csr kernel:        {:?} for {PASSES} passes  speedup: {speedup:.2}x", kernel_dt);
     println!("  verdict predicate: {:?} for {PASSES} passes (memo + pruning)", verdict_dt);
-    let (memo_hits, memo_misses) = esa.pair_memo_stats();
+    let memo = esa.pair_memo_stats();
     println!(
         "  pair memo: {} hits / {} misses ({} entries); {} comparisons pruned",
-        memo_hits,
-        memo_misses,
-        esa.pair_memo_len(),
+        memo.hits,
+        memo.misses,
+        memo.entries,
         esa.pruned_comparisons()
     );
 }

@@ -392,7 +392,7 @@ impl Detector for DataSafetyDetector {
 
         // Labels vs. policy: a declared label the policy text never
         // covers (same ESA test as Algorithm 1's coverage predicate).
-        let pp_infos: Vec<_> = ctx.policy.mentioned_resource_symbols().into_iter().collect();
+        let pp_infos = ctx.policy.mentioned_resource_symbols();
         for info in labels {
             let sym = intern(info.canonical_phrase());
             if !pp_infos.iter().any(|&pp| ctx.matcher.same_thing_sym(sym, pp)) {

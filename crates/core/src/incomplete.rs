@@ -20,7 +20,7 @@ pub fn via_description(
     desc: &DescriptionAnalysis,
     esa: &Matcher,
 ) -> Vec<MissedInfo> {
-    let pp_infos: Vec<Symbol> = policy.mentioned_resource_symbols().into_iter().collect();
+    let pp_infos = policy.mentioned_resource_symbols();
     let mut out = Vec::new();
     for &info in &desc.info {
         if covered(info, &pp_infos, esa) {
@@ -51,7 +51,7 @@ pub fn via_code(
     manifest: &Manifest,
     esa: &Matcher,
 ) -> Vec<MissedInfo> {
-    let pp_infos: Vec<Symbol> = policy.mentioned_resource_symbols().into_iter().collect();
+    let pp_infos = policy.mentioned_resource_symbols();
     let retained = code.retain_code();
     let mut out = Vec::new();
     let mut all: Vec<PrivateInfo> = code.collect_code().into_iter().collect();

@@ -52,9 +52,9 @@ impl Matcher {
     }
 
     /// [`same_thing`] over interned symbols: identical symbols short-circuit,
-    /// both concept vectors come from the symbol-keyed memo, and (at the
-    /// paper threshold) repeat pairs are answered from the interpreter's
-    /// sharded pair-verdict memo.
+    /// both concept vectors come from the vector memo, and (at the paper
+    /// threshold) repeat pairs are answered from the interpreter's
+    /// pair-verdict memo.
     ///
     /// [`same_thing`]: Matcher::same_thing
     pub fn same_thing_sym(&self, a: Symbol, b: Symbol) -> bool {

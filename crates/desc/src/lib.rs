@@ -258,4 +258,19 @@ mod tests {
             assert_eq!(evidence, expected, "evidence diverged on {text:?}");
         }
     }
+
+    /// A description phrase is a cache key, not vocabulary: comparing it
+    /// against the permission profiles must not leave it in the
+    /// process-wide interner.
+    #[test]
+    fn description_phrases_stay_out_of_the_interner() {
+        use ppchecker_nlp::Interner;
+        let a = analyze_description("Share your gps location coordinates with friends nearby.");
+        let phrases: Vec<&str> =
+            a.evidence.iter().map(|e| e.phrase.as_str()).filter(|p| p.contains(' ')).collect();
+        assert!(!phrases.is_empty(), "a multi-word phrase must match: {:?}", a.evidence);
+        for phrase in phrases {
+            assert!(Interner::global().get(phrase).is_none(), "{phrase:?} was interned");
+        }
+    }
 }

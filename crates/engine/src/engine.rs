@@ -38,7 +38,7 @@
 //! computes is a pure function of the input, so `jobs=1` and `jobs=16`
 //! runs emit byte-identical record sequences and aggregates.
 
-use crate::cache::{ArtifactCache, CacheStats};
+use crate::cache::ArtifactCache;
 use crate::metrics::{EngineSnapshot, MetricsSummary, StageStats, StoreSummary};
 use crate::report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};
 use crate::scheduler;
@@ -329,23 +329,13 @@ impl Engine {
     /// two scrapes itself if it wants a window).
     pub fn metrics_snapshot(&self) -> EngineSnapshot {
         let esa = Interpreter::shared();
-        let (esa_hits, esa_misses) = esa.vector_cache_stats();
-        let (pair_hits, pair_misses) = esa.pair_memo_stats();
         EngineSnapshot {
             lib_policies: self.lib_policies,
             policy_cache: self.cache.stats(),
-            esa_cache: CacheStats {
-                hits: esa_hits,
-                misses: esa_misses,
-                entries: esa.vector_cache_len(),
-            },
-            esa_pair_memo: CacheStats {
-                hits: pair_hits,
-                misses: pair_misses,
-                entries: esa.pair_memo_len(),
-            },
+            esa_cache: esa.vector_cache_stats(),
+            esa_pair_memo: esa.pair_memo_stats(),
             esa_pruned: esa.pruned_comparisons(),
-            taint_summary_cache: self.cache.taint_summary_stats(),
+            taint_summary_cache: self.cache.taint_summaries().stats(),
             interner: ppchecker_nlp::Interner::global().stats(),
             store: self.store_summary(),
         }
@@ -381,38 +371,20 @@ pub struct StreamSummary {
     pub metrics: MetricsSummary,
 }
 
-/// The before-side snapshot of every counter a [`MetricsSummary`] is a
-/// delta over, taken when [`Engine::run_streamed`] starts and differenced
-/// when it finishes.
+/// The before-side snapshots a [`MetricsSummary`] is a delta over, taken
+/// when [`Engine::run_streamed`] starts and differenced when it finishes.
 struct MetricsProbe {
     started: Instant,
     obs_before: Vec<(&'static str, ppchecker_obs::HistogramSnapshot)>,
-    policy_before: CacheStats,
-    taint_before: CacheStats,
-    store_before: Option<StoreSummary>,
-    esa_hits_before: u64,
-    esa_misses_before: u64,
-    pair_hits_before: u64,
-    pair_misses_before: u64,
-    pruned_before: u64,
+    before: EngineSnapshot,
 }
 
 impl MetricsProbe {
     fn begin(engine: &Engine) -> Self {
-        let esa = Interpreter::shared();
-        let (esa_hits_before, esa_misses_before) = esa.vector_cache_stats();
-        let (pair_hits_before, pair_misses_before) = esa.pair_memo_stats();
         MetricsProbe {
             started: Instant::now(),
             obs_before: ppchecker_obs::snapshot(),
-            policy_before: engine.cache.stats(),
-            taint_before: engine.cache.taint_summary_stats(),
-            store_before: engine.store_summary(),
-            esa_hits_before,
-            esa_misses_before,
-            pair_hits_before,
-            pair_misses_before,
-            pruned_before: esa.pruned_comparisons(),
+            before: engine.metrics_snapshot(),
         }
     }
 
@@ -424,12 +396,7 @@ impl MetricsProbe {
         errors: usize,
         stage_totals: StageTimings,
     ) -> MetricsSummary {
-        let esa = Interpreter::shared();
-        let policy_after = engine.cache.stats();
-        let taint_after = engine.cache.taint_summary_stats();
-        let (esa_hits_after, esa_misses_after) = esa.vector_cache_stats();
-        let (pair_hits_after, pair_misses_after) = esa.pair_memo_stats();
-        let stage_quantiles = stage_quantiles_since(&self.obs_before);
+        let (before, after) = (&self.before, engine.metrics_snapshot());
         MetricsSummary {
             jobs,
             apps,
@@ -437,33 +404,15 @@ impl MetricsProbe {
             lib_policies: engine.lib_policies,
             wall_time: self.started.elapsed(),
             stage_totals,
-            stage_quantiles,
-            policy_cache: CacheStats {
-                hits: policy_after.hits - self.policy_before.hits,
-                misses: policy_after.misses - self.policy_before.misses,
-                entries: policy_after.entries,
-            },
-            esa_cache: CacheStats {
-                hits: esa_hits_after - self.esa_hits_before,
-                misses: esa_misses_after - self.esa_misses_before,
-                entries: esa.vector_cache_len(),
-            },
-            esa_pair_memo: CacheStats {
-                hits: pair_hits_after - self.pair_hits_before,
-                misses: pair_misses_after - self.pair_misses_before,
-                entries: esa.pair_memo_len(),
-            },
-            esa_pruned: esa.pruned_comparisons() - self.pruned_before,
-            taint_summary_cache: CacheStats {
-                hits: taint_after.hits - self.taint_before.hits,
-                misses: taint_after.misses - self.taint_before.misses,
-                entries: taint_after.entries,
-            },
+            stage_quantiles: stage_quantiles_since(&self.obs_before),
+            policy_cache: after.policy_cache.delta_since(&before.policy_cache),
+            esa_cache: after.esa_cache.delta_since(&before.esa_cache),
+            esa_pair_memo: after.esa_pair_memo.delta_since(&before.esa_pair_memo),
+            esa_pruned: after.esa_pruned - before.esa_pruned,
+            taint_summary_cache: after.taint_summary_cache.delta_since(&before.taint_summary_cache),
             detector_findings: [0; ppchecker_core::DetectorId::COUNT],
-            interner: ppchecker_nlp::Interner::global().stats(),
-            store: engine
-                .store_summary()
-                .map(|after| after.delta_since(&self.store_before.unwrap_or_default())),
+            interner: after.interner,
+            store: after.store.map(|after| after.delta_since(&before.store.unwrap_or_default())),
         }
     }
 }

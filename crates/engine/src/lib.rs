@@ -11,10 +11,9 @@
 //!   records. A panicking or failing app becomes one error record; the
 //!   run survives.
 //! * **Artifact caching** — [`ArtifactCache`] memoizes parsed policy
-//!   analyses keyed by the policy text, and the ESA
-//!   interpreter memoizes interpretation vectors by phrase symbol, so
-//!   duplicate texts (lib policies, template policies) are analyzed
-//!   exactly once per run.
+//!   analyses keyed by the policy text, and the ESA interpreter memoizes
+//!   interpretation vectors by phrase text, so duplicate texts (lib
+//!   policies, template policies) are analyzed exactly once per run.
 //! * **Metrics** — [`MetricsSummary`] reports per-stage wall time, cache
 //!   hit rates, throughput, and effective parallelism.
 //! * **Deterministic aggregation** — records come back in submission
@@ -54,10 +53,11 @@ pub mod pipeline;
 pub mod report;
 pub mod scheduler;
 
-pub use cache::{ArtifactCache, CacheStats};
+pub use cache::ArtifactCache;
 pub use delta::{diff_batches, AppDelta, BatchDelta, DeltaKind, Verdict};
 pub use engine::{available_jobs, Engine, StreamSummary};
 pub use metrics::{EngineSnapshot, MetricsSummary, StoreSummary};
 pub use pipeline::{sharded_stream, ShardedStream};
+pub use ppchecker_obs::CacheStats;
 pub use report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};
 pub use scheduler::{AdmitError, AdmitTicket, PoolStats, WorkerPool};

@@ -5,10 +5,9 @@
 //! determinism tests can compare aggregate *results* while dashboards
 //! still see real timings.
 
-use crate::cache::CacheStats;
 use ppchecker_core::{DetectorId, StageTimings};
 use ppchecker_nlp::InternerStats;
-use ppchecker_obs::HistogramSnapshot;
+use ppchecker_obs::{CacheStats, HistogramSnapshot};
 use ppchecker_store::{RecordKind, Store, StoreStats};
 use std::fmt;
 use std::time::Duration;

@@ -3,8 +3,8 @@
 //! The numeric core lives in [`crate::kernel`]: the inverted index is
 //! compiled to CSR once at construction, interpretation vectors are flat
 //! sorted [`SparseVector`]s, and the threshold predicate combines a
-//! norm-bound prune with a sharded symbol-pair verdict memo. The `f64`
-//! public API and the 0.67 verdict semantics are unchanged (DESIGN.md §10).
+//! norm-bound prune with a symbol-pair verdict memo. The `f64` public API
+//! and the 0.67 verdict semantics are unchanged (DESIGN.md §10).
 //!
 //! Every threshold comparison goes through one function,
 //! [`Interpreter::similarity_above`]: the memoized verdicts and the
@@ -14,11 +14,11 @@
 
 use crate::kb::{concepts, Concept};
 use crate::kernel::{self, CsrIndex, SparseVector};
-use ppchecker_nlp::intern::{intern, Symbol};
-use std::collections::hash_map::Entry;
+use ppchecker_nlp::intern::Symbol;
+use ppchecker_obs::{CacheStats, Memo};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Similarity threshold adopted by the paper (following AutoCog): two texts
 /// whose ESA cosine similarity reaches this value "refer to the same thing".
@@ -31,128 +31,12 @@ pub const SIMILARITY_THRESHOLD: f64 = 0.67;
 /// CSR kernel to it within 1e-6. The hot path uses [`SparseVector`].
 pub type ConceptVector = HashMap<usize, f64>;
 
-/// Number of lock shards for the vector cache and the pair memo. Sharding
-/// by symbol hash keeps the PR-1 parallel engine from serializing on one
-/// global `RwLock` at high `--jobs`.
-const SHARDS: usize = 16;
-
-/// Upper bound on memoized interpretation vectors across all shards; past
-/// this the cache stops admitting new texts (hits still count).
+/// Upper bound on memoized interpretation vectors; past this the cache
+/// stops admitting new texts.
 const VECTOR_CACHE_CAP: usize = 65_536;
-const VECTOR_SHARD_CAP: usize = VECTOR_CACHE_CAP / SHARDS;
 
-/// Upper bound on memoized symbol-pair verdicts across all shards.
+/// Upper bound on memoized symbol-pair verdicts.
 const PAIR_MEMO_CAP: usize = 131_072;
-const PAIR_MEMO_SHARD_CAP: usize = PAIR_MEMO_CAP / SHARDS;
-
-/// Fibonacci-multiply hasher for the symbol-keyed caches. Keys are one or
-/// two interned `u32` ids; SipHash's DoS resistance buys nothing for them
-/// and costs a large fraction of a cache probe. fxhash-style mix: rotate,
-/// xor, multiply by the 64-bit golden ratio.
-#[derive(Debug, Default, Clone, Copy)]
-struct SymHasher(u64);
-
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl std::hash::Hasher for SymHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(FIB);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0.rotate_left(20) ^ n as u64).wrapping_mul(FIB);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(20) ^ n).wrapping_mul(FIB);
-    }
-}
-
-type SymBuild = std::hash::BuildHasherDefault<SymHasher>;
-
-/// The crate's obs counters, resolved from the registry once. Hot paths
-/// consult [`ppchecker_obs::enabled`] (one relaxed load) before touching
-/// them, so disabled runs pay nothing beyond that branch.
-struct ObsCounters {
-    memo_hits: &'static ppchecker_obs::Counter,
-    memo_misses: &'static ppchecker_obs::Counter,
-    kernel_dots: &'static ppchecker_obs::Counter,
-}
-
-fn obs_counters() -> &'static ObsCounters {
-    static COUNTERS: OnceLock<ObsCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| ObsCounters {
-        memo_hits: ppchecker_obs::counter("esa.pair_memo.hits"),
-        memo_misses: ppchecker_obs::counter("esa.pair_memo.misses"),
-        kernel_dots: ppchecker_obs::counter("esa.kernel.dots"),
-    })
-}
-
-type VectorShard = RwLock<HashMap<Symbol, Arc<SparseVector>, SymBuild>>;
-type PairShard = RwLock<HashMap<(Symbol, Symbol), bool, SymBuild>>;
-
-/// Sharded, cap-bounded memo of `same_thing` verdicts at the paper
-/// threshold, keyed by canonically-ordered symbol pairs. A corpus re-asks
-/// identical resource pairs thousands of times across apps; after the
-/// first decision each repeat is one read-locked `u64`-keyed probe.
-#[derive(Debug, Default)]
-struct PairMemo {
-    shards: [PairShard; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl PairMemo {
-    /// Canonical key: cosine is symmetric, so `(a,b)` and `(b,a)` share
-    /// one entry.
-    fn key(a: Symbol, b: Symbol) -> (Symbol, Symbol) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    fn shard_of(key: (Symbol, Symbol)) -> usize {
-        let packed = ((key.0.id() as u64) << 32) | key.1.id() as u64;
-        (packed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize
-    }
-
-    fn get(&self, a: Symbol, b: Symbol) -> Option<bool> {
-        let key = Self::key(a, b);
-        let found =
-            self.shards[Self::shard_of(key)].read().expect("pair memo lock").get(&key).copied();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if ppchecker_obs::enabled() {
-            match found {
-                Some(_) => obs_counters().memo_hits.inc(),
-                None => obs_counters().memo_misses.inc(),
-            }
-        }
-        found
-    }
-
-    fn insert(&self, a: Symbol, b: Symbol, verdict: bool) {
-        let key = Self::key(a, b);
-        let mut shard = self.shards[Self::shard_of(key)].write().expect("pair memo lock");
-        if shard.len() < PAIR_MEMO_SHARD_CAP {
-            shard.insert(key, verdict);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().expect("pair memo lock").len()).sum()
-    }
-}
 
 /// Explicit Semantic Analysis interpreter over the bundled knowledge base.
 ///
@@ -173,19 +57,18 @@ pub struct Interpreter {
     /// term → sorted (concept, tf-idf weight) postings, CSR-compiled.
     index: CsrIndex,
     n_concepts: usize,
-    /// Memoized interpretation vectors, keyed by interned [`Symbol`] and
-    /// sharded by symbol hash. Policy phrases and resource names repeat
-    /// massively across a corpus, so [`similarity`](Self::similarity) is
-    /// served from here — one `u32` hash probe under a per-shard lock —
-    /// after the first interpretation of each text. Bounded by
-    /// [`VECTOR_CACHE_CAP`] through the per-shard cap in
-    /// [`admit`](Self::admit).
-    vector_cache: [VectorShard; SHARDS],
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    /// Memoized interpretation vectors, keyed by the text itself. Policy
+    /// phrases and resource names repeat massively across a corpus, so
+    /// [`vector_of`](Self::vector_of) interprets each text once. Keying
+    /// by text keeps the phrases out of the interner.
+    vector_cache: Memo<Box<str>, Arc<SparseVector>>,
+    /// `same_thing` verdicts at the paper threshold, keyed by
+    /// canonically ordered symbol pair (cosine is symmetric, so `(a, b)`
+    /// and `(b, a)` share one entry). A corpus re-asks identical resource
+    /// pairs thousands of times across apps.
+    pair_memo: Memo<(Symbol, Symbol), bool>,
     /// Threshold comparisons answered by the norm bound alone.
     pruned: AtomicU64,
-    pair_memo: PairMemo,
 }
 
 impl Interpreter {
@@ -227,11 +110,9 @@ impl Interpreter {
         Interpreter {
             index: CsrIndex::build(postings),
             n_concepts: n,
-            vector_cache: std::array::from_fn(|_| RwLock::new(HashMap::default())),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+            vector_cache: Memo::new(VECTOR_CACHE_CAP),
+            pair_memo: Memo::new(PAIR_MEMO_CAP),
             pruned: AtomicU64::new(0),
-            pair_memo: PairMemo::default(),
         }
     }
 
@@ -280,70 +161,14 @@ impl Interpreter {
         SparseVector::from_contributions(contributions)
     }
 
-    fn shard_of(sym: Symbol) -> usize {
-        ((sym.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize
+    /// Counters of the interpretation-vector cache.
+    pub fn vector_cache_stats(&self) -> CacheStats {
+        self.vector_cache.stats()
     }
 
-    /// The memoized interpretation of `sym`. Every text-keyed entry point
-    /// interns and lands here, so one symbol-keyed cache serves both.
-    fn cached_vector_sym(&self, sym: Symbol) -> Arc<SparseVector> {
-        let shard = &self.vector_cache[Self::shard_of(sym)];
-        if let Some(hit) = shard.read().expect("esa cache lock").get(&sym) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        let _span = ppchecker_obs::span!("esa.vector_build");
-        let entry = Arc::new(self.interpret_sparse(sym.as_str()));
-        self.admit(sym, entry)
-    }
-
-    /// Inserts a freshly computed vector, counting a miss only for the
-    /// insert that wins: two threads interpreting the same uncached text
-    /// both compute the (pure, identical) vector, but the loser's lookup
-    /// resolves from the cache as a hit, so `vector_cache_stats()` misses
-    /// stay consistent with `vector_cache_len()`.
-    fn admit(&self, sym: Symbol, entry: Arc<SparseVector>) -> Arc<SparseVector> {
-        let shard = &self.vector_cache[Self::shard_of(sym)];
-        let mut map = shard.write().expect("esa cache lock");
-        if map.len() >= VECTOR_SHARD_CAP && !map.contains_key(&sym) {
-            drop(map);
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            return entry;
-        }
-        match map.entry(sym) {
-            Entry::Occupied(existing) => {
-                let out = Arc::clone(existing.get());
-                drop(map);
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                out
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Arc::clone(&entry));
-                drop(map);
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                entry
-            }
-        }
-    }
-
-    /// `(hits, misses)` of the interpretation-vector cache.
-    pub fn vector_cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits.load(Ordering::Relaxed), self.cache_misses.load(Ordering::Relaxed))
-    }
-
-    /// Number of memoized interpretation vectors across all shards.
-    pub fn vector_cache_len(&self) -> usize {
-        self.vector_cache.iter().map(|s| s.read().expect("esa cache lock").len()).sum()
-    }
-
-    /// `(hits, misses)` of the symbol-pair verdict memo.
-    pub fn pair_memo_stats(&self) -> (u64, u64) {
-        (self.pair_memo.hits.load(Ordering::Relaxed), self.pair_memo.misses.load(Ordering::Relaxed))
-    }
-
-    /// Number of memoized pair verdicts across all shards.
-    pub fn pair_memo_len(&self) -> usize {
-        self.pair_memo.len()
+    /// Counters of the symbol-pair verdict memo.
+    pub fn pair_memo_stats(&self) -> CacheStats {
+        self.pair_memo.stats()
     }
 
     /// Threshold comparisons decided by the norm bound without a dot
@@ -354,20 +179,16 @@ impl Interpreter {
 
     /// Cosine similarity of two texts in concept space, in `[0, 1]`.
     ///
-    /// Returns `0.0` when either text has no known terms.
-    ///
-    /// A thin wrapper over [`similarity_sym`](Self::similarity_sym): the
-    /// texts are interned and the symbol path does the work, so both
-    /// entry points share one memo. The memo is a pure-function cache —
-    /// results are identical with or without it.
+    /// Returns `0.0` when either text has no known terms. Both
+    /// interpretation vectors come from the vector memo, a pure-function
+    /// cache: results are identical with or without it.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        self.similarity_sym(intern(a), intern(b))
+        kernel::cosine(&self.vector_of(a), &self.vector_of(b))
     }
 
-    /// Symbol-keyed similarity: both interpretation vectors are looked up
-    /// (and memoized) under the symbols themselves.
+    /// [`similarity`](Self::similarity) of two symbols' texts.
     pub fn similarity_sym(&self, a: Symbol, b: Symbol) -> f64 {
-        kernel::cosine(&self.cached_vector_sym(a), &self.cached_vector_sym(b))
+        self.similarity(a.as_str(), b.as_str())
     }
 
     /// The memoized kernel-form interpretation of `text`.
@@ -377,12 +198,10 @@ impl Interpreter {
     /// combine them with [`similarity_above`](Self::similarity_above) or
     /// [`kernel::cosine`], instead of paying a cache probe per pair.
     pub fn vector_of(&self, text: &str) -> Arc<SparseVector> {
-        self.cached_vector_sym(intern(text))
-    }
-
-    /// Symbol-keyed [`vector_of`](Self::vector_of).
-    pub fn vector_of_sym(&self, sym: Symbol) -> Arc<SparseVector> {
-        self.cached_vector_sym(sym)
+        self.vector_cache.get_or_compute(text, || {
+            let _span = ppchecker_obs::span!("esa.vector_build");
+            Arc::new(self.interpret_sparse(text))
+        })
     }
 
     /// The cosine similarity of two interpretation vectors when it reaches
@@ -401,34 +220,21 @@ impl Interpreter {
             self.pruned.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        if ppchecker_obs::enabled() {
-            obs_counters().kernel_dots.inc();
-        }
         let cos = kernel::cosine(a, b);
         (cos >= threshold).then_some(cos)
     }
 
-    /// `similarity(a, b) >= threshold`, decided without the dot product
-    /// when the norm bound already rules the pair out (exact: the bound
-    /// dominates the cosine, so a pruned answer is the answer the full
-    /// computation would give).
-    fn decide(&self, ca: &SparseVector, cb: &SparseVector, threshold: f64) -> bool {
-        self.similarity_above(ca, cb, threshold).is_some()
-    }
-
     /// Decides the paper's "matching" predicate: whether two pieces of
     /// information refer to the same thing (similarity ≥ threshold).
-    ///
-    /// A thin wrapper over [`same_thing_sym`](Self::same_thing_sym), so
-    /// text-keyed and symbol-keyed callers share the pair-verdict memo.
     pub fn same_thing(&self, a: &str, b: &str) -> bool {
-        self.same_thing_sym(intern(a), intern(b))
+        self.same_thing_at(a, b, SIMILARITY_THRESHOLD)
     }
 
     /// [`same_thing`](Self::same_thing) at a caller-chosen threshold
-    /// (norm-bound pruned, verdict-exact for any threshold).
+    /// (norm-bound pruned, verdict-exact for any threshold). Text-keyed
+    /// verdicts are not memoized; the vectors are.
     pub fn same_thing_at(&self, a: &str, b: &str, threshold: f64) -> bool {
-        self.same_thing_sym_at(intern(a), intern(b), threshold)
+        self.similarity_above(&self.vector_of(a), &self.vector_of(b), threshold).is_some()
     }
 
     /// Symbol-keyed [`same_thing`](Self::same_thing); verdicts at the
@@ -442,18 +248,11 @@ impl Interpreter {
     /// verdict is threshold-specific); other thresholds still get the
     /// vector memo and the norm-bound prune.
     pub fn same_thing_sym_at(&self, a: Symbol, b: Symbol, threshold: f64) -> bool {
-        let memoizable = threshold == SIMILARITY_THRESHOLD;
-        if memoizable {
-            if let Some(verdict) = self.pair_memo.get(a, b) {
-                return verdict;
-            }
+        let decide = || self.same_thing_at(a.as_str(), b.as_str(), threshold);
+        if threshold != SIMILARITY_THRESHOLD {
+            return decide();
         }
-        let verdict =
-            self.decide(&self.cached_vector_sym(a), &self.cached_vector_sym(b), threshold);
-        if memoizable {
-            self.pair_memo.insert(a, b, verdict);
-        }
-        verdict
+        self.pair_memo.get_or_compute(&if a <= b { (a, b) } else { (b, a) }, decide)
     }
 }
 
@@ -663,15 +462,15 @@ mod tests {
         let esa = esa();
         let (a, b) = (intern("memo probe alpha location"), intern("memo probe beta gps"));
         let first = esa.same_thing_sym(a, b);
-        let (_, misses_before) = esa.pair_memo_stats();
+        let before = esa.pair_memo_stats();
         let second = esa.same_thing_sym(a, b);
-        let (hits_after, misses_after) = esa.pair_memo_stats();
+        let after = esa.pair_memo_stats();
         assert_eq!(first, second);
-        assert_eq!(misses_after, misses_before, "repeat must not miss");
-        assert!(hits_after > 0);
+        assert_eq!(after.misses, before.misses, "repeat must not miss");
+        assert!(after.hits > 0);
         // Symmetric ask shares the canonical entry.
         assert_eq!(esa.same_thing_sym(b, a), first);
-        assert!(esa.pair_memo_len() > 0);
+        assert!(esa.pair_memo_stats().entries > 0);
     }
 
     #[test]
@@ -750,15 +549,13 @@ mod interpretation_tests {
         ];
         let esa = Interpreter::new(&corpus);
         let first = esa.similarity("alpha beta", "gamma");
-        let (h0, m0) = esa.vector_cache_stats();
-        assert_eq!(h0, 0);
-        assert_eq!(m0, 2);
+        let cold = esa.vector_cache_stats();
+        assert_eq!((cold.hits, cold.misses), (0, 2));
         let second = esa.similarity("alpha beta", "gamma");
-        let (h1, m1) = esa.vector_cache_stats();
-        assert_eq!(h1, 2, "repeat lookup served from cache");
-        assert_eq!(m1, 2, "a miss is only counted for the winning insert");
+        let warm = esa.vector_cache_stats();
+        assert_eq!((warm.hits, warm.misses), (2, 2), "repeat lookup served from cache");
         assert_eq!(first, second);
-        assert_eq!(esa.vector_cache_len(), 2);
+        assert_eq!(warm.entries, 2);
     }
 
     #[test]

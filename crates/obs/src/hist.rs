@@ -1,5 +1,5 @@
-//! Lock-free fixed-bucket log2 histograms, counters, and the static
-//! registry they live in.
+//! Lock-free fixed-bucket log2 histograms and the static registry they
+//! live in.
 //!
 //! A histogram is 64 power-of-two buckets of relaxed `AtomicU64`s,
 //! striped [`STRIPES`] ways so concurrent engine workers don't contend on
@@ -202,44 +202,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// A relaxed monotonically-increasing counter.
-#[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// The registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// The static metric registry: histograms and counters by name, created
-/// on first use and immortal (`Box::leak`, bounded by the fixed set of
-/// instrumented stage names).
+/// The static metric registry: histograms by name, created on first use
+/// and immortal (`Box::leak`, bounded by the fixed set of instrumented
+/// stage names).
 #[derive(Debug, Default)]
 pub struct Registry {
     hists: RwLock<Vec<&'static Histogram>>,
-    counters: RwLock<Vec<&'static Counter>>,
 }
 
 impl Registry {
@@ -259,22 +227,6 @@ impl Registry {
         h
     }
 
-    /// Get-or-create the counter named `name`.
-    pub fn counter(&self, name: &'static str) -> &'static Counter {
-        if let Some(c) =
-            self.counters.read().expect("obs registry lock").iter().find(|c| c.name == name)
-        {
-            return c;
-        }
-        let mut w = self.counters.write().expect("obs registry lock");
-        if let Some(c) = w.iter().find(|c| c.name == name) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter { name, value: AtomicU64::new(0) }));
-        w.push(c);
-        c
-    }
-
     /// Snapshot of every histogram, sorted by name for deterministic
     /// iteration.
     pub fn snapshot(&self) -> Vec<(&'static str, HistogramSnapshot)> {
@@ -284,19 +236,6 @@ impl Registry {
             .expect("obs registry lock")
             .iter()
             .map(|h| (h.name, h.snapshot()))
-            .collect();
-        out.sort_unstable_by_key(|(name, _)| *name);
-        out
-    }
-
-    /// Snapshot of every counter, sorted by name.
-    pub fn counters_snapshot(&self) -> Vec<(&'static str, u64)> {
-        let mut out: Vec<(&'static str, u64)> = self
-            .counters
-            .read()
-            .expect("obs registry lock")
-            .iter()
-            .map(|c| (c.name, c.get()))
             .collect();
         out.sort_unstable_by_key(|(name, _)| *name);
         out
@@ -434,10 +373,6 @@ mod tests {
         let a = registry().histogram("test.registry.same");
         let b = registry().histogram("test.registry.same");
         assert!(std::ptr::eq(a, b));
-        let c = registry().counter("test.registry.counter");
-        c.inc();
-        c.add(2);
-        assert_eq!(registry().counter("test.registry.counter").get(), 3);
         let names: Vec<&str> = registry().snapshot().iter().map(|(n, _)| *n).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();

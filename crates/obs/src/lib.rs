@@ -1,8 +1,9 @@
 //! # ppchecker-obs
 //!
 //! Zero-dependency observability for the PPChecker pipeline: hierarchical
-//! span tracing, lock-free log2 histograms, and a Chrome
-//! `trace_event`-format exporter (DESIGN.md §12).
+//! span tracing, lock-free log2 histograms, a Chrome `trace_event`-format
+//! exporter, and [`Memo`], the counted cache map every cache of the
+//! pipeline is built on (DESIGN.md §12).
 //!
 //! ## Model
 //!
@@ -39,10 +40,12 @@
 
 pub mod hist;
 pub mod json;
+pub mod memo;
 pub mod span;
 pub mod trace;
 
-pub use hist::{Counter, Histogram, HistogramSnapshot, BUCKETS, STRIPES};
+pub use hist::{Histogram, HistogramSnapshot, BUCKETS, STRIPES};
+pub use memo::{CacheStats, Fill, Memo};
 pub use span::SpanGuard;
 pub use trace::{Phase, TraceCheck, TraceEvent};
 
@@ -80,11 +83,6 @@ pub fn set_tracing(on: bool) {
 /// The registry histogram named `name` (created on first use).
 pub fn histogram(name: &'static str) -> &'static Histogram {
     hist::registry().histogram(name)
-}
-
-/// The registry counter named `name` (created on first use).
-pub fn counter(name: &'static str) -> &'static Counter {
-    hist::registry().counter(name)
 }
 
 /// Snapshot of every registered histogram, sorted by name.

@@ -88,8 +88,21 @@ impl PolicyAnalysis {
 
     /// [`mentioned_resources`](PolicyAnalysis::mentioned_resources) as
     /// interned symbols, for the incompleteness detectors' ESA probes.
-    pub fn mentioned_resource_symbols(&self) -> BTreeSet<Symbol> {
-        VerbCategory::ALL.into_iter().flat_map(|c| self.resource_symbols(c, false)).collect()
+    ///
+    /// Sorted by text, not by id: the probes stop at the first match, and
+    /// ids follow interning order, which depends on how workers
+    /// interleave — so id order would make the ESA questions a run asks
+    /// (and the memo counters) vary with `--jobs`.
+    pub fn mentioned_resource_symbols(&self) -> Vec<Symbol> {
+        let mut syms: Vec<Symbol> = self
+            .sentences
+            .iter()
+            .filter(|s| !s.negative)
+            .flat_map(|s| s.resource_symbols().iter().copied())
+            .collect();
+        syms.sort_unstable_by_key(|s| s.as_str());
+        syms.dedup();
+        syms
     }
 
     /// Union of negated resources across all four categories.
@@ -450,6 +463,8 @@ mod tests {
         assert!(all.contains("location"));
         assert!(all.contains("email address"));
         assert!(all.contains("device id"));
+        let syms: Vec<&str> = a.mentioned_resource_symbols().iter().map(|s| s.as_str()).collect();
+        assert_eq!(syms, all.into_iter().collect::<Vec<_>>(), "symbols come in text order");
     }
 
     #[test]

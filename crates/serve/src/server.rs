@@ -659,7 +659,7 @@ fn metrics_to_json(shared: &Shared) -> String {
         queue.draining,
         engine.lib_policies,
         cache_to_json(&engine.policy_cache),
-        shared.engine.cache().cap(),
+        ppchecker_engine::cache::POLICY_CACHE_CAP,
         cache_to_json(&engine.esa_cache),
         cache_to_json(&engine.esa_pair_memo),
         engine.esa_pruned,

@@ -968,38 +968,32 @@ fn collect_leaks(prog: &Program, st: &StateScratch) -> Vec<Leak> {
 // Library summaries
 // ---------------------------------------------------------------------------
 
-/// For every known lib embedded in the app: on a cache hit, replay the
-/// summary into the state (marking summarized methods skippable); on a
-/// miss, compute `F_m(∅)` for each in-scope lib method and store it.
+/// For every known lib embedded in the app: replay its summary into the
+/// state (marking summarized methods skippable), or — for the app that
+/// computes the summary — store `F_m(∅)` of each in-scope lib method and
+/// interpret the lib normally.
 fn seed_from_summaries(prog: &Program, st: &mut StateScratch, cache: &TaintSummaryCache) {
     for &(lib, key) in prog.apg.known_lib_keys() {
-        match cache.get(key) {
-            Some(summary) => {
-                // The summaries assumed their external calls hit the
-                // framework; if any resolves to an app method here,
-                // first-iteration semantics differ — process the whole
-                // lib normally (one check per app, not per method).
-                if summary.external_calls.iter().any(|(c, m)| prog.apg.lookup_ix(c, m).is_some()) {
-                    continue;
-                }
-                for ms in &summary.methods {
-                    apply_method_summary(prog, st, ms);
-                }
-            }
-            None => {
-                // Only the first app with this lib content pays for the
-                // class walk; hits above never touch the dex.
-                let mut classes: Vec<&Class> = prog
-                    .apg
-                    .dex()
-                    .classes
-                    .iter()
-                    .filter(|c| c.name.starts_with(lib.prefix))
-                    .collect();
-                classes.sort_by(|a, b| a.name.cmp(&b.name));
-                let summary = compute_lib_summary(prog, &classes);
-                cache.insert(key, summary);
-            }
+        // Only the app that computes the summary pays for the class
+        // walk; replays never touch the dex.
+        let compute = || {
+            let mut classes: Vec<&Class> =
+                prog.apg.dex().classes.iter().filter(|c| c.name.starts_with(lib.prefix)).collect();
+            classes.sort_by(|a, b| a.name.cmp(&b.name));
+            compute_lib_summary(prog, &classes)
+        };
+        let Some(summary) = cache.replay_or_compute(key, compute) else {
+            continue;
+        };
+        // The summaries assumed their external calls hit the framework;
+        // if any resolves to an app method here, first-iteration
+        // semantics differ — process the whole lib normally (one check
+        // per app, not per method).
+        if summary.external_calls.iter().any(|(c, m)| prog.apg.lookup_ix(c, m).is_some()) {
+            continue;
+        }
+        for ms in &summary.methods {
+            apply_method_summary(prog, st, ms);
         }
     }
 }
@@ -1627,6 +1621,28 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.entries(), 1);
+    }
+
+    #[test]
+    fn a_lib_the_summary_cap_keeps_out_still_reports_its_leaks() {
+        use crate::summary::LIB_SUMMARY_CAP;
+        let cache = TaintSummaryCache::new();
+        for key in 0..LIB_SUMMARY_CAP as u64 + 8 {
+            let _ = cache.replay_or_compute(key, LibSummary::default);
+        }
+        assert_eq!(cache.entries(), LIB_SUMMARY_CAP, "distinct libs past the cap are not kept");
+        let apk = lib_app("com.first");
+        let apg = Apg::build(&apk).unwrap();
+        let methods = reach::reachable_methods(&apg);
+        let uncached = analyze(&apg, &methods);
+        assert!(!uncached.is_empty(), "the lib app must leak");
+        let before = cache.stats();
+        for _ in 0..2 {
+            assert_eq!(analyze_cached(&apg, &methods, Some(&cache)), uncached);
+        }
+        let after = cache.stats();
+        assert_eq!(after.misses - before.misses, 2, "a lib kept out is computed in every app");
+        assert_eq!(after.entries, LIB_SUMMARY_CAP);
     }
 
     #[test]

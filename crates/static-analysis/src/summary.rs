@@ -15,13 +15,22 @@
 //! Keying is content-addressed: the FNV-1a hash of the lib's class set
 //! ([`ppchecker_apk::stable_hash_classes`]) over sorted class names, so a
 //! recompiled or trimmed copy of a lib never matches a stale summary.
+//!
+//! At most [`LIB_SUMMARY_CAP`] summaries stay resident: `serve` takes dex
+//! bodies from the network, and every distinct class set under a known
+//! lib prefix is a new key. A lib the cap keeps out is interpreted
+//! normally in every app that embeds it.
 
 use crate::sensitive::{self, SensitiveApi};
 use crate::sinks::{self, SinkApi};
-use ppchecker_apk::{FnvMap, PrivateInfo};
+use ppchecker_apk::PrivateInfo;
+use ppchecker_obs::{CacheStats, Fill, Memo};
 use ppchecker_store::{ArtifactTier, RecordKind, WireError, WireReader, WireWriter};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
+
+/// Upper bound on resident lib summaries: 50× the 81 distinct lib
+/// contents of the paper corpus.
+pub const LIB_SUMMARY_CAP: usize = 4_096;
 
 /// One taint label in app-independent form. Table-sourced labels are
 /// kept as pointers into the static sensitive-API table — two apps
@@ -95,19 +104,21 @@ impl LibSummary {
 /// kernel), optionally backed by a persistent disk tier so summaries
 /// survive across runs.
 ///
-/// Mirrors the engine's `ArtifactCache` discipline: compute outside the
-/// write lock, first insert wins, `misses` counts distinct lib contents
-/// *computed this run* — only the winning insert counts a miss, a losing
-/// insert (a worker that raced on the same new lib) counts a hit, and a
+/// A [`Memo`] keyed by lib content hash: each resident lib is summarized
+/// once, `misses` counts the summaries computed by this process, and a
 /// summary replayed from the disk tier counts as a hit, since the kernel
 /// skipped the work either way. The counts are therefore the same for
 /// any worker interleaving.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TaintSummaryCache {
-    map: RwLock<FnvMap<u64, Arc<LibSummary>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    memo: Memo<u64, Arc<LibSummary>>,
     disk: OnceLock<Arc<dyn ArtifactTier>>,
+}
+
+impl Default for TaintSummaryCache {
+    fn default() -> Self {
+        TaintSummaryCache { memo: Memo::new(LIB_SUMMARY_CAP), disk: OnceLock::new() }
+    }
 }
 
 impl TaintSummaryCache {
@@ -117,77 +128,58 @@ impl TaintSummaryCache {
     }
 
     /// Attaches a persistent tier consulted on memory misses and written
-    /// on inserts. First attachment wins; later calls are ignored (the
-    /// cache is shared behind `Arc`, so every holder sees the tier).
+    /// on fresh computes. First attachment wins; later calls are ignored
+    /// (the cache is shared behind `Arc`, so every holder sees the tier).
     pub fn attach_disk_tier(&self, tier: Arc<dyn ArtifactTier>) {
         let _ = self.disk.set(tier);
     }
 
-    /// Looks up the summary for a lib content hash, counting a hit when
-    /// one is found. On a memory miss the disk tier (when attached) is
-    /// probed; a decodable stored summary is promoted into memory and
-    /// counts as a hit. A `None` counts nothing: the caller computes the
-    /// summary and [`insert`](Self::insert) does the accounting.
-    pub(crate) fn get(&self, key: u64) -> Option<Arc<LibSummary>> {
-        let hit = self.map.read().expect("summary cache lock").get(&key).cloned();
-        if let Some(summary) = hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(summary);
-        }
-        let summary = self.load_from_disk(key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(summary)
-    }
-
-    /// Disk-tier probe: decode, promote into memory (first insert wins).
-    /// Any defect — missing record, corruption, an API name the current
-    /// tables no longer carry — reads as `None` and the kernel recomputes.
-    fn load_from_disk(&self, key: u64) -> Option<Arc<LibSummary>> {
-        let tier = self.disk.get()?;
-        let bytes = tier.load(RecordKind::LibSummary, key)?;
-        let summary = decode_lib_summary(&bytes).ok()?;
-        let fresh = Arc::new(summary);
-        let mut map = self.map.write().expect("summary cache lock");
-        Some(Arc::clone(map.entry(key).or_insert(fresh)))
-    }
-
-    /// Stores a freshly computed summary; the first insert wins so every
-    /// consumer shares one allocation. The winning insert counts a miss
-    /// and is persisted to the disk tier when one is attached; a losing
-    /// insert counts a hit.
-    pub(crate) fn insert(&self, key: u64, summary: LibSummary) -> Arc<LibSummary> {
-        let fresh = Arc::new(summary);
-        let mut map = self.map.write().expect("summary cache lock");
-        let mut won = false;
-        let shared = Arc::clone(map.entry(key).or_insert_with(|| {
-            won = true;
-            fresh
-        }));
-        drop(map);
-        if won {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(tier) = self.disk.get() {
-                tier.save(RecordKind::LibSummary, key, &encode_lib_summary(&shared));
+    /// The summary of the lib under `key` for the kernel to replay, or
+    /// `None` when this call computed it with `compute` — the app that
+    /// computes a summary interprets the lib normally. A resident summary
+    /// or a decodable disk record is replayed; a fresh compute is
+    /// persisted to the disk tier. Any disk defect — missing record,
+    /// corruption, an API name the current tables no longer carry —
+    /// reads as absent and the summary is recomputed.
+    pub(crate) fn replay_or_compute(
+        &self,
+        key: u64,
+        compute: impl FnOnce() -> LibSummary,
+    ) -> Option<Arc<LibSummary>> {
+        let mut computed = false;
+        let summary = self.memo.get_or_fill(&key, || {
+            let stored = self.disk.get().and_then(|tier| tier.load(RecordKind::LibSummary, key));
+            if let Some(summary) = stored.and_then(|bytes| decode_lib_summary(&bytes).ok()) {
+                return Fill::Replayed(Arc::new(summary));
             }
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        shared
+            computed = true;
+            let summary = compute();
+            if let Some(tier) = self.disk.get() {
+                tier.save(RecordKind::LibSummary, key, &encode_lib_summary(&summary));
+            }
+            Fill::Computed(Arc::new(summary))
+        });
+        (!computed).then_some(summary)
     }
 
-    /// Lookups served from the cache.
+    /// Snapshot of the counters.
+    pub fn stats(&self) -> CacheStats {
+        self.memo.stats()
+    }
+
+    /// Lookups served from the cache or the disk tier.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.stats().hits
     }
 
-    /// Summaries computed and admitted (distinct lib contents seen).
+    /// Summaries computed by this process.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.stats().misses
     }
 
     /// Summaries resident.
     pub fn entries(&self) -> usize {
-        self.map.read().expect("summary cache lock").len()
+        self.stats().entries
     }
 }
 
@@ -357,37 +349,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_track_hits_and_misses() {
+    fn the_computing_lookup_gets_none_and_later_lookups_replay() {
         let cache = TaintSummaryCache::new();
-        assert!(cache.get(42).is_none());
-        cache.insert(42, LibSummary::default());
-        assert!(cache.get(42).is_some());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.entries(), 1);
-    }
-
-    #[test]
-    fn racing_misses_on_one_key_count_one_miss() {
-        // Two workers both miss a new lib, both compute it, both insert:
-        // only the winning insert is a miss; the loser's work is a hit.
-        let cache = TaintSummaryCache::new();
-        assert!(cache.get(5).is_none());
-        assert!(cache.get(5).is_none());
-        cache.insert(5, LibSummary::default());
-        cache.insert(5, LibSummary::default());
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.entries(), 1);
-    }
-
-    #[test]
-    fn first_insert_wins() {
-        let cache = TaintSummaryCache::new();
-        let a = cache.insert(7, LibSummary::default());
-        let b = cache.insert(7, LibSummary::default());
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.entries(), 1);
+        assert!(cache.replay_or_compute(42, LibSummary::default).is_none());
+        let first = cache.replay_or_compute(42, || unreachable!("resident summary recomputed"));
+        let second = cache.replay_or_compute(42, LibSummary::default);
+        assert!(Arc::ptr_eq(&first.unwrap(), &second.unwrap()), "replays share one allocation");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     fn sample_summary() -> LibSummary {
@@ -470,28 +439,29 @@ mod tests {
     #[test]
     fn disk_tier_persists_and_promotes() {
         #[derive(Debug, Default)]
-        struct MemTier(RwLock<std::collections::HashMap<u64, Vec<u8>>>);
+        struct MemTier(std::sync::Mutex<std::collections::HashMap<u64, Vec<u8>>>);
         impl ArtifactTier for MemTier {
             fn load(&self, _kind: RecordKind, key: u64) -> Option<Vec<u8>> {
-                self.0.read().unwrap().get(&key).cloned()
+                self.0.lock().unwrap().get(&key).cloned()
             }
             fn save(&self, _kind: RecordKind, key: u64, payload: &[u8]) {
-                self.0.write().unwrap().insert(key, payload.to_vec());
+                self.0.lock().unwrap().insert(key, payload.to_vec());
             }
         }
 
         let tier: Arc<MemTier> = Arc::new(MemTier::default());
         let warm = TaintSummaryCache::new();
         warm.attach_disk_tier(Arc::clone(&tier) as Arc<dyn ArtifactTier>);
-        assert!(warm.get(99).is_none());
-        warm.insert(99, sample_summary());
-        assert!(tier.0.read().unwrap().contains_key(&99), "insert must persist");
+        assert!(warm.replay_or_compute(99, sample_summary).is_none());
+        assert!(tier.0.lock().unwrap().contains_key(&99), "a fresh compute must persist");
 
         // A fresh cache over the same tier warm-starts: the probe is a
         // hit served from disk, and the summary is promoted into memory.
         let fresh = TaintSummaryCache::new();
         fresh.attach_disk_tier(tier as Arc<dyn ArtifactTier>);
-        let replayed = fresh.get(99).expect("disk tier serves the summary");
+        let replayed = fresh
+            .replay_or_compute(99, || unreachable!("the disk tier serves the summary"))
+            .expect("a disk replay is replayed into the app");
         assert_eq!(replayed.method_count(), 1);
         assert_eq!(fresh.hits(), 1);
         assert_eq!(fresh.misses(), 0);
@@ -510,9 +480,9 @@ mod tests {
         }
         let cache = TaintSummaryCache::new();
         cache.attach_disk_tier(Arc::new(GarbageTier));
-        assert!(cache.get(1).is_none());
-        // The kernel then recomputes and inserts: one miss, no hit.
-        cache.insert(1, LibSummary::default());
+        // Garbage bytes read as absent: the summary is recomputed, one
+        // miss and no hit.
+        assert!(cache.replay_or_compute(1, LibSummary::default).is_none());
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 0);
     }

@@ -55,7 +55,7 @@ fn pruned_memoized_verdicts_equal_exact_similarity_over_golden_corpus() {
         }
     }
     assert!(verdicts > 0);
-    let (memo_hits, _) = esa.pair_memo_stats();
+    let memo_hits = esa.pair_memo_stats().hits;
     assert!(memo_hits > 0, "second round must be served from the pair memo");
 }
 
