@@ -23,6 +23,9 @@
 //!                 [--store <dir>] [--detectors IDS]
 //! ```
 //!
+//! `serve --workers N` bounds the checks that run at once across every
+//! connection; `--queue-depth N` more may wait before HTTP answers 429.
+//!
 //! The dex file uses the textual serialization of
 //! [`ppchecker_apk::packer`]; the manifest uses the line format of
 //! [`manifest_text`].

@@ -31,6 +31,10 @@ USAGE:
 
   --detectors takes a comma-separated detector selection, e.g.
   incomplete,incorrect,inconsistent,data-safety,purpose,boilerplate.
+
+  serve --workers N bounds the checks that run at once across every
+  connection (default: the core count); --queue-depth N more may wait
+  (default 2 x workers) before HTTP answers 429 and JSONL blocks.
 ";
 
 fn main() -> ExitCode {

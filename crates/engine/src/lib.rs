@@ -5,8 +5,8 @@
 //! core into a corpus-scale runtime:
 //!
 //! * **One run path** — [`Engine::run_streamed`] fans an app stream
-//!   across a worker pool (`jobs` threads) over bounded channels, so a
-//!   lazy corpus source is consumed under backpressure instead of being
+//!   across `jobs` scoped threads over bounded channels, so a lazy
+//!   corpus source is consumed under backpressure instead of being
 //!   materialized; [`Engine::run`] is the same loop collecting its
 //!   records. A panicking or failing app becomes one error record; the
 //!   run survives.
@@ -28,9 +28,10 @@
 //! * **One per-app body** — [`Engine::check_one`] is what every batch
 //!   worker runs per app and what the `ppchecker-serve` daemon runs per
 //!   request: store probe, panic guard, cached policy analysis, persist.
-//!   The daemon admits requests through [`WorkerPool`] (long-lived
-//!   workers, ticketed admission control) and scrapes
-//!   [`Engine::metrics_snapshot`].
+//! * **One scheduler** — [`scheduler::run_scoped_streamed`], the ordered
+//!   fan-out under [`Engine::run_streamed`], also runs the daemon's
+//!   `/batch` requests and JSONL connections. The daemon admits work
+//!   itself and scrapes [`Engine::metrics_snapshot`].
 //!
 //! ```
 //! use ppchecker_core::PPChecker;
@@ -60,4 +61,3 @@ pub use metrics::{EngineSnapshot, MetricsSummary, StoreSummary};
 pub use pipeline::{sharded_stream, ShardedStream};
 pub use ppchecker_obs::CacheStats;
 pub use report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};
-pub use scheduler::{AdmitError, AdmitTicket, PoolStats, WorkerPool};

@@ -3,7 +3,7 @@
 //! encoding, no TLS, no multipart. Hand-rolled on `std::net` so the
 //! daemon stays inside the workspace's zero-dependency budget.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Ceiling on the request line plus all headers, combined. Anything
 /// larger is malformed by fiat (real requests are a few hundred bytes).
@@ -44,13 +44,14 @@ impl From<io::Error> for ReadError {
 }
 
 /// Reads one request off `reader`. Blocks until a full request (or EOF)
-/// arrives; the caller bounds patience via socket timeouts.
+/// arrives; the caller bounds patience via socket timeouts. The head is
+/// read through its [`MAX_HEAD_BYTES`] budget, newline or not.
 pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpRequest, ReadError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut head_budget = MAX_HEAD_BYTES;
+    let line = read_head_line(reader, &mut head_budget)?;
+    if line.is_empty() {
         return Err(ReadError::Closed);
     }
-    let mut head_bytes = line.len();
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -69,13 +70,9 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpRe
     // HTTP/1.1 defaults to keep-alive; `Connection: close` opts out.
     let mut keep_alive = true;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = read_head_line(reader, &mut head_budget)?;
+        if header.is_empty() {
             return Err(ReadError::Malformed("connection closed mid-headers".to_string()));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Malformed("header block exceeds 16 KiB".to_string()));
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -103,6 +100,20 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpRe
         .map_err(|_| ReadError::Malformed("body is not UTF-8".to_string()))?;
 
     Ok(HttpRequest { method, path, body, keep_alive })
+}
+
+/// Reads one head line, newline included, drawing its bytes from
+/// `budget`. A line that would overdraw the budget is malformed once one
+/// byte past it has been read, so a peer that never sends a newline costs
+/// the budget, not unbounded memory. An empty line means EOF.
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, ReadError> {
+    let mut line = Vec::new();
+    let n = reader.take(*budget as u64 + 1).read_until(b'\n', &mut line)?;
+    if n > *budget {
+        return Err(ReadError::Malformed("header block exceeds 16 KiB".to_string()));
+    }
+    *budget -= n;
+    String::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e).into())
 }
 
 /// The standard reason phrase for the statuses the daemon emits.
@@ -199,6 +210,46 @@ mod tests {
     fn oversized_header_block_is_malformed() {
         let huge = format!("GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
         assert!(matches!(read(&huge, 1024), Err(ReadError::Malformed(_))));
+        // The budget is inclusive: a head of exactly MAX_HEAD_BYTES reads.
+        let pad = "a".repeat(MAX_HEAD_BYTES - "GET / HTTP/1.1\r\nx: \r\n\r\n".len());
+        assert!(read(&format!("GET / HTTP/1.1\r\nx: {pad}\r\n\r\n"), 1024).is_ok());
+        let over = format!("GET / HTTP/1.1\r\nx: {pad}a\r\n\r\n");
+        assert!(matches!(read(&over, 1024), Err(ReadError::Malformed(_))));
+    }
+
+    /// A reader over `bytes` that counts the bytes its caller consumes.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        consumed: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (&self.bytes[self.consumed..]).read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    impl BufRead for CountingReader<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            Ok(&self.bytes[self.consumed..])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.consumed += n;
+        }
+    }
+
+    #[test]
+    fn a_head_without_newlines_is_malformed_within_the_budget() {
+        let head = format!("GET /{}", "a".repeat(64 * 1024));
+        let mut reader = CountingReader { bytes: head.as_bytes(), consumed: 0 };
+        match read_request(&mut reader, 1024) {
+            Err(ReadError::Malformed(message)) => assert!(message.contains("16 KiB"), "{message}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        assert!(reader.consumed <= MAX_HEAD_BYTES + 1, "read {} head bytes", reader.consumed);
     }
 
     #[test]

@@ -16,11 +16,15 @@
 //!   in input order, with *blocking* admission — bulk clients get
 //!   backpressure instead of retry loops.
 //!
-//! Both speak the wire schema in [`json`], both run checks on the
-//! engine's resident [`ppchecker_engine::WorkerPool`], and both drain
-//! gracefully: `POST /shutdown` or SIGTERM stops admission, finishes
-//! every admitted check, and writes every in-flight response before
-//! [`ServerHandle::join`] returns.
+//! Both speak the wire schema in [`json`], and both admit checks through
+//! one gate: at most `workers` checks run at once and at most
+//! `workers + queue_depth` are admitted. A `/check` runs on its
+//! connection thread; a `/batch` or a JSONL connection fans out, on
+//! threads it owns, through the engine's scheduler,
+//! [`ppchecker_engine::scheduler::run_scoped_streamed`].
+//! Both drain gracefully: `POST /shutdown` or SIGTERM stops admission,
+//! finishes every admitted check, and writes every in-flight response
+//! before [`ServerHandle::join`] returns.
 //!
 //! ## Example
 //!
@@ -43,6 +47,7 @@
 //! Everything is built on `std::net` plus the workspace's own JSON
 //! machinery — the daemon adds no external dependencies.
 
+mod admission;
 pub mod client;
 pub mod http;
 pub mod json;
@@ -55,14 +60,15 @@ pub use server::{Counters, Server, ServerHandle};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Daemon configuration: listen addresses, pool sizing, request caps.
+/// Daemon configuration: listen addresses, admission bounds, request caps.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// HTTP listen address (`host:port`; port `0` binds ephemerally).
     pub addr: String,
     /// Optional JSONL-over-TCP listen address.
     pub jsonl_addr: Option<String>,
-    /// Worker threads in the resident pool.
+    /// Checks that run at once, across every connection. A `/batch` or a
+    /// JSONL connection fans out on up to this many threads of its own.
     pub workers: usize,
     /// Admission slots beyond the workers — the queue. Total capacity is
     /// `workers + queue_depth`; an arriving request past that is

@@ -6,20 +6,23 @@
 //! [`Server::start`] binds the HTTP listener (and optionally the JSONL
 //! one), warms a [`ppchecker_engine::Engine`], and spawns one acceptor
 //! thread per transport plus one handler thread per connection. All of
-//! them share one `Shared` hub: the engine, the resident
-//! [`WorkerPool`], the request counters, and the drain flag. Acceptors
-//! block in `accept()`; every accepted socket gets `TCP_NODELAY`, and
-//! every response leaves in one write (see [`http::write_response`]).
+//! them share one `Shared` hub: the engine, the admission gate, the
+//! request counters, and the drain flag. Acceptors block in `accept()`;
+//! every accepted socket gets `TCP_NODELAY`, and every response leaves
+//! in one write (see [`http::write_response`]).
 //!
 //! ## Admission
 //!
-//! Checks never run on connection threads — every app goes through the
-//! pool's ticket gate. HTTP uses [`WorkerPool::try_admit`] so a full
-//! queue answers `429 overloaded` immediately (`/batch` admits
-//! all-or-nothing: a batch the queue can't hold entirely is rejected
-//! rather than half-admitted). The JSONL transport uses
-//! [`WorkerPool::admit_blocking`] — bulk clients want backpressure, not
-//! retries.
+//! Every check holds a ticket of the one admission gate, and runs on the
+//! thread that holds it. A `/check` runs on its connection thread. A
+//! `/batch` and a JSONL connection fan out through the engine's
+//! scheduler, [`run_scoped_streamed`], on at most `workers` scoped
+//! threads that the connection owns, and the gate lets at most `workers`
+//! checks run at once across the daemon. HTTP admits fail-fast, so a
+//! full gate answers `429 overloaded` at once (`/batch` admits
+//! all-or-nothing: a batch the gate can't hold entirely is rejected
+//! rather than half-admitted). The JSONL transport admits blocking —
+//! bulk clients want backpressure, not retries.
 //!
 //! ## Drain
 //!
@@ -27,27 +30,30 @@
 //! with one loopback connection: acceptors stop accepting and close
 //! their listeners, idle keep-alive connections see EOF, admitted work
 //! runs to completion, and responses for in-flight requests are still
-//! written. [`ServerHandle::join`] returns once the last connection
-//! closes and the pool is idle.
+//! written. Admitted work runs on connection threads or on threads a
+//! connection owns, so [`ServerHandle::join`] returns once the last
+//! connection closes.
 //!
 //! ## Request phases
 //!
 //! Each HTTP request records spans for its phases: `serve.read` (first
 //! byte to last, never idle keep-alive time) and `serve.request`, which
-//! holds `serve.decode`, `serve.wait` (pool hand-off until the rendered
-//! result is back) and `serve.write`. On the worker, the
-//! `serve.queue_wait` histogram, `app.check` and `serve.encode` follow.
+//! holds `serve.decode`, the check and `serve.write`. The check records
+//! the `serve.queue_wait` histogram (admission to start), then
+//! `app.check` and `serve.encode`.
 
+use crate::admission::{Gate, Refused};
 use crate::http::{self, HttpRequest, ReadError};
 use crate::json;
 use crate::jsonl;
 use crate::ServeConfig;
 use ppchecker_core::{AppInput, DetectorId};
-use ppchecker_engine::{AdmitError, CacheStats, Engine, WorkerPool};
+use ppchecker_engine::scheduler::run_scoped_streamed;
+use ppchecker_engine::{CacheStats, Engine};
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -105,7 +111,7 @@ pub struct Counters {
 /// Everything the daemon's threads share.
 pub(crate) struct Shared {
     pub(crate) engine: Engine,
-    pub(crate) pool: WorkerPool,
+    pub(crate) gate: Gate,
     pub(crate) config: ServeConfig,
     pub(crate) counters: Counters,
     /// The bound listener addresses, which `begin_shutdown` connects to.
@@ -128,7 +134,7 @@ impl Shared {
     /// per listener wakes it to see the flag.
     pub(crate) fn begin_shutdown(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
-            self.pool.start_drain();
+            self.gate.start_drain();
             for &addr in &self.listeners {
                 let _ = TcpStream::connect_timeout(&loopback_if_unspecified(addr), WAKE_TIMEOUT);
             }
@@ -154,55 +160,23 @@ impl Shared {
         }
     }
 
-    /// Runs one admitted check on the pool and waits for its outcome,
-    /// already rendered as a wire result object.
-    pub(crate) fn run_check(
-        self: &Arc<Self>,
-        mut ticket: ppchecker_engine::AdmitTicket,
-        app: AppInput,
-    ) -> String {
-        let _wait = ppchecker_obs::span!("serve.wait");
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.submit_check(&mut ticket, app, 0, tx);
-        match rx.recv() {
-            Ok((_seq, rendered)) => rendered,
-            Err(_) => json::error_body("worker lost").trim_end().to_string(),
-        }
-    }
-
-    /// Submits one check job; the rendered result arrives as
-    /// `(seq, json)` on `tx`.
-    pub(crate) fn submit_check(
-        self: &Arc<Self>,
-        ticket: &mut ppchecker_engine::AdmitTicket,
-        app: AppInput,
-        seq: u64,
-        tx: mpsc::SyncSender<(u64, String)>,
-    ) {
-        let shared = Arc::clone(self);
-        self.pool.submit(ticket, move || {
-            let result = shared.engine.check_one(&app);
-            let counter = if result.is_ok() {
-                &shared.counters.checks_ok
-            } else {
-                &shared.counters.check_errors
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            if let Ok(outcome) = &result {
-                for &id in DetectorId::ALL {
-                    let n = outcome.detector_findings(id) as u64;
-                    if n > 0 {
-                        shared.counters.detector_findings[id.rank()]
-                            .fetch_add(n, Ordering::Relaxed);
-                    }
+    /// Checks one app and renders its wire result object: what every
+    /// admitted ticket runs, for `/check`, `/batch` and JSONL alike.
+    pub(crate) fn check_rendered(&self, app: &AppInput) -> String {
+        let result = self.engine.check_one(app);
+        let counter =
+            if result.is_ok() { &self.counters.checks_ok } else { &self.counters.check_errors };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Ok(outcome) = &result {
+            for &id in DetectorId::ALL {
+                let n = outcome.detector_findings(id) as u64;
+                if n > 0 {
+                    self.counters.detector_findings[id.rank()].fetch_add(n, Ordering::Relaxed);
                 }
             }
-            let rendered = {
-                let _encode = ppchecker_obs::span!("serve.encode");
-                json::outcome_to_json(&app.package, &result)
-            };
-            let _ = tx.send((seq, rendered));
-        });
+        }
+        let _encode = ppchecker_obs::span!("serve.encode");
+        json::outcome_to_json(&app.package, &result)
     }
 }
 
@@ -250,14 +224,14 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Blocks until the daemon has fully drained: acceptors exited, all
-    /// connections closed, all admitted work completed.
+    /// Blocks until the daemon has fully drained: acceptors exited and
+    /// all connections closed. Admitted work runs on connection threads,
+    /// so it has completed too.
     pub fn join(self) {
         for acceptor in self.acceptors {
             let _ = acceptor.join();
         }
         self.shared.wait_connections_closed();
-        self.shared.pool.wait_idle();
     }
 }
 
@@ -281,10 +255,9 @@ impl Server {
             None => None,
         };
 
-        let pool = WorkerPool::new(config.workers, config.queue_depth);
         let shared = Arc::new(Shared {
             engine,
-            pool,
+            gate: Gate::new(config.workers, config.queue_depth),
             config,
             counters: Counters::default(),
             listeners: [Some(addr), jsonl_addr].into_iter().flatten().collect(),
@@ -463,7 +436,7 @@ fn handle_http_connection(shared: Arc<Shared>, stream: TcpStream) {
     }
 }
 
-fn route(shared: &Arc<Shared>, request: &HttpRequest) -> Response {
+fn route(shared: &Shared, request: &HttpRequest) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/check") => handle_check(shared, &request.body),
         ("POST", "/batch") => handle_batch(shared, &request.body),
@@ -482,7 +455,7 @@ fn route(shared: &Arc<Shared>, request: &HttpRequest) -> Response {
     }
 }
 
-fn handle_check(shared: &Arc<Shared>, body: &str) -> Response {
+fn handle_check(shared: &Shared, body: &str) -> Response {
     let app = match decode_app(body) {
         Ok(app) => app,
         Err(message) => {
@@ -490,13 +463,23 @@ fn handle_check(shared: &Arc<Shared>, body: &str) -> Response {
             return Response::error(400, &message);
         }
     };
-    match shared.pool.try_admit(1) {
-        Ok(ticket) => Response::ok(shared.run_check(ticket, app)),
-        Err(AdmitError::Overloaded) => {
+    match shared.gate.try_admit(1) {
+        Ok(mut tickets) => {
+            let ticket = tickets.pop().expect("one ticket per admitted check");
+            Response::ok(ticket.run(|| shared.check_rendered(&app)))
+        }
+        Err(refused) => refused_response(shared, refused),
+    }
+}
+
+/// The HTTP answer to a refused admission.
+fn refused_response(shared: &Shared, refused: Refused) -> Response {
+    match refused {
+        Refused::Overloaded => {
             shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
             Response::error(429, "overloaded")
         }
-        Err(AdmitError::Draining) => Response::error(503, "draining"),
+        Refused::Draining => Response::error(503, "draining"),
     }
 }
 
@@ -517,7 +500,7 @@ fn decode_batch(body: &str) -> Result<Vec<AppInput>, String> {
         .collect()
 }
 
-fn handle_batch(shared: &Arc<Shared>, body: &str) -> Response {
+fn handle_batch(shared: &Shared, body: &str) -> Response {
     let apps = match decode_batch(body) {
         Ok(apps) => apps,
         Err(message) => {
@@ -530,28 +513,21 @@ fn handle_batch(shared: &Arc<Shared>, body: &str) -> Response {
     if count == 0 {
         return Response::ok("{\"count\":0,\"results\":[]}".to_string());
     }
-    // All-or-nothing admission: either the queue holds the whole batch
+    // All-or-nothing admission: either the gate holds the whole batch
     // or the caller gets an immediate `overloaded` and retries later —
     // never a half-admitted batch wedged against its own remainder.
-    let mut ticket = match shared.pool.try_admit(count) {
-        Ok(ticket) => ticket,
-        Err(AdmitError::Overloaded) => {
-            shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Response::error(429, "overloaded");
-        }
-        Err(AdmitError::Draining) => return Response::error(503, "draining"),
+    let tickets = match shared.gate.try_admit(count) {
+        Ok(tickets) => tickets,
+        Err(refused) => return refused_response(shared, refused),
     };
-    let wait = ppchecker_obs::span!("serve.wait");
-    let (tx, rx) = mpsc::sync_channel(count);
-    for (index, app) in apps.into_iter().enumerate() {
-        shared.submit_check(&mut ticket, app, index as u64, tx.clone());
-    }
-    drop(tx);
-    let mut results = vec![String::new(); count];
-    for (index, rendered) in rx {
-        results[index as usize] = rendered;
-    }
-    drop(wait);
+    let mut results = Vec::with_capacity(count);
+    run_scoped_streamed(
+        tickets.into_iter().zip(apps),
+        count.min(shared.gate.workers()),
+        count,
+        |_, (ticket, app)| ticket.run(|| shared.check_rendered(&app)),
+        &mut |_, rendered| results.push(rendered),
+    );
     Response::ok(format!("{{\"count\":{count},\"results\":[{}]}}", results.join(",")))
 }
 
@@ -559,7 +535,7 @@ fn healthz_to_json(shared: &Shared) -> String {
     let status = if shared.draining() { "draining" } else { "ok" };
     format!(
         "{{\"status\":\"{status}\",\"inflight\":{},\"uptime_ms\":{}}}",
-        shared.pool.stats().inflight,
+        shared.gate.stats().inflight,
         shared.started.elapsed().as_millis(),
     )
 }
@@ -611,7 +587,7 @@ fn metrics_to_json(shared: &Shared) -> String {
             )
         })
         .collect();
-    let queue = shared.pool.stats();
+    let queue = shared.gate.stats();
     let engine = shared.engine.metrics_snapshot();
     let interner = engine.interner;
     let spans: Vec<String> = ppchecker_obs::snapshot()

@@ -8,8 +8,8 @@ use ppchecker_corpus::small_dataset;
 use ppchecker_engine::Engine;
 use ppchecker_serve::json::Value;
 use ppchecker_serve::{Client, JsonlClient, ServeConfig, Server, ServerHandle};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -236,19 +236,75 @@ fn jsonl_preserves_input_order_and_survives_malformed_lines() {
     let dataset = small_dataset(19, 2);
     let handle = daemon(2, 4, true);
     let apps: Vec<_> = dataset.iter_apps().cloned().collect();
-    let lines = vec![
-        ppchecker_serve::json::app_to_json(&apps[0]),
-        "definitely not json".to_string(),
-        ppchecker_serve::json::app_to_json(&apps[1]),
-    ];
-    let client = JsonlClient::connect(handle.jsonl_addr().unwrap()).unwrap();
-    let responses = client.send_lines(&lines).unwrap();
-    assert_eq!(responses.len(), 3, "one response line per input line: {responses:?}");
+    let mut input = Vec::new();
+    for line in [
+        ppchecker_serve::json::app_to_json(&apps[0]).as_bytes(),
+        b"definitely not json",
+        b"{\"x\":\"\xff\xfe\"}",
+        ppchecker_serve::json::app_to_json(&apps[1]).as_bytes(),
+    ] {
+        input.extend_from_slice(line);
+        input.push(b'\n');
+    }
+    // A raw socket: `JsonlClient` only sends UTF-8 lines.
+    let mut stream = TcpStream::connect(handle.jsonl_addr().unwrap()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(&input).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let responses: Vec<String> = BufReader::new(stream).lines().map(Result::unwrap).collect();
+    assert_eq!(responses.len(), 4, "one response line per input line: {responses:?}");
     assert!(responses[0].contains("\"ok\":true"));
     assert!(responses[0].contains(&apps[0].package));
     assert!(responses[1].contains("\"ok\":false"));
-    assert!(responses[2].contains("\"ok\":true"));
-    assert!(responses[2].contains(&apps[1].package));
+    assert!(responses[2].contains("\"ok\":false"));
+    assert!(responses[2].contains("not UTF-8"), "{responses:?}");
+    assert!(responses[3].contains("\"ok\":true"));
+    assert!(responses[3].contains(&apps[1].package));
+    shut_down(handle);
+}
+
+/// Sends `bytes` with no newline and no half-close, then reads what the
+/// daemon answers before it closes the connection.
+fn answer_to_endless_line(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // The daemon may close before it has read everything; the answer is
+    // already queued by then.
+    let _ = stream.write_all(bytes);
+    let mut answer = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => answer.extend_from_slice(&buf[..n]),
+            // Unread input makes the close a reset.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("no answer, then close: {e} after {answer:?}"),
+        }
+    }
+    String::from_utf8(answer).unwrap()
+}
+
+#[test]
+fn endless_request_head_gets_400_and_close() {
+    let handle = daemon(1, 2, false);
+    let mut head = b"GET /".to_vec();
+    head.resize(64 * 1024, b'a');
+    let answer = answer_to_endless_line(handle.addr(), &head);
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(answer.contains("header block exceeds 16 KiB"), "{answer}");
+    shut_down(handle);
+}
+
+#[test]
+fn endless_jsonl_line_gets_the_cap_error_then_eof() {
+    let handle = daemon_with(Engine::new(PPChecker::new()), 1, 2, true, 1024);
+    let mut line = b"{\"policy_html\":\"".to_vec();
+    line.resize(64 * 1024, b'a');
+    let answer = answer_to_endless_line(handle.jsonl_addr().unwrap(), &line);
+    assert_eq!(answer.lines().count(), 1, "{answer}");
+    assert!(answer.contains("\"ok\":false"), "{answer}");
+    assert!(answer.contains("exceeds cap"), "{answer}");
     shut_down(handle);
 }
 
@@ -352,15 +408,8 @@ fn metrics_document_is_well_formed_json_with_span_quantiles() {
     assert!(request_span.get("p50_us").is_some());
     assert!(request_span.get("p99_us").is_some());
     assert!(spans.get("app.check").is_some(), "engine span missing from /metrics");
-    // Every phase of a request, on the connection thread and the worker.
-    for name in [
-        "serve.read",
-        "serve.decode",
-        "serve.wait",
-        "serve.write",
-        "serve.queue_wait",
-        "serve.encode",
-    ] {
+    // Every phase of a request, all on its connection thread.
+    for name in ["serve.read", "serve.decode", "serve.write", "serve.queue_wait", "serve.encode"] {
         let span = spans.get(name).unwrap_or_else(|| panic!("{name} missing from /metrics"));
         assert!(number(span, &["count"]) >= 1.0, "{name} never recorded");
     }
