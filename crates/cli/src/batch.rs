@@ -71,11 +71,11 @@ pub struct BatchOptions {
     /// file (loadable in `about:tracing` / Perfetto).
     pub trace: Option<PathBuf>,
     /// When set, open (or create) a persistent artifact store at this
-    /// directory: parsed policies, lib taint summaries, and whole app
-    /// reports replay across invocations, so a re-run over an unchanged
-    /// corpus skips nearly all per-app work (the stderr metrics report
-    /// the skip counts). Composes with every source, including streamed
-    /// generation.
+    /// directory: lib taint summaries and whole app reports replay across
+    /// invocations, so a re-run over an unchanged corpus skips nearly all
+    /// per-app work (the stderr metrics report the skip counts). Parsed
+    /// policies are not stored. Composes with every source, including
+    /// streamed generation.
     pub store: Option<PathBuf>,
     /// Detector selection (`--detectors`); `None` runs the paper's
     /// default registry. The selection folds into the checker's

@@ -86,8 +86,8 @@ impl From<ParseDexError> for CheckError {
 /// `ppchecker-obs` histograms whenever metrics are enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Policy-analysis stage (HTML → [`PolicyAnalysis`]). Zero when a
-    /// batch runtime served the analysis from its artifact cache.
+    /// Policy-analysis stage (HTML → [`PolicyAnalysis`]). Short when a
+    /// batch runtime served the sentences from its cache.
     pub policy: Duration,
     /// Description-analysis stage.
     pub description: Duration,
@@ -113,8 +113,8 @@ impl StageTimings {
 }
 
 /// The policy-analysis source a [`CheckRequest`] can plug in (batch
-/// runtimes pass their content-addressed cache here).
-type PolicyProvider<'a> = Box<dyn FnOnce(&PolicyAnalyzer, &str) -> Arc<PolicyAnalysis> + 'a>;
+/// runtimes pass their sentence cache here).
+type PolicyProvider<'a> = Box<dyn FnOnce(&PolicyAnalyzer, &str) -> PolicyAnalysis + 'a>;
 
 /// A built request for one [`PPChecker::check`] call.
 ///
@@ -124,11 +124,10 @@ type PolicyProvider<'a> = Box<dyn FnOnce(&PolicyAnalyzer, &str) -> Arc<PolicyAna
 ///
 /// ```no_run
 /// # use ppchecker_core::{AppInput, CheckRequest, PPChecker};
-/// # use std::sync::Arc;
 /// # fn demo(checker: &PPChecker, app: &AppInput) -> Result<(), ppchecker_core::Error> {
 /// let outcome = checker.check(
 ///     CheckRequest::builder(app)
-///         .policy_provider(|analyzer, html| Arc::new(analyzer.analyze_html(html)))
+///         .policy_provider(|analyzer, html| analyzer.analyze_html(html))
 ///         .capture_timings()
 ///         .build(),
 /// )?;
@@ -180,19 +179,18 @@ pub struct CheckRequestBuilder<'a> {
 
 impl<'a> CheckRequestBuilder<'a> {
     /// Plugs in a policy-analysis source. Batch runtimes pass a
-    /// content-addressed cache so duplicate policy texts (and the fixed
-    /// set of third-party lib policies) are parsed once per run; the
+    /// sentence cache so a sentence repeated across policies (and the
+    /// fixed set of third-party lib policies) is parsed once per run; the
     /// default calls [`PolicyAnalyzer::analyze_html`].
     pub fn policy_provider<F>(mut self, provide_policy: F) -> Self
     where
-        F: FnOnce(&PolicyAnalyzer, &str) -> Arc<PolicyAnalysis> + 'a,
+        F: FnOnce(&PolicyAnalyzer, &str) -> PolicyAnalysis + 'a,
     {
         self.request.provide_policy = Some(Box::new(provide_policy));
         self
     }
 
-    /// Asks for per-stage wall time in [`CheckOutcome::timings`]. A
-    /// cached policy analysis shows up as a near-zero `policy` stage.
+    /// Asks for per-stage wall time in [`CheckOutcome::timings`].
     pub fn capture_timings(mut self) -> Self {
         self.request.capture_timings = true;
         self
@@ -393,9 +391,9 @@ impl PPChecker {
         self.lib_policies.insert(lib_id.to_string(), analysis);
     }
 
-    /// Registers an already-analyzed lib policy (e.g. served from a batch
-    /// runtime's artifact cache, so the HTML is parsed once per run even
-    /// when it is also some app's own policy text).
+    /// Registers an already-analyzed lib policy (e.g. analyzed through a
+    /// batch runtime's sentence cache, so its sentences are parsed once
+    /// per run even when they recur in app policies).
     pub fn register_lib_policy_analysis(&mut self, lib_id: &str, analysis: PolicyAnalysis) {
         self.lib_policies.insert(lib_id.to_string(), analysis);
     }
@@ -485,7 +483,7 @@ impl PPChecker {
         let span = SpanGuard::timed("check.policy");
         let policy = match provide_policy {
             Some(provide) => provide(&self.analyzer, &app.policy_html),
-            None => Arc::new(self.analyzer.analyze_html(&app.policy_html)),
+            None => self.analyzer.analyze_html(&app.policy_html),
         };
         timings.policy = span.finish();
 
@@ -632,15 +630,15 @@ mod tests {
     fn policy_provider_result_is_used_verbatim() {
         let app = weather_app("We collect your email address.");
         let checker = PPChecker::new();
-        // Pre-analyzed elsewhere (as a batch cache would hold it).
-        let cached = Arc::new(checker.analyzer().analyze_html(&app.policy_html));
+        // Pre-analyzed elsewhere (as a batch cache would assemble it).
+        let cached = checker.analyzer().analyze_html(&app.policy_html);
         let mut called = false;
         let outcome = checker
             .check(
                 CheckRequest::builder(&app)
                     .policy_provider(|_, _| {
                         called = true;
-                        Arc::clone(&cached)
+                        cached
                     })
                     .build(),
             )
@@ -685,11 +683,11 @@ mod tests {
     fn request_builder_captures_timings() {
         let app = weather_app("We collect your email address.");
         let checker = PPChecker::new();
-        let cached = Arc::new(checker.analyzer().analyze_html(&app.policy_html));
+        let cached = checker.analyzer().analyze_html(&app.policy_html);
         let outcome = checker
             .check(
                 CheckRequest::builder(&app)
-                    .policy_provider(|_, _| Arc::clone(&cached))
+                    .policy_provider(|_, _| cached)
                     .capture_timings()
                     .build(),
             )

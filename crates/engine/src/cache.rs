@@ -1,113 +1,77 @@
-//! Content-addressed artifact cache.
+//! The engine's policy cache, at sentence grain.
 //!
-//! Policy texts repeat across a corpus — the 81 third-party lib policies
-//! are checked against every app embedding them, template policies are
-//! shared by whole app families, and re-runs see identical bytes. The
-//! cache keys parsed [`PolicyAnalysis`] results by the policy text itself
-//! in a [`Memo`], so each distinct resident text is pushed through the
-//! NLP pipeline exactly once per run regardless of worker count, and
-//! collisions are impossible by construction (the map compares bytes,
-//! not hashes).
+//! Steps 2–6 of the policy pipeline (parse, pattern match, negation,
+//! element extraction) and the disclaimer scan depend only on one
+//! sentence's text and the analyzer's configuration. Whole policy texts
+//! rarely repeat — 91% of a 100k scale corpus's policies are distinct —
+//! but their sentences do: generated policies share boilerplate, and the
+//! same 100k apps hold 676,548 sentences of which 12,524 are distinct.
+//! So the cache memoizes one [`SentenceVerdict`] per sentence text in a
+//! [`Memo`], and every policy still runs the document loop
+//! ([`PolicyAnalysis::from_html`]: strip, split, one verdict per
+//! sentence) through it. Each distinct resident sentence is analyzed
+//! exactly once per run regardless of worker count, and collisions are
+//! impossible by construction (the map compares bytes, not hashes).
 //!
-//! Only admitted texts stay resident — at most [`POLICY_CACHE_CAP`] of
-//! them, each next to its analysis — and they go with the cache. Texts
-//! are deliberately *not* interned: an audit corpus is mostly distinct
-//! policies (91% of a 100k scale corpus), and an interned document would
-//! outlive the cache for the life of the process (see DESIGN.md §9).
+//! The memo is probed by `&str`: a hit clones an `Arc` and allocates
+//! nothing. At most [`POLICY_CACHE_CAP`] sentences stay resident, each
+//! next to its verdict, and they go with the cache. Sentences are
+//! deliberately *not* interned: they are cache keys, not vocabulary, and
+//! an interned key would outlive the cache for the life of the process
+//! (see DESIGN.md §9).
 //!
-//! ## The disk tier
-//!
-//! When a persistent [`ArtifactTier`] is attached (see
-//! [`ArtifactCache::attach_disk_tier`]), the cache becomes the memory
-//! tier of a two-tier hierarchy: the fill of a new key probes the store
-//! under `combine(content_hash(html), analyzer_fingerprint)` before
-//! paying for the NLP pipeline, and persists every freshly computed
-//! analysis. A key fills once, so each analysis is persisted once. The
-//! fingerprint in the key means a reconfigured analyzer (different
-//! patterns, different constraint mode) can never replay a stale parse
-//! — it simply misses and recomputes under the new key. Disk-tier
-//! replays count as cache hits, preserving the invariant that `misses`
-//! equals the number of analyses *computed* by this process.
+//! The cache owns the analyzer whose verdicts it holds, so no verdict
+//! can reach a differently configured analyzer.
 
-use ppchecker_obs::{CacheStats, Fill, Memo};
-use ppchecker_policy::{decode_analysis, encode_analysis, PolicyAnalysis, PolicyAnalyzer};
+use ppchecker_obs::{CacheStats, Memo};
+use ppchecker_policy::{PolicyAnalysis, PolicyAnalyzer, SentenceVerdict};
 use ppchecker_static::TaintSummaryCache;
-use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Upper bound on resident policy analyses. Past this the cache stops
-/// admitting new entries (hits still serve, misses still compute), so a
-/// week-long daemon fed an unbounded stream of distinct policies holds
-/// at most this many texts and parsed analyses. 32k entries ≈ hundreds
-/// of MB worst case; batch runs over the paper corpus use a few hundred.
-pub const POLICY_CACHE_CAP: usize = 32_768;
+/// Upper bound on resident sentence verdicts. Past this the cache stops
+/// admitting new sentences (hits still serve, misses still compute), so
+/// a week-long daemon fed an unbounded stream of distinct policies holds
+/// at most this many sentences and verdicts: ~34 MB when full
+/// (EXPERIMENTS.md). A 100k-app scale corpus has ~12.5k distinct
+/// sentences.
+pub const POLICY_CACHE_CAP: usize = 65_536;
 
-/// Thread-safe memo of parsed policy analyses, shared by all workers of
-/// a batch run.
+/// Thread-safe memo of sentence verdicts under one analyzer, shared by
+/// all workers of a batch run.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    policies: Memo<Box<str>, Arc<PolicyAnalysis>>,
+    analyzer: PolicyAnalyzer,
+    sentences: Memo<Box<str>, SentenceVerdict>,
     /// Cross-app library taint-summary store, keyed by lib content hash
     /// (see `ppchecker_static::summary`). Shared with the checker via
     /// `Arc` so the taint kernel inside workers and the engine's metrics
     /// observe the same counters.
     taint_summaries: Arc<TaintSummaryCache>,
-    /// Optional persistent tier plus the analyzer fingerprint folded
-    /// into every disk key. Write-once: the first attach wins.
-    disk: OnceLock<(Arc<dyn ArtifactTier>, u64)>,
-}
-
-impl Default for ArtifactCache {
-    fn default() -> Self {
-        ArtifactCache {
-            policies: Memo::new(POLICY_CACHE_CAP),
-            taint_summaries: Arc::default(),
-            disk: OnceLock::new(),
-        }
-    }
 }
 
 impl ArtifactCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ArtifactCache::default()
+    /// An empty cache of `analyzer`'s verdicts.
+    pub fn new(analyzer: PolicyAnalyzer) -> Self {
+        ArtifactCache {
+            analyzer,
+            sentences: Memo::new(POLICY_CACHE_CAP),
+            taint_summaries: Arc::default(),
+        }
     }
 
-    /// Attaches a persistent tier consulted on memory misses and fed by
-    /// fresh computes. `analyzer_fingerprint` is folded into every disk
-    /// key so a configuration change invalidates stored parses. The
-    /// first attach wins; later calls are ignored.
-    pub fn attach_disk_tier(&self, tier: Arc<dyn ArtifactTier>, analyzer_fingerprint: u64) {
-        let _ = self.disk.set((tier, analyzer_fingerprint));
-    }
-
-    /// Returns the analysis of `html`, resolving through the memory
-    /// tier, then the disk tier (when attached), then computing with
-    /// `analyzer` on first sight of the text.
-    pub fn policy(&self, analyzer: &PolicyAnalyzer, html: &str) -> Arc<PolicyAnalysis> {
+    /// The analysis of `html`, equal to the analyzer's
+    /// [`analyze_html`](PolicyAnalyzer::analyze_html): each sentence's
+    /// verdict comes from the memo, computed on first sight of the text.
+    pub fn policy(&self, html: &str) -> PolicyAnalysis {
         let _span = ppchecker_obs::span!("engine.cache_probe");
-        self.policies.get_or_fill(html, || {
-            let Some((tier, salt)) = self.disk.get() else {
-                return Fill::Computed(Arc::new(analyzer.analyze_html(html)));
-            };
-            // Any disk defect — no record, corruption, a wire decode
-            // failure — reads as absent, so the analysis is recomputed
-            // and overwritten. Corruption can cost time, never
-            // correctness.
-            let key = combine_hashes(&[content_hash(html.as_bytes()), *salt]);
-            let stored = tier.load(RecordKind::Policy, key);
-            if let Some(analysis) = stored.and_then(|bytes| decode_analysis(&bytes).ok()) {
-                return Fill::Replayed(Arc::new(analysis));
-            }
-            let analysis = analyzer.analyze_html(html);
-            tier.save(RecordKind::Policy, key, &encode_analysis(&analysis));
-            Fill::Computed(Arc::new(analysis))
+        PolicyAnalysis::from_html(html, |sentence| {
+            self.sentences.get_or_compute(sentence, || self.analyzer.verdict(sentence))
         })
     }
 
-    /// Snapshot of the counters.
+    /// Snapshot of the counters: one lookup per sentence.
     pub fn stats(&self) -> CacheStats {
-        self.policies.stats()
+        self.sentences.stats()
     }
 
     /// The shared library taint-summary cache (to clone into a checker).
@@ -120,142 +84,116 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use ppchecker_nlp::Interner;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use ppchecker_policy::encode_analysis;
 
-    /// Near-identical texts are different keys: each gets its own
-    /// analysis, and each hits on repeat.
+    fn stock() -> ArtifactCache {
+        ArtifactCache::new(PolicyAnalyzer::new())
+    }
+
+    /// Near-identical sentences are different keys: each gets its own
+    /// verdict, and each hits on repeat. The key is the sentence as the
+    /// splitter normalizes it, so markup and case never split an entry.
     #[test]
     fn near_identical_texts_get_their_own_entries() {
-        let cache = ArtifactCache::new();
-        let analyzer = PolicyAnalyzer::new();
+        let cache = stock();
         let texts = [
-            "<p>we collect location</p>",
+            "<p>we collect location.</p>",
             "<p>we collect location!</p>",
-            "<p>we collect locatioN</p>",
+            "<p>we collect locations.</p>",
         ];
-        let first: Vec<_> = texts.iter().map(|html| cache.policy(&analyzer, html)).collect();
+        let first: Vec<_> = texts.iter().map(|html| cache.policy(html)).collect();
         for (i, a) in first.iter().enumerate() {
             for b in &first[i + 1..] {
-                assert!(!Arc::ptr_eq(a, b), "near-identical texts share an analysis");
+                assert!(
+                    !Arc::ptr_eq(&a.sentences[0], &b.sentences[0]),
+                    "near-identical sentences share an analysis"
+                );
             }
         }
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (3, 0, 3));
         for (html, analysis) in texts.iter().zip(&first) {
-            assert!(Arc::ptr_eq(&cache.policy(&analyzer, html), analysis), "{html} re-analyzed");
+            let again = cache.policy(html);
+            assert!(Arc::ptr_eq(&again.sentences[0], &analysis.sentences[0]), "{html} re-analyzed");
         }
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (3, 3, 3));
+        let restyled = cache.policy("<div><b>We</b> collect LOCATION.</div>");
+        assert!(Arc::ptr_eq(&restyled.sentences[0], &first[0].sentences[0]));
+        assert_eq!(cache.stats().entries, 3);
     }
 
-    /// A policy text is a cache key, not vocabulary: looking it up must not
-    /// leave the whole document in the process-wide interner.
+    /// A sentence is a cache key, not vocabulary: looking it up must not
+    /// leave the sentence in the process-wide interner.
     #[test]
     fn policy_texts_stay_out_of_the_interner() {
-        let cache = ArtifactCache::new();
-        let html = "<p>we may collect your location to serve nearby forecasts, cache key 7f3a.</p>";
-        assert!(Interner::global().get(html).is_none(), "fresh text");
-        let analysis = cache.policy(&PolicyAnalyzer::new(), html);
+        let cache = stock();
+        let sentence = "we may collect your location to serve nearby forecasts, cache key 7f3a.";
+        assert!(Interner::global().get(sentence).is_none(), "fresh text");
+        let analysis = cache.policy(&format!("<p>{sentence}</p>"));
         assert!(!analysis.sentences.is_empty());
-        assert!(Interner::global().get(html).is_none(), "the document was interned");
+        assert_eq!(cache.stats().entries, 1);
+        assert!(Interner::global().get(sentence).is_none(), "the sentence was interned");
     }
 
+    /// A sentence repeated within and across policies is analyzed once;
+    /// every later lookup is a hit on the same allocation.
     #[test]
     fn repeated_text_analyzed_once() {
-        let cache = ArtifactCache::new();
-        let analyzer = PolicyAnalyzer::new();
-        let html = "<p>we may collect your location.</p>";
-        let first = cache.policy(&analyzer, html);
-        let again = cache.policy(&analyzer, html);
-        assert!(Arc::ptr_eq(&first, &again), "same allocation shared");
+        let cache = stock();
+        let html = "<p>we may collect your location. we may collect your location.</p>";
+        let first = cache.policy(html);
+        assert_eq!(first.total_sentences, 2);
+        assert!(Arc::ptr_eq(&first.sentences[0], &first.sentences[1]), "one analysis shared");
+        let again = cache.policy("<p>we value privacy. we may collect your location.</p>");
+        assert!(Arc::ptr_eq(&first.sentences[0], &again.sentences[0]), "reused across policies");
         let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
+        assert_eq!((stats.misses, stats.hits, stats.entries), (2, 2, 2));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn different_texts_get_different_analyses() {
-        let cache = ArtifactCache::new();
-        let analyzer = PolicyAnalyzer::new();
-        let a = cache.policy(&analyzer, "<p>we collect your location.</p>");
-        let b = cache.policy(&analyzer, "<p>we collect your contacts.</p>");
-        assert!(!Arc::ptr_eq(&a, &b));
+        let cache = stock();
+        let a = cache.policy("<p>we collect your location.</p>");
+        let b = cache.policy("<p>we collect your contacts.</p>");
+        assert!(!Arc::ptr_eq(&a.sentences[0], &b.sentences[0]));
+        assert_ne!(encode_analysis(&a), encode_analysis(&b));
         assert_eq!(cache.stats().entries, 2);
     }
 
-    /// An in-memory tier for exercising the two-tier path without disk.
-    #[derive(Debug, Default)]
-    struct MemTier {
-        records: Mutex<HashMap<(ppchecker_store::RecordKind, u64), Vec<u8>>>,
-        saves: AtomicU64,
-    }
-
-    impl ArtifactTier for MemTier {
-        fn load(&self, kind: ppchecker_store::RecordKind, key: u64) -> Option<Vec<u8>> {
-            self.records.lock().unwrap().get(&(kind, key)).cloned()
-        }
-
-        fn save(&self, kind: ppchecker_store::RecordKind, key: u64, payload: &[u8]) {
-            self.saves.fetch_add(1, Ordering::Relaxed);
-            self.records.lock().unwrap().insert((kind, key), payload.to_vec());
-        }
-    }
-
+    /// Disclaimers and sentences that are not useful are verdicts too:
+    /// cached, and folded into the analysis exactly as the analyzer does.
     #[test]
-    fn disk_tier_round_trips_and_counts_hits() {
-        let tier = Arc::new(MemTier::default());
-        let analyzer = PolicyAnalyzer::new();
-        let html = "<p>we may collect your precise location.</p>";
-
-        let warm_writer = ArtifactCache::new();
-        warm_writer.attach_disk_tier(Arc::clone(&tier) as Arc<dyn ArtifactTier>, 7);
-        let first = warm_writer.policy(&analyzer, html);
-        assert_eq!(warm_writer.stats().misses, 1);
-        assert_eq!(tier.saves.load(Ordering::Relaxed), 1, "fresh compute persisted");
-
-        // A second cache (a new process, conceptually) warm-starts from
-        // the tier: no compute, the lookup counts as a hit.
-        let warm_reader = ArtifactCache::new();
-        warm_reader.attach_disk_tier(Arc::clone(&tier) as Arc<dyn ArtifactTier>, 7);
-        let replayed = warm_reader.policy(&analyzer, html);
-        let stats = warm_reader.stats();
-        assert_eq!(stats.misses, 0, "disk hit avoids the NLP pipeline");
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1, "disk hit promoted into memory");
-        assert_eq!(replayed.sentences.len(), first.sentences.len());
-        assert_eq!(tier.saves.load(Ordering::Relaxed), 1, "replays are not re-persisted");
-
-        // A different fingerprint means a different key space: the
-        // stored parse must not replay for a reconfigured analyzer.
-        let reconfigured = ArtifactCache::new();
-        reconfigured.attach_disk_tier(Arc::clone(&tier) as Arc<dyn ArtifactTier>, 8);
-        let _ = reconfigured.policy(&analyzer, html);
-        assert_eq!(reconfigured.stats().misses, 1, "fingerprint change invalidates");
-    }
-
-    /// A tier that always returns garbage: decode failure must read as a
-    /// miss (recompute + overwrite), never an error.
-    #[derive(Debug, Default)]
-    struct GarbageTier;
-
-    impl ArtifactTier for GarbageTier {
-        fn load(&self, _kind: ppchecker_store::RecordKind, _key: u64) -> Option<Vec<u8>> {
-            Some(vec![0xFF; 24])
+    fn every_verdict_kind_matches_the_direct_analysis() {
+        let cache = stock();
+        let html = "<p>We are not responsible for the privacy practices of third party sites.</p>\
+                    <p>We value your privacy. We will not share your contacts.</p>";
+        for _ in 0..2 {
+            let cached = cache.policy(html);
+            let direct = PolicyAnalyzer::new().analyze_html(html);
+            assert!(cached.has_disclaimer);
+            assert_eq!((cached.total_sentences, cached.sentences.len()), (3, 1));
+            assert_eq!(encode_analysis(&cached), encode_analysis(&direct));
         }
-
-        fn save(&self, _kind: ppchecker_store::RecordKind, _key: u64, _payload: &[u8]) {}
+        assert_eq!((cache.stats().misses, cache.stats().hits), (3, 3));
     }
 
+    /// Each cache holds the verdicts of its own analyzer: a consent-gated
+    /// denial is kept by the stock analyzer and dropped under constraint
+    /// modeling, whichever cache sees the sentence first.
     #[test]
-    fn corrupt_disk_record_reads_as_miss() {
-        let cache = ArtifactCache::new();
-        cache.attach_disk_tier(Arc::new(GarbageTier), 1);
-        let analysis = cache.policy(&PolicyAnalyzer::new(), "<p>we collect your email.</p>");
-        assert!(!analysis.sentences.is_empty());
-        assert_eq!(cache.stats().misses, 1, "garbage bytes recompute cleanly");
+    fn caches_keep_their_own_analyzers_verdicts() {
+        let html = "<p>we will not share your location without your consent.</p>";
+        let stock = stock();
+        let modeled = ArtifactCache::new(PolicyAnalyzer::new().with_constraint_modeling());
+        for _ in 0..2 {
+            let kept = stock.policy(html);
+            assert_eq!(kept.sentences.len(), 1);
+            assert!(kept.sentences[0].negative && kept.sentences[0].conditional);
+            assert!(modeled.policy(html).sentences.is_empty());
+        }
+        assert_eq!((stock.stats().misses, stock.stats().hits), (1, 1));
+        assert_eq!((modeled.stats().misses, modeled.stats().hits), (1, 1));
     }
 }

@@ -15,7 +15,7 @@
 //! ## One per-app body
 //!
 //! [`Engine::check_one`] is the per-app body for batch and serve alike:
-//! the store probe, the panic guard, the request with the shared policy
+//! the store probe, the panic guard, the request with the shared sentence
 //! cache, and the persist step. A batch worker calls it and maps the
 //! result into an [`AppRecord`]; the serve daemon calls it per request.
 //!
@@ -47,7 +47,9 @@ use ppchecker_core::{
     StageTimings,
 };
 use ppchecker_esa::Interpreter;
+use ppchecker_policy::PolicyAnalysis;
 use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind, Store};
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,8 +71,8 @@ pub struct Engine {
     jobs: usize,
     lib_policies: usize,
     /// Persistent artifact store, when attached via [`Engine::with_store`].
-    /// Kept alongside the `dyn ArtifactTier` handles inside the caches so
-    /// the engine can read per-kind counters for metrics.
+    /// Kept alongside the `dyn ArtifactTier` handle inside the lib-summary
+    /// cache so the engine can read per-kind counters for metrics.
     store: Option<Arc<Store>>,
     /// Key salt for report records: the checker's configuration
     /// fingerprint, computed once at attach time.
@@ -84,7 +86,7 @@ impl Engine {
     /// attaches the engine's cross-app taint-summary cache to it.
     pub fn new(checker: PPChecker) -> Self {
         let lib_policies = checker.lib_policy_count();
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::new(checker.analyzer().clone());
         let checker = checker.with_taint_summary_cache(Arc::clone(cache.taint_summaries()));
         Engine {
             checker,
@@ -98,18 +100,21 @@ impl Engine {
     }
 
     /// Builds an engine from a bare checker plus `(lib id, policy html)`
-    /// pairs. Each lib policy is analyzed through the artifact cache, so
-    /// it is parsed exactly once per run — including when the same bytes
-    /// later appear as some app's own policy.
+    /// pairs. Each distinct lib policy text is analyzed once, through the
+    /// sentence cache, so each of its sentences is parsed once per run —
+    /// including when it recurs in some app's own policy. Libs that share
+    /// a text (one vendor, several SDK ids) share its analysis.
     pub fn with_lib_policies<I>(mut checker: PPChecker, libs: I) -> Self
     where
         I: IntoIterator<Item = (String, String)>,
     {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::new(checker.analyzer().clone());
+        let mut analyzed: HashMap<String, PolicyAnalysis> = HashMap::new();
         let mut count = 0;
         for (id, html) in libs {
-            let analysis = cache.policy(checker.analyzer(), &html);
-            checker.register_lib_policy_analysis(&id, (*analysis).clone());
+            let analysis =
+                analyzed.entry(html).or_insert_with_key(|html| cache.policy(html)).clone();
+            checker.register_lib_policy_analysis(&id, analysis);
             count += 1;
         }
         let checker = checker.with_taint_summary_cache(Arc::clone(cache.taint_summaries()));
@@ -124,15 +129,17 @@ impl Engine {
         }
     }
 
-    /// Attaches a persistent artifact store, turning every cache into
-    /// the memory tier of a two-tier hierarchy:
+    /// Attaches a persistent artifact store, which persists two record
+    /// kinds:
     ///
-    /// * parsed policies replay from disk keyed by
-    ///   `content_hash(html) × analyzer fingerprint`;
-    /// * library taint summaries replay keyed by lib content hash;
-    /// * whole app reports replay keyed by
+    /// * library taint summaries, keyed by lib content hash: the
+    ///   lib-summary cache becomes the memory tier above the store;
+    /// * whole app reports, keyed by
     ///   `policy × description × apk × checker configuration` — when that
     ///   key hits, the app's entire pipeline is skipped.
+    ///
+    /// Parsed policies are not persisted: an app whose report misses
+    /// re-analyzes its policy through the in-memory sentence cache.
     ///
     /// Attach the store *before* the first run (typically right after
     /// construction). The checker's configuration fingerprint is frozen
@@ -140,9 +147,7 @@ impl Engine {
     /// attach would replay stale reports — the builder API makes that
     /// impossible to express, since `with_store` consumes `self`.
     pub fn with_store(mut self, store: Arc<Store>) -> Self {
-        let tier: Arc<dyn ArtifactTier> = Arc::clone(&store) as Arc<dyn ArtifactTier>;
-        self.cache.attach_disk_tier(Arc::clone(&tier), self.checker.analyzer().fingerprint());
-        self.cache.taint_summaries().attach_disk_tier(tier);
+        self.cache.taint_summaries().attach_disk_tier(Arc::clone(&store) as Arc<dyn ArtifactTier>);
         self.report_salt = self.checker.config_fingerprint();
         self.store = Some(store);
         self
@@ -306,7 +311,7 @@ impl Engine {
             let _span = ppchecker_obs::span!("app.check", app.package);
             self.checker.check(
                 CheckRequest::builder(app)
-                    .policy_provider(|analyzer, html| self.cache.policy(analyzer, html))
+                    .policy_provider(|_, html| self.cache.policy(html))
                     .capture_timings()
                     .build(),
             )
@@ -581,27 +586,39 @@ mod tests {
 
     #[test]
     fn duplicate_policies_hit_the_cache() {
-        let batch = Engine::new(PPChecker::new()).with_jobs(2).run(apps(10));
-        // 10 apps, 2 distinct policy texts.
-        assert_eq!(batch.metrics.policy_cache.misses, 2);
-        assert_eq!(batch.metrics.policy_cache.hits, 8);
+        let policies = [
+            "we may collect your location. we value your privacy.",
+            "we store your email. we value your privacy.",
+        ];
+        let inputs = || (0..10).map(|i| app(i, policies[i % 2])).collect::<Vec<_>>();
+        let engine = Engine::new(PPChecker::new()).with_jobs(2);
+        // 10 policies of 2 sentences each, 3 distinct sentences.
+        let cold = engine.run(inputs()).metrics.policy_cache;
+        assert_eq!((cold.misses, cold.hits, cold.entries), (3, 17, 3));
+        // Repeated policies add only hits.
+        let warm = engine.run(inputs()).metrics.policy_cache;
+        assert_eq!((warm.misses, warm.hits, warm.entries), (0, 20, 3));
     }
 
     #[test]
     fn lib_policies_are_analyzed_once_through_the_cache() {
+        let device_id = "<p>we may collect your device id.</p>".to_string();
         let libs = vec![
-            ("unityads".to_string(), "<p>we may collect your device id.</p>".to_string()),
+            ("unityads".to_string(), device_id.clone()),
             ("admob".to_string(), "<p>we may collect your location.</p>".to_string()),
+            ("unityads.mediation".to_string(), device_id),
         ];
         let engine = Engine::with_lib_policies(PPChecker::new(), libs);
-        assert_eq!(engine.checker().lib_policy_count(), 2);
+        assert_eq!(engine.checker().lib_policy_count(), 3);
         let before = engine.cache().stats();
-        assert_eq!(before.misses, 2, "each lib policy parsed exactly once");
+        assert_eq!((before.misses, before.hits), (2, 0), "each distinct lib text analyzed once");
         let batch = engine.with_jobs(2).run(apps(8));
-        // Lib registration happened before the run; the run itself only
-        // pays for the two distinct app policy texts.
-        assert_eq!(batch.metrics.policy_cache.misses, 2);
-        assert_eq!(batch.metrics.lib_policies, 2);
+        // Lib registration happened before the run. The run's location
+        // sentences are the admob policy's, so it pays only for the
+        // email sentence.
+        let run = batch.metrics.policy_cache;
+        assert_eq!((run.misses, run.hits, run.entries), (1, 7, 3));
+        assert_eq!(batch.metrics.lib_policies, 3);
     }
 
     #[test]

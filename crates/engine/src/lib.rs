@@ -10,20 +10,20 @@
 //!   materialized; [`Engine::run`] is the same loop collecting its
 //!   records. A panicking or failing app becomes one error record; the
 //!   run survives.
-//! * **Artifact caching** — [`ArtifactCache`] memoizes parsed policy
-//!   analyses keyed by the policy text, and the ESA interpreter memoizes
-//!   interpretation vectors by phrase text, so duplicate texts (lib
-//!   policies, template policies) are analyzed exactly once per run.
+//! * **Artifact caching** — [`ArtifactCache`] memoizes the analysis of
+//!   each policy sentence keyed by its text, and the ESA interpreter
+//!   memoizes interpretation vectors by phrase text, so a sentence shared
+//!   by many policies (lib policies, template boilerplate) is analyzed
+//!   exactly once per run.
 //! * **Metrics** — [`MetricsSummary`] reports per-stage wall time, cache
 //!   hit rates, throughput, and effective parallelism.
 //! * **Deterministic aggregation** — records come back in submission
 //!   order and [`BatchReport::aggregate`] is a pure fold over them, so
 //!   `jobs=1` and `jobs=16` produce byte-identical aggregate reports.
 //! * **Persistent warm starts** — [`Engine::with_store`] attaches a
-//!   `ppchecker-store` artifact store as the second tier of every cache:
-//!   parsed policies, library taint summaries, and whole app reports
-//!   replay from disk across process restarts, so a re-run over an
-//!   updated corpus only re-analyzes apps that actually changed
+//!   `ppchecker-store` artifact store: library taint summaries and whole
+//!   app reports replay from disk across process restarts, so a re-run
+//!   over an updated corpus only re-analyzes apps that actually changed
 //!   ([`diff_batches`] then reports the per-app verdict movement).
 //! * **One per-app body** — [`Engine::check_one`] is what every batch
 //!   worker runs per app and what the `ppchecker-serve` daemon runs per

@@ -18,7 +18,8 @@ use std::time::Duration;
 /// headline number.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreSummary {
-    /// Parsed-policy records (keyed by policy HTML × analyzer config).
+    /// Parsed-policy records: always 0, since the engine persists no
+    /// policies; kept for readers of the counters.
     pub policies: StoreStats,
     /// Library taint-summary records (keyed by lib content hash).
     pub lib_summaries: StoreStats,
@@ -124,7 +125,8 @@ impl StageStats {
 pub struct EngineSnapshot {
     /// Third-party lib policies registered on the engine's checker.
     pub lib_policies: usize,
-    /// Policy artifact cache totals.
+    /// Policy cache totals: one lookup per policy sentence, one entry
+    /// per resident sentence.
     pub policy_cache: CacheStats,
     /// ESA interpretation-vector cache totals (process-wide).
     pub esa_cache: CacheStats,
@@ -150,8 +152,8 @@ pub struct MetricsSummary {
     pub apps: usize,
     /// Apps that produced an error record instead of a report.
     pub errors: usize,
-    /// Third-party lib policies registered (each analyzed exactly once,
-    /// at engine construction).
+    /// Third-party lib policies registered (each distinct text analyzed
+    /// once, at engine construction).
     pub lib_policies: usize,
     /// End-to-end wall time of the run.
     pub wall_time: Duration,
@@ -162,8 +164,9 @@ pub struct MetricsSummary {
     /// obs histogram deltas over the run and merged across worker
     /// shards. Empty when `ppchecker_obs` metrics were disabled.
     pub stage_quantiles: Vec<StageStats>,
-    /// Policy artifact cache counters (app policies only; lib policies
-    /// enter the cache during construction).
+    /// Policy cache counters: one lookup per sentence of an app policy
+    /// (lib policies enter the cache during construction); `entries` is
+    /// the sentences resident at the end of the run.
     pub policy_cache: CacheStats,
     /// ESA interpretation-vector cache counters, as a delta over the run
     /// (the interpreter is process-wide).

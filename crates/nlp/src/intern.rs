@@ -21,9 +21,9 @@
 //! [`Symbol::as_str`]) never locks. Each slot also carries the symbol's two
 //! memoized lemmas (see [`crate::lemma`]).
 //!
-//! Whole documents do not belong here: a symbol lives as long as the
-//! process, so the engine's policy cache keys analyses by the text itself
-//! and lets them go with the cache.
+//! Whole documents and sentences do not belong here: a symbol lives as
+//! long as the process, so the engine's policy cache keys sentence
+//! analyses by the text itself and lets them go with the cache.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

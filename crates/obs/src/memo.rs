@@ -1,6 +1,6 @@
 //! [`Memo`]: the one cache map of the pipeline — ESA's interpretation
 //! vectors and pair verdicts, the lib taint summaries and the engine's
-//! parsed policies all live in one (DESIGN.md §12).
+//! policy sentence verdicts all live in one (DESIGN.md §12).
 //!
 //! A memo has three properties:
 //!
@@ -16,8 +16,8 @@
 //!   admitting it, so a resident process holds at most `cap` values.
 //!
 //! The map is one `RwLock<HashMap>` with std's randomly keyed SipHash:
-//! some keys (policy texts, description phrases) come from outside the
-//! program. A hit takes the read lock and clones the value; the fill is
+//! some keys (policy sentences, description phrases) come from outside
+//! the program. A hit takes the read lock and clones the value; the fill is
 //! never run under the lock.
 
 use std::borrow::Borrow;

@@ -43,7 +43,7 @@ pub use diff::{diff, PolicyDiff, Statement};
 pub use elements::{Constraint, ConstraintKind, Elements};
 pub use patterns::{match_sentence, Pattern, PatternKind, SentenceMatch};
 pub use persist::{from_text as patterns_from_text, to_text as patterns_to_text};
-pub use pipeline::{AnalyzedSentence, PolicyAnalysis, PolicyAnalyzer};
+pub use pipeline::{AnalyzedSentence, PolicyAnalysis, PolicyAnalyzer, SentenceVerdict};
 pub use purpose::{detect_purpose, Purpose, PurposeClaim};
 pub use synonyms::synonym_patterns;
 pub use verbs::VerbCategory;

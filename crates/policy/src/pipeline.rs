@@ -14,7 +14,7 @@ use ppchecker_nlp::intern::{Interner, Symbol};
 use ppchecker_nlp::sentence::split_sentences;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A useful sentence with its extracted elements.
 #[derive(Debug, Clone)]
@@ -48,11 +48,25 @@ impl AnalyzedSentence {
     }
 }
 
+/// What one sentence contributes to its policy's analysis: Steps 2 and
+/// 4–6 plus the disclaimer scan, as a pure function of the sentence text
+/// and the analyzer's configuration (see [`PolicyAnalyzer::verdict`]).
+#[derive(Debug, Clone)]
+pub enum SentenceVerdict {
+    /// A third-party disclaimer: sets [`PolicyAnalysis::has_disclaimer`].
+    Disclaimer,
+    /// Matched no pattern, or a filter dropped it.
+    NotUseful,
+    /// A useful sentence. Shared, so documents that repeat a sentence can
+    /// hold one analysis of it.
+    Useful(Arc<AnalyzedSentence>),
+}
+
 /// The analysis of one privacy policy.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyAnalysis {
     /// The useful sentences.
-    pub sentences: Vec<AnalyzedSentence>,
+    pub sentences: Vec<Arc<AnalyzedSentence>>,
     /// Total sentences in the document (before selection).
     pub total_sentences: usize,
     /// `true` if the policy disclaims responsibility for third parties.
@@ -60,6 +74,31 @@ pub struct PolicyAnalysis {
 }
 
 impl PolicyAnalysis {
+    /// The document loop of the pipeline: strips `html_doc` to its
+    /// visible text (Step 1), splits it into sentences and folds in one
+    /// `verdict` per sentence, in document order.
+    /// [`PolicyAnalyzer::analyze_html`] passes [`PolicyAnalyzer::verdict`];
+    /// a cache passes a memo of it.
+    pub fn from_html(html_doc: &str, verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
+        let _span = ppchecker_obs::span!("policy.analyze");
+        PolicyAnalysis::from_text(&html::extract_text(html_doc), verdict)
+    }
+
+    /// [`PolicyAnalysis::from_html`] after the HTML strip.
+    fn from_text(text: &str, mut verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
+        let sents = split_sentences(text);
+        let mut analysis =
+            PolicyAnalysis { total_sentences: sents.len(), ..PolicyAnalysis::default() };
+        for sent in &sents {
+            match verdict(sent) {
+                SentenceVerdict::Disclaimer => analysis.has_disclaimer = true,
+                SentenceVerdict::NotUseful => {}
+                SentenceVerdict::Useful(sentence) => analysis.sentences.push(sentence),
+            }
+        }
+        analysis
+    }
+
     /// Resources of positive (`negative == false`) or negative sentences in
     /// one category: the paper's `Collect_PP` / `NotCollect_PP` etc.
     pub fn resources(&self, category: VerbCategory, negative: bool) -> BTreeSet<&'static str> {
@@ -112,12 +151,12 @@ impl PolicyAnalysis {
 
     /// Positive sentences (for Algorithm 5's lib side).
     pub fn positive_sentences(&self) -> impl Iterator<Item = &AnalyzedSentence> {
-        self.sentences.iter().filter(|s| !s.negative)
+        self.sentences.iter().map(|s| &**s).filter(|s| !s.negative)
     }
 
     /// Negative sentences (for Algorithm 5's app side).
     pub fn negative_sentences(&self) -> impl Iterator<Item = &AnalyzedSentence> {
-        self.sentences.iter().filter(|s| s.negative)
+        self.sentences.iter().map(|s| &**s).filter(|s| s.negative)
     }
 }
 
@@ -185,14 +224,15 @@ impl PolicyAnalyzer {
     /// A stable fingerprint of this analyzer's configuration: the
     /// persisted text form of the pattern table plus the constraint-
     /// modeling flag. Two analyzers with the same fingerprint produce the
-    /// same [`PolicyAnalysis`] for the same input, so the artifact store
-    /// folds this into every policy-derived record key — changing the
-    /// pattern set invalidates stored analyses instead of replaying them.
+    /// same [`PolicyAnalysis`] for the same input, so the checker's
+    /// configuration fingerprint, which keys every stored report, folds
+    /// this in — changing the pattern set invalidates stored reports
+    /// instead of replaying them.
     pub fn fingerprint(&self) -> u64 {
         // The trailing constant is the analysis format version: bumped
         // when `AnalyzedSentence` gains a field (and the wire codec a
-        // column), so stored analyses from older formats key differently
-        // and recompute instead of replaying without the new field.
+        // column), so reports stored under an older format key
+        // differently and recompute.
         let text = crate::persist::to_text(&self.patterns);
         ppchecker_store::combine_hashes(&[
             ppchecker_store::content_hash(text.as_bytes()),
@@ -226,25 +266,24 @@ impl PolicyAnalyzer {
 
     /// Analyzes a privacy policy delivered as HTML.
     pub fn analyze_html(&self, html_doc: &str) -> PolicyAnalysis {
-        let _span = ppchecker_obs::span!("policy.analyze");
-        self.analyze_text(&html::extract_text(html_doc))
+        PolicyAnalysis::from_html(html_doc, |sentence| self.verdict(sentence))
     }
 
     /// Analyzes plain policy text.
     pub fn analyze_text(&self, text: &str) -> PolicyAnalysis {
-        let sents = split_sentences(text);
-        let mut analysis =
-            PolicyAnalysis { total_sentences: sents.len(), ..PolicyAnalysis::default() };
-        for sent in sents {
-            if disclaimer::is_disclaimer(&sent) {
-                analysis.has_disclaimer = true;
-                continue;
-            }
-            if let Some(a) = self.analyze_sentence(&sent) {
-                analysis.sentences.push(a);
-            }
+        PolicyAnalysis::from_text(text, |sentence| self.verdict(sentence))
+    }
+
+    /// The verdict on one sentence: a disclaimer, or else
+    /// [`analyze_sentence`](Self::analyze_sentence)'s result.
+    pub fn verdict(&self, sentence: &str) -> SentenceVerdict {
+        if disclaimer::is_disclaimer(sentence) {
+            return SentenceVerdict::Disclaimer;
         }
-        analysis
+        match self.analyze_sentence(sentence) {
+            Some(analyzed) => SentenceVerdict::Useful(Arc::new(analyzed)),
+            None => SentenceVerdict::NotUseful,
+        }
     }
 
     /// Runs steps 2 and 4–6 on one sentence. Returns `None` for sentences

@@ -1,5 +1,7 @@
-//! Wire codec for [`PolicyAnalysis`]: the persistent form a parsed policy
-//! takes in the artifact store.
+//! Wire codec for [`PolicyAnalysis`]: the canonical byte form of a parsed
+//! policy. The checker's configuration fingerprint hashes it for every
+//! registered lib policy, and the equivalence tests compare cached and
+//! direct analyses by it.
 //!
 //! Interned [`ppchecker_nlp::intern::Symbol`] handles are process-local, so the encoding carries
 //! the symbol *text* and decoding re-interns it — a decoded analysis is
@@ -12,6 +14,7 @@ use crate::purpose::{Purpose, PurposeClaim};
 use crate::verbs::VerbCategory;
 use ppchecker_nlp::intern::intern;
 use ppchecker_store::{WireError, WireReader, WireWriter};
+use std::sync::Arc;
 
 /// The stored byte of a [`VerbCategory`]; the report codec in
 /// `ppchecker-core` shares it, so both record kinds agree on the tags.
@@ -65,7 +68,7 @@ fn purpose_from(b: u8) -> Result<Option<PurposeClaim>, WireError> {
     Ok(Some(PurposeClaim { purpose, exclusive }))
 }
 
-/// Encodes a policy analysis for the artifact store.
+/// Encodes a policy analysis.
 pub fn encode_analysis(a: &PolicyAnalysis) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.u64(a.total_sentences as u64);
@@ -92,12 +95,11 @@ pub fn encode_analysis(a: &PolicyAnalysis) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a stored policy analysis, re-interning every symbol.
+/// Decodes an encoded policy analysis, re-interning every symbol.
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on any defect; the store layer treats that as a
-/// miss and re-parses the policy HTML.
+/// Returns [`WireError`] on any defect.
 pub fn decode_analysis(bytes: &[u8]) -> Result<PolicyAnalysis, WireError> {
     let mut r = WireReader::new(bytes);
     let total_sentences = r.u64()? as usize;
@@ -123,14 +125,14 @@ pub fn decode_analysis(bytes: &[u8]) -> Result<PolicyAnalysis, WireError> {
             let kind = if r.u8()? == 1 { ConstraintKind::Pre } else { ConstraintKind::Post };
             constraints.push(Constraint { kind, text: r.str()?.to_string() });
         }
-        sentences.push(AnalyzedSentence {
+        sentences.push(Arc::new(AnalyzedSentence {
             text,
             category,
             negative,
             conditional,
             purpose,
             elements: Elements { main_verb, executor, resources, constraints },
-        });
+        }));
     }
     if !r.is_exhausted() {
         return Err(WireError("trailing bytes after analysis".into()));

@@ -574,7 +574,10 @@ fn store_to_json(store: Option<&ppchecker_engine::StoreSummary>) -> String {
 /// Renders the full `/metrics` document: request counters, queue
 /// occupancy, cache effectiveness, interner occupancy, and per-span
 /// latency quantiles — cumulative since process start (scrape twice and
-/// difference for a window).
+/// difference for a window). `caches.policy` counts policy *sentence*
+/// lookups (a check of a six-sentence policy adds six), its `entries`
+/// are resident sentences, and `policy_cap` is the most sentences the
+/// cache admits.
 fn metrics_to_json(shared: &Shared) -> String {
     let counters = &shared.counters;
     let detectors: Vec<String> = DetectorId::ALL

@@ -3,18 +3,16 @@
 //! The persistent, content-addressed artifact store behind incremental
 //! re-analysis.
 //!
-//! Every expensive artifact the pipeline derives — the parsed policy of
-//! one HTML document, the taint summary of one embedded library, the
-//! full problem report of one app — is a pure function of some input
-//! bytes. This crate persists those artifacts on disk keyed by the
-//! content hash of their inputs, so a re-run over an updated corpus only
-//! pays for what actually changed: unchanged apps replay their stored
-//! report, unchanged policies skip the NLP pipeline, unchanged libs skip
-//! the taint kernel.
+//! Expensive artifacts the pipeline derives — the taint summary of one
+//! embedded library, the full problem report of one app — are pure
+//! functions of some input bytes. This crate persists those artifacts on
+//! disk keyed by the content hash of their inputs, so a re-run over an
+//! updated corpus only pays for what actually changed: unchanged apps
+//! replay their stored report, unchanged libs skip the taint kernel.
 //!
 //! The store is deliberately dependency-free (std only) and sits at the
 //! bottom of the workspace graph: `ppchecker-policy`, `ppchecker-static`,
-//! `ppchecker-core`, and `ppchecker-engine` all encode their artifacts
+//! `ppchecker-core`, and `ppchecker-engine` encode their artifacts
 //! through [`wire`] and move the bytes through a [`Store`] (or any other
 //! [`ArtifactTier`]).
 //!

@@ -18,8 +18,8 @@ const FORMAT_VERSION: u32 = 1;
 /// invalidates the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordKind {
-    /// A parsed policy (`PolicyAnalysis` encoding), keyed by the
-    /// content hash of the policy HTML.
+    /// A parsed policy (`PolicyAnalysis` encoding). The engine writes
+    /// none: it analyzes policies through its in-memory sentence cache.
     Policy,
     /// A library taint summary (`LibSummary` encoding), keyed by
     /// `stable_hash_classes` of the library's classes.

@@ -224,6 +224,33 @@ proptest! {
         prop_assert!(analysis.sentences.len() <= analysis.total_sentences);
     }
 
+    /// One engine cache over many documents that share sentences gives
+    /// each document exactly the analyzer's own analysis: the same useful
+    /// sentences, disclaimer flag and sentence count.
+    #[test]
+    fn sentence_cache_equals_direct_analysis(
+        pool in prop::collection::vec("[a-zA-Z <>/&;.,]{0,60}", 1..6),
+        docs in prop::collection::vec(prop::collection::vec(0usize..8, 0..8), 1..8)
+    ) {
+        use ppchecker_policy::{encode_analysis, PolicyAnalyzer};
+        let fixed = [
+            "We are not responsible for the privacy practices of third party sites.",
+            "We may collect your location and your device id.",
+            "We will not share your contacts without your consent.",
+        ];
+        let pieces: Vec<&str> = pool.iter().map(String::as_str).chain(fixed).collect();
+        let analyzer = PolicyAnalyzer::new();
+        let cache = ppchecker_engine::ArtifactCache::new(analyzer.clone());
+        for doc in &docs {
+            let html: Vec<&str> = doc.iter().map(|&i| pieces[i % pieces.len()]).collect();
+            let html = format!("<p>{}</p>", html.join("</p><p>"));
+            let (cached, direct) = (cache.policy(&html), analyzer.analyze_html(&html));
+            prop_assert_eq!(cached.has_disclaimer, direct.has_disclaimer);
+            prop_assert_eq!(cached.total_sentences, direct.total_sentences);
+            prop_assert_eq!(encode_analysis(&cached), encode_analysis(&direct));
+        }
+    }
+
     /// Every extracted resource is non-empty and every sentence has at
     /// least one resource (pipeline filter invariant).
     #[test]
