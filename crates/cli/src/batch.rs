@@ -281,7 +281,7 @@ fn stream_batch_to<I>(
     jobs: usize,
     store: Option<Arc<Store>>,
     detectors: Option<&[DetectorId]>,
-    out: &mut dyn io::Write,
+    out: &mut (dyn io::Write + Send),
 ) -> Result<String, CliError>
 where
     I: IntoIterator<Item = AppInput>,
@@ -328,7 +328,10 @@ where
 ///
 /// Returns [`CliError`] when the source is unreadable, the output sink
 /// fails, or the trace file cannot be written.
-pub fn run_batch_to(opts: &BatchOptions, out: &mut dyn io::Write) -> Result<String, CliError> {
+pub fn run_batch_to(
+    opts: &BatchOptions,
+    out: &mut (dyn io::Write + Send),
+) -> Result<String, CliError> {
     let store = opts
         .store
         .as_deref()

@@ -153,8 +153,7 @@ fn batch(args: &[String]) -> Result<String, CliError> {
             return Ok(format!("wrote results to {path}\n"));
         }
         None => {
-            let stdout = io::stdout();
-            let mut out = BufWriter::new(stdout.lock());
+            let mut out = BufWriter::new(io::stdout());
             let metrics = run_batch_to(&opts, &mut out)?;
             out.flush().map_err(|e| CliError(format!("stdout: {e}")))?;
             metrics

@@ -4,13 +4,12 @@
 //!
 //! [`Engine::run_streamed`] is the only run loop; [`Engine::run`] is
 //! `run_streamed` with a sink that collects the records into a vector.
-//! With `jobs = 1` the loop runs inline on the calling thread. Otherwise
-//! a scoped producer thread feeds a bounded job channel (`2 × jobs`
-//! deep — backpressure: a slow pool stalls the producer instead of
-//! buffering the corpus) to `jobs` workers, which push
-//! `(AppRecord, StageTimings)` into a bounded result channel. The
-//! calling thread reassembles results in submission order and hands each
-//! record to the sink as soon as its predecessors are out.
+//! The calling thread and `jobs − 1` scoped threads each pull the next
+//! app from the stream, check it, and park its `(AppRecord,
+//! StageTimings)`; whichever worker completes the next app in
+//! submission order hands its record, and every record ready behind it,
+//! to the sink. At most `3 × jobs` apps are in flight — backpressure: a
+//! slow pool stops pulling instead of buffering the corpus.
 //!
 //! ## One per-app body
 //!
@@ -67,7 +66,7 @@ pub fn available_jobs() -> usize {
 pub struct Engine {
     checker: PPChecker,
     cache: ArtifactCache,
-    /// Worker threads; `1` runs inline on the calling thread.
+    /// Workers, the calling thread included; `1` spawns no thread.
     jobs: usize,
     lib_policies: usize,
     /// Persistent artifact store, when attached via [`Engine::with_store`].
@@ -252,38 +251,32 @@ impl Engine {
     /// [`AggregateSummary::accumulate`], so the returned
     /// [`StreamSummary`] equals what `run(..).aggregate()` produces.
     ///
-    /// With more than one job the producer half of the pipeline moves to
-    /// a scoped thread, hence the `I::IntoIter: Send` bound — satisfied
-    /// by any generator whose state is plain data (the corpus streamers,
-    /// vectors, ranges).
+    /// Every worker pulls its next app from `apps` and may be the one to
+    /// hand a record to `sink`, hence the `I::IntoIter: Send` and
+    /// `S: Send` bounds — satisfied by any generator whose state is plain
+    /// data (the corpus streamers, vectors, ranges) and any sink that
+    /// owns or borrows plain data.
     pub fn run_streamed<I, S>(&self, apps: I, mut sink: S) -> StreamSummary
     where
         I: IntoIterator<Item = AppInput>,
         I::IntoIter: Send,
-        S: FnMut(AppRecord),
+        S: FnMut(AppRecord) + Send,
     {
         let probe = MetricsProbe::begin(self);
         let jobs = self.jobs;
         let mut stage_totals = StageTimings::default();
         let mut aggregate = AggregateSummary::default();
-        let mut emit = |(record, timings): (AppRecord, StageTimings)| {
-            stage_totals.accumulate(&timings);
-            aggregate.accumulate(&record);
-            sink(record);
-        };
-        if jobs == 1 {
-            for (index, app) in apps.into_iter().enumerate() {
-                emit(self.process_one(index, app));
-            }
-        } else {
-            scheduler::run_scoped_streamed(
-                apps,
-                jobs,
-                2 * jobs,
-                |index, app| self.process_one(index, app),
-                &mut |_, output| emit(output),
-            );
-        }
+        scheduler::run_scoped_streamed(
+            apps,
+            jobs,
+            2 * jobs,
+            |index, app| self.process_one(index, app),
+            &mut |_, (record, timings): (AppRecord, StageTimings)| {
+                stage_totals.accumulate(&timings);
+                aggregate.accumulate(&record);
+                sink(record);
+            },
+        );
         let mut metrics = probe.finish(self, jobs, aggregate.apps, aggregate.errors, stage_totals);
         metrics.detector_findings = aggregate.detector_findings;
         StreamSummary { aggregate, metrics }

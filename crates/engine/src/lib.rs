@@ -5,11 +5,12 @@
 //! core into a corpus-scale runtime:
 //!
 //! * **One run path** — [`Engine::run_streamed`] fans an app stream
-//!   across `jobs` scoped threads over bounded channels, so a lazy
-//!   corpus source is consumed under backpressure instead of being
-//!   materialized; [`Engine::run`] is the same loop collecting its
-//!   records. A panicking or failing app becomes one error record; the
-//!   run survives.
+//!   across `jobs` workers, the calling thread among them, that pull
+//!   their own apps and emit their own records in order within a bounded
+//!   window, so a lazy corpus source is consumed under backpressure
+//!   instead of being materialized; [`Engine::run`] is the same loop
+//!   collecting its records. A panicking or failing app becomes one
+//!   error record; the run survives.
 //! * **Artifact caching** — [`ArtifactCache`] memoizes the analysis of
 //!   each policy sentence keyed by its text, and the ESA interpreter
 //!   memoizes interpretation vectors by phrase text, so a sentence shared

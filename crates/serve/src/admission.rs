@@ -286,7 +286,7 @@ mod tests {
         let before = queue_wait.snapshot();
         let ticket = gate.try_admit(1).unwrap().pop().unwrap();
         // Time spent holding the ticket before `run` is queue time too:
-        // a JSONL ticket waits in the connection's job channel.
+        // a `/batch` ticket waits until a worker reaches its app.
         thread::sleep(Duration::from_millis(250));
         ticket.run(|| ());
         // Other tests record into the same histogram meanwhile; none of

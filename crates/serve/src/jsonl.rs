@@ -6,10 +6,12 @@
 //! should stall, not retry.
 //!
 //! A connection runs the engine's ordered fan-out,
-//! [`run_scoped_streamed`]. Its producer reads, decodes and admits one
-//! line at a time; up to `workers` scoped threads run the admitted
-//! checks, so lines pipeline up to the gate's capacity; the connection
-//! thread writes each result in input order.
+//! [`run_scoped_streamed`], on up to `workers` threads: the connection
+//! thread and scoped threads it owns. Each reads, decodes and admits
+//! the next line, runs its check, and writes every result that is next
+//! in input order, so lines pipeline up to the gate's capacity. A
+//! result never waits for the thread that is reading, so an interactive
+//! client gets each answer before it sends its next line.
 //!
 //! Malformed lines don't poison the stream: each (invalid JSON or not
 //! UTF-8) produces an in-order `{"ok":false,…}` line and processing
@@ -27,8 +29,8 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Serves one JSONL connection: a producer thread reads and admits, the
-/// scheduler's workers check, and the calling thread responds.
+/// Serves one JSONL connection: the scheduler's workers read and admit
+/// each line, check it, and write the answers in input order.
 pub(crate) fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {

@@ -68,7 +68,8 @@ pub struct ServeConfig {
     /// Optional JSONL-over-TCP listen address.
     pub jsonl_addr: Option<String>,
     /// Checks that run at once, across every connection. A `/batch` or a
-    /// JSONL connection fans out on up to this many threads of its own.
+    /// JSONL connection fans out on up to this many threads: its
+    /// connection thread and scoped threads it spawns.
     pub workers: usize,
     /// Admission slots beyond the workers — the queue. Total capacity is
     /// `workers + queue_depth`; an arriving request past that is

@@ -16,13 +16,13 @@
 //! Every check holds a ticket of the one admission gate, and runs on the
 //! thread that holds it. A `/check` runs on its connection thread. A
 //! `/batch` and a JSONL connection fan out through the engine's
-//! scheduler, [`run_scoped_streamed`], on at most `workers` scoped
-//! threads that the connection owns, and the gate lets at most `workers`
-//! checks run at once across the daemon. HTTP admits fail-fast, so a
-//! full gate answers `429 overloaded` at once (`/batch` admits
-//! all-or-nothing: a batch the gate can't hold entirely is rejected
-//! rather than half-admitted). The JSONL transport admits blocking —
-//! bulk clients want backpressure, not retries.
+//! scheduler, [`run_scoped_streamed`], on at most `workers` threads: the
+//! connection thread and scoped threads it owns. The gate lets at most
+//! `workers` checks run at once across the daemon. HTTP admits
+//! fail-fast, so a full gate answers `429 overloaded` at once (`/batch`
+//! admits all-or-nothing: a batch the gate can't hold entirely is
+//! rejected rather than half-admitted). The JSONL transport admits
+//! blocking — bulk clients want backpressure, not retries.
 //!
 //! ## Drain
 //!
