@@ -226,8 +226,8 @@ pub struct MethodRef {
 ///
 /// Unlike `std`'s `Hash`, the digest depends only on the class *content*
 /// and order — not on process-specific hasher state — so it is usable as
-/// a cross-run cache key (e.g. keying per-library taint summaries by the
-/// embedded library's bytes).
+/// a cross-run cache key (the store keys reports by the APK's content
+/// hash).
 pub fn stable_hash_classes<'a>(classes: impl Iterator<Item = &'a Class>) -> u64 {
     let mut h = Fnv::new();
     for class in classes {
@@ -641,149 +641,5 @@ mod tests {
             dst: Some(1),
         };
         assert_eq!(inv.to_string(), "invoke-virtual a.B.c(v0) → v1");
-    }
-}
-
-/// A structural problem found by [`Dex::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DexDefect {
-    /// Two classes share a name.
-    DuplicateClass(String),
-    /// Two methods in one class share a name.
-    DuplicateMethod(String, String),
-    /// A branch targets an instruction index outside the method body.
-    BranchOutOfRange {
-        /// Class name.
-        class: String,
-        /// Method name.
-        method: String,
-        /// Instruction index of the branch.
-        at: usize,
-        /// The out-of-range target.
-        target: usize,
-    },
-    /// A method body does not end with a `return`.
-    MissingReturn(String, String),
-}
-
-impl fmt::Display for DexDefect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DexDefect::DuplicateClass(c) => write!(f, "duplicate class {c}"),
-            DexDefect::DuplicateMethod(c, m) => write!(f, "duplicate method {c}.{m}"),
-            DexDefect::BranchOutOfRange { class, method, at, target } => {
-                write!(f, "branch at {class}.{method}@{at} targets out-of-range index {target}")
-            }
-            DexDefect::MissingReturn(c, m) => write!(f, "{c}.{m} does not end with return"),
-        }
-    }
-}
-
-impl Dex {
-    /// Checks structural well-formedness: unique class/method names,
-    /// in-range branch targets, and return-terminated bodies. Returns all
-    /// defects found (empty = valid).
-    pub fn validate(&self) -> Vec<DexDefect> {
-        let mut defects = Vec::new();
-        let mut class_names: Vec<&str> = Vec::new();
-        for class in &self.classes {
-            if class_names.contains(&class.name.as_str()) {
-                defects.push(DexDefect::DuplicateClass(class.name.clone()));
-            }
-            class_names.push(&class.name);
-            let mut method_names: Vec<&str> = Vec::new();
-            for m in &class.methods {
-                if method_names.contains(&m.name.as_str()) {
-                    defects.push(DexDefect::DuplicateMethod(class.name.clone(), m.name.clone()));
-                }
-                method_names.push(&m.name);
-                for (at, insn) in m.instructions.iter().enumerate() {
-                    let target = match insn {
-                        Insn::Goto { target } => Some(*target),
-                        Insn::IfNonZero { target, .. } => Some(*target),
-                        _ => None,
-                    };
-                    if let Some(t) = target {
-                        if t >= m.instructions.len() {
-                            defects.push(DexDefect::BranchOutOfRange {
-                                class: class.name.clone(),
-                                method: m.name.clone(),
-                                at,
-                                target: t,
-                            });
-                        }
-                    }
-                }
-                if !matches!(m.instructions.last(), Some(Insn::Return { .. })) {
-                    defects.push(DexDefect::MissingReturn(class.name.clone(), m.name.clone()));
-                }
-            }
-        }
-        defects
-    }
-}
-
-#[cfg(test)]
-mod validate_tests {
-    use super::*;
-
-    #[test]
-    fn builder_output_is_valid() {
-        let dex = Dex::builder()
-            .class("com.x.A", |c| {
-                c.method("m", 1, |b| {
-                    b.const_string(0, "x");
-                });
-            })
-            .build();
-        assert!(dex.validate().is_empty());
-    }
-
-    #[test]
-    fn duplicate_class_detected() {
-        let dex = Dex::builder()
-            .class("com.x.A", |c| {
-                c.method("m", 0, |_| {});
-            })
-            .class("com.x.A", |c| {
-                c.method("m", 0, |_| {});
-            })
-            .build();
-        assert!(matches!(dex.validate()[0], DexDefect::DuplicateClass(_)));
-    }
-
-    #[test]
-    fn out_of_range_branch_detected() {
-        let mut dex = Dex::builder()
-            .class("com.x.A", |c| {
-                c.method("m", 0, |b| {
-                    b.push(Insn::Goto { target: 99 });
-                });
-            })
-            .build();
-        let defects = dex.validate();
-        assert!(defects
-            .iter()
-            .any(|d| matches!(d, DexDefect::BranchOutOfRange { target: 99, .. })));
-        // Fixing the branch clears the defect.
-        dex.classes[0].methods[0].instructions[0] = Insn::Nop;
-        assert!(dex.validate().is_empty());
-    }
-
-    #[test]
-    fn missing_return_detected() {
-        let dex = Dex {
-            classes: vec![Class {
-                name: "com.x.A".to_string(),
-                superclass: "java.lang.Object".to_string(),
-                interfaces: vec![],
-                methods: vec![Method {
-                    name: "m".to_string(),
-                    param_count: 0,
-                    instructions: vec![Insn::Nop],
-                }],
-            }],
-        };
-        assert!(matches!(dex.validate()[0], DexDefect::MissingReturn(..)));
     }
 }

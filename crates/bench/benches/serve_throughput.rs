@@ -2,10 +2,9 @@
 //! mixed cold/warm corpus.
 //!
 //! The workload models a fleet of callers against one warm process: a
-//! cold pass (every policy text, lib summary, and ESA vector computed
-//! fresh), then warm passes over the same corpus (served from the
-//! resident caches), then a concurrent phase with several keep-alive
-//! clients. Emits `BENCH_serve.json` at the repo root (see
+//! cold pass (every policy sentence and ESA vector computed fresh), then
+//! warm passes over the same corpus (served from the resident caches),
+//! then a concurrent phase with several keep-alive clients. Emits `BENCH_serve.json` at the repo root (see
 //! [`ppchecker_bench::emit`]) with every request latency and the
 //! sustained requests/sec.
 
@@ -115,9 +114,8 @@ fn report_and_emit() {
             .unwrap_or(0.0)
     };
     println!(
-        "  warm caches: policy {} hits, taint summaries {} hits, esa vectors {} hits",
+        "  warm caches: policy {} hits, esa vectors {} hits",
         hits("policy"),
-        hits("taint_summaries"),
         hits("esa_vectors"),
     );
 

@@ -1,7 +1,7 @@
 //! Microbench of the static-analysis taint core: the dense-ID bitset
 //! kernel vs the retained BTreeSet reference engine, over the 50-app
-//! golden corpus (cold fixpoint, warm library-summary cache,
-//! reachability-only).
+//! golden corpus (fixpoint and reachability-only), plus the kernel alone
+//! on a lib-heavy workload.
 //!
 //! Prints a one-shot comparison (the PR-4 acceptance bar is ≥ 2× on the
 //! cold fixpoint) with per-app allocation counts from a counting global
@@ -80,10 +80,6 @@ fn run_kernel_cold(apps: &[Scoped]) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze(apg, methods).len()).sum()
 }
 
-fn run_kernel_cached(apps: &[Scoped], cache: &ppchecker_static::TaintSummaryCache) -> usize {
-    apps.iter().map(|(apg, methods)| taint::analyze_cached(apg, methods, Some(cache)).len()).sum()
-}
-
 fn run_reachability(apps: &[Scoped]) -> usize {
     apps.iter().map(|(apg, _)| reach::reachable_methods(apg).iter().filter(|&&r| r).count()).sum()
 }
@@ -101,7 +97,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> Duration {
 }
 
 /// One-shot report: cold fixpoint reference vs kernel (the acceptance
-/// number), warm summary-cache pass, reachability-only, and per-app
+/// number), reachability-only, and per-app
 /// allocation counts for both engines. Every duration is best-of-3.
 fn report_taint(apps: &[Scoped]) {
     let n = apps.len();
@@ -127,36 +123,24 @@ fn report_taint(apps: &[Scoped]) {
     let reference_dt = best_of(3, || (0..PASSES).map(|_| run_reference(apps)).sum());
     let kernel_dt = best_of(3, || (0..PASSES).map(|_| run_kernel_cold(apps)).sum());
 
-    let cache = ppchecker_static::TaintSummaryCache::new();
-    black_box(run_kernel_cached(apps, &cache)); // populate the cache
-    let warm_dt = best_of(3, || (0..PASSES).map(|_| run_kernel_cached(apps, &cache)).sum());
-    let (cache_hits, cache_misses, cache_entries) = (cache.hits(), cache.misses(), cache.entries());
-
     let reach_dt = best_of(3, || (0..PASSES).map(|_| run_reachability(apps)).sum());
 
     let speedup = reference_dt.as_secs_f64() / kernel_dt.as_secs_f64();
     println!("  btreeset reference: {reference_dt:?} for {PASSES} passes");
     println!("  bitset kernel cold: {kernel_dt:?} for {PASSES} passes  speedup: {speedup:.2}x");
-    println!("  bitset kernel warm summary cache: {warm_dt:?} for {PASSES} passes");
-    println!(
-        "  summary cache: {cache_hits} hits / {cache_misses} misses ({cache_entries} entries)"
-    );
     println!("  reachability only: {reach_dt:?} for {PASSES} passes");
     println!("  allocations/app: reference {ref_allocs} calls / {ref_bytes} B, kernel {kernel_allocs} calls / {kernel_bytes} B");
 }
 
 /// A lib-heavy workload: `n` distinct apps all embedding the same fat ad
 /// library whose methods are *reachable* (the activity calls into the SDK
-/// entry chain), so the summary cache's interpretation savings show up —
-/// unlike the paper corpus, whose embedded lib code is dead weight.
+/// entry chain), so the kernel interprets every lib method — unlike the
+/// paper corpus, whose embedded lib code is dead weight.
 ///
 /// Each SDK method is self-contained the way analytics initializers are:
 /// it sources identifiers, launders them through a pile of framework
 /// calls, and logs them locally; the chain call into the next class
-/// passes an untainted handle and no return value. That shape is the
-/// summary cache's home turf — replaying `F_m(∅)` leaves every lib
-/// method's inputs at ∅, so the warm fixpoint skips their
-/// interpretation entirely instead of re-queueing them.
+/// passes an untainted handle and no return value.
 fn lib_heavy_apks(n: usize) -> Vec<Apk> {
     use ppchecker_apk::{ComponentKind, Dex, Manifest};
     (0..n)
@@ -209,21 +193,7 @@ fn report_lib_heavy() {
     const PASSES: usize = 20;
     black_box(run_kernel_cold(&apps));
     let cold_dt = best_of(3, || (0..PASSES).map(|_| run_kernel_cold(&apps)).sum());
-
-    let cache = ppchecker_static::TaintSummaryCache::new();
-    black_box(run_kernel_cached(&apps, &cache));
-    let warm_dt = best_of(3, || (0..PASSES).map(|_| run_kernel_cached(&apps, &cache)).sum());
-    let speedup = cold_dt.as_secs_f64() / warm_dt.as_secs_f64();
-    println!("  kernel cold:              {cold_dt:?} for {PASSES} passes");
-    println!(
-        "  kernel warm summary cache: {warm_dt:?} for {PASSES} passes  speedup: {speedup:.2}x"
-    );
-    println!(
-        "  summary cache: {} hits / {} misses ({} entries)",
-        cache.hits(),
-        cache.misses(),
-        cache.entries()
-    );
+    println!("  kernel cold: {cold_dt:?} for {PASSES} passes");
 }
 
 /// Per-run cold-fixpoint latencies over the golden corpus, emitted as
@@ -269,11 +239,6 @@ fn bench_taint(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("cold_reference", |b| b.iter(|| black_box(run_reference(&apps))));
     g.bench_function("cold_kernel", |b| b.iter(|| black_box(run_kernel_cold(&apps))));
-    let cache = ppchecker_static::TaintSummaryCache::new();
-    black_box(run_kernel_cached(&apps, &cache));
-    g.bench_function("warm_summary_cache", |b| {
-        b.iter(|| black_box(run_kernel_cached(&apps, &cache)))
-    });
     g.bench_function("reachability_only", |b| b.iter(|| black_box(run_reachability(&apps))));
     g.finish();
 }

@@ -71,10 +71,9 @@ pub struct BatchOptions {
     /// file (loadable in `about:tracing` / Perfetto).
     pub trace: Option<PathBuf>,
     /// When set, open (or create) a persistent artifact store at this
-    /// directory: lib taint summaries and whole app reports replay across
-    /// invocations, so a re-run over an unchanged corpus skips nearly all
-    /// per-app work (the stderr metrics report the skip counts). Parsed
-    /// policies are not stored. Composes with every source, including
+    /// directory: whole app reports replay across invocations, so a
+    /// re-run over an unchanged corpus skips nearly all per-app work (the
+    /// stderr metrics report the skip counts). Nothing else is stored. Composes with every source, including
     /// streamed generation.
     pub store: Option<PathBuf>,
     /// Detector selection (`--detectors`); `None` runs the paper's

@@ -32,7 +32,7 @@ pub struct ServeOptions {
     /// named subset.
     pub manifest: Option<PathBuf>,
     /// Optional persistent artifact store: the daemon boots warm
-    /// (previously computed lib summaries and reports replay from disk)
+    /// (previously computed reports replay from disk)
     /// and keeps persisting as it serves.
     pub store_dir: Option<PathBuf>,
     /// Detector selection (`--detectors`); `None` serves the paper's

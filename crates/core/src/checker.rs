@@ -10,7 +10,7 @@ use ppchecker_apk::{Apk, ParseDexError};
 use ppchecker_desc::analyze_description_with;
 use ppchecker_obs::SpanGuard;
 use ppchecker_policy::{PolicyAnalysis, PolicyAnalyzer};
-use ppchecker_static::{analyze_with_cache, AnalysisOptions, TaintSummaryCache};
+use ppchecker_static::{analyze_with, AnalysisOptions};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
@@ -306,7 +306,6 @@ pub struct PPChecker {
     matcher: Matcher,
     lib_policies: HashMap<String, PolicyAnalysis>,
     static_options: AnalysisOptions,
-    taint_cache: Option<Arc<TaintSummaryCache>>,
     registry: DetectorRegistry,
     boilerplate: Option<Arc<BoilerplateIndex>>,
 }
@@ -326,7 +325,6 @@ impl PPChecker {
             matcher: Matcher::new(),
             lib_policies: HashMap::new(),
             static_options: AnalysisOptions::default(),
-            taint_cache: None,
             registry: DetectorRegistry::paper(),
             boilerplate: None,
         }
@@ -348,15 +346,6 @@ impl PPChecker {
     /// Overrides the ESA similarity threshold (the paper uses 0.67).
     pub fn with_similarity_threshold(mut self, threshold: f64) -> Self {
         self.matcher = Matcher::with_threshold(threshold);
-        self
-    }
-
-    /// Attaches a cross-app library taint-summary cache. Batch runtimes
-    /// share one cache across every app so the taint kernel summarizes
-    /// each distinct embedded lib once per run; leak results are
-    /// unchanged (the cache only skips recomputation).
-    pub fn with_taint_summary_cache(mut self, cache: Arc<TaintSummaryCache>) -> Self {
-        self.taint_cache = Some(cache);
         self
     }
 
@@ -492,7 +481,7 @@ impl PPChecker {
         timings.description = span.finish();
 
         let span = SpanGuard::timed("check.static");
-        let code = analyze_with_cache(&app.apk, self.static_options, self.taint_cache.as_deref())?;
+        let code = analyze_with(&app.apk, self.static_options)?;
         timings.static_analysis = span.finish();
 
         let span = SpanGuard::timed("check.matching");

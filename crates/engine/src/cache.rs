@@ -25,8 +25,6 @@
 
 use ppchecker_obs::{CacheStats, Memo};
 use ppchecker_policy::{PolicyAnalysis, PolicyAnalyzer, SentenceVerdict};
-use ppchecker_static::TaintSummaryCache;
-use std::sync::Arc;
 
 /// Upper bound on resident sentence verdicts. Past this the cache stops
 /// admitting new sentences (hits still serve, misses still compute), so
@@ -42,21 +40,12 @@ pub const POLICY_CACHE_CAP: usize = 65_536;
 pub struct ArtifactCache {
     analyzer: PolicyAnalyzer,
     sentences: Memo<Box<str>, SentenceVerdict>,
-    /// Cross-app library taint-summary store, keyed by lib content hash
-    /// (see `ppchecker_static::summary`). Shared with the checker via
-    /// `Arc` so the taint kernel inside workers and the engine's metrics
-    /// observe the same counters.
-    taint_summaries: Arc<TaintSummaryCache>,
 }
 
 impl ArtifactCache {
     /// An empty cache of `analyzer`'s verdicts.
     pub fn new(analyzer: PolicyAnalyzer) -> Self {
-        ArtifactCache {
-            analyzer,
-            sentences: Memo::new(POLICY_CACHE_CAP),
-            taint_summaries: Arc::default(),
-        }
+        ArtifactCache { analyzer, sentences: Memo::new(POLICY_CACHE_CAP) }
     }
 
     /// The analysis of `html`, equal to the analyzer's
@@ -73,11 +62,6 @@ impl ArtifactCache {
     pub fn stats(&self) -> CacheStats {
         self.sentences.stats()
     }
-
-    /// The shared library taint-summary cache (to clone into a checker).
-    pub fn taint_summaries(&self) -> &Arc<TaintSummaryCache> {
-        &self.taint_summaries
-    }
 }
 
 #[cfg(test)]
@@ -85,6 +69,7 @@ mod tests {
     use super::*;
     use ppchecker_nlp::Interner;
     use ppchecker_policy::encode_analysis;
+    use std::sync::Arc;
 
     fn stock() -> ArtifactCache {
         ArtifactCache::new(PolicyAnalyzer::new())

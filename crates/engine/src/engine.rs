@@ -46,8 +46,9 @@ use ppchecker_core::{
     StageTimings,
 };
 use ppchecker_esa::Interpreter;
+use ppchecker_obs::CacheStats;
 use ppchecker_policy::PolicyAnalysis;
-use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind, Store};
+use ppchecker_store::{combine_hashes, content_hash, RecordKind, Store};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,9 +70,7 @@ pub struct Engine {
     /// Workers, the calling thread included; `1` spawns no thread.
     jobs: usize,
     lib_policies: usize,
-    /// Persistent artifact store, when attached via [`Engine::with_store`].
-    /// Kept alongside the `dyn ArtifactTier` handle inside the lib-summary
-    /// cache so the engine can read per-kind counters for metrics.
+    /// Persistent report store, when attached via [`Engine::with_store`].
     store: Option<Arc<Store>>,
     /// Key salt for report records: the checker's configuration
     /// fingerprint, computed once at attach time.
@@ -81,12 +80,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps an already-configured checker (lib policies registered) and
-    /// attaches the engine's cross-app taint-summary cache to it.
+    /// Wraps an already-configured checker (lib policies registered).
     pub fn new(checker: PPChecker) -> Self {
         let lib_policies = checker.lib_policy_count();
         let cache = ArtifactCache::new(checker.analyzer().clone());
-        let checker = checker.with_taint_summary_cache(Arc::clone(cache.taint_summaries()));
         Engine {
             checker,
             cache,
@@ -116,7 +113,6 @@ impl Engine {
             checker.register_lib_policy_analysis(&id, analysis);
             count += 1;
         }
-        let checker = checker.with_taint_summary_cache(Arc::clone(cache.taint_summaries()));
         Engine {
             checker,
             cache,
@@ -128,17 +124,14 @@ impl Engine {
         }
     }
 
-    /// Attaches a persistent artifact store, which persists two record
-    /// kinds:
+    /// Attaches a persistent artifact store, which persists reports only:
+    /// one whole app report per key
+    /// `policy × description × apk × checker configuration`. When that
+    /// key hits, the app's entire pipeline is skipped.
     ///
-    /// * library taint summaries, keyed by lib content hash: the
-    ///   lib-summary cache becomes the memory tier above the store;
-    /// * whole app reports, keyed by
-    ///   `policy × description × apk × checker configuration` — when that
-    ///   key hits, the app's entire pipeline is skipped.
-    ///
-    /// Parsed policies are not persisted: an app whose report misses
-    /// re-analyzes its policy through the in-memory sentence cache.
+    /// Nothing else is persisted: an app whose report misses re-analyzes
+    /// its policy through the in-memory sentence cache and runs the taint
+    /// kernel over its code.
     ///
     /// Attach the store *before* the first run (typically right after
     /// construction). The checker's configuration fingerprint is frozen
@@ -146,7 +139,6 @@ impl Engine {
     /// attach would replay stale reports — the builder API makes that
     /// impossible to express, since `with_store` consumes `self`.
     pub fn with_store(mut self, store: Arc<Store>) -> Self {
-        self.cache.taint_summaries().attach_disk_tier(Arc::clone(&store) as Arc<dyn ArtifactTier>);
         self.report_salt = self.checker.config_fingerprint();
         self.store = Some(store);
         self
@@ -333,7 +325,7 @@ impl Engine {
             esa_cache: esa.vector_cache_stats(),
             esa_pair_memo: esa.pair_memo_stats(),
             esa_pruned: esa.pruned_comparisons(),
-            taint_summary_cache: self.cache.taint_summaries().stats(),
+            taint_summary_cache: CacheStats::default(),
             interner: ppchecker_nlp::Interner::global().stats(),
             store: self.store_summary(),
         }
@@ -407,7 +399,7 @@ impl MetricsProbe {
             esa_cache: after.esa_cache.delta_since(&before.esa_cache),
             esa_pair_memo: after.esa_pair_memo.delta_since(&before.esa_pair_memo),
             esa_pruned: after.esa_pruned - before.esa_pruned,
-            taint_summary_cache: after.taint_summary_cache.delta_since(&before.taint_summary_cache),
+            taint_summary_cache: CacheStats::default(),
             detector_findings: [0; ppchecker_core::DetectorId::COUNT],
             interner: after.interner,
             store: after.store.map(|after| after.delta_since(&before.store.unwrap_or_default())),
@@ -614,57 +606,6 @@ mod tests {
         assert_eq!(batch.metrics.lib_policies, 3);
     }
 
-    #[test]
-    fn shared_lib_taint_summaries_hit_across_apps() {
-        let inputs: Vec<AppInput> = (0..6)
-            .map(|i| {
-                let package = format!("com.libuser{i}");
-                let mut manifest = Manifest::new(&package);
-                manifest.add_component(ComponentKind::Activity, &format!("{package}.Main"), true);
-                let dex = Dex::builder()
-                    .class("com.google.android.gms.ads.Sdk", |c| {
-                        c.method("init", 1, |m| {
-                            m.invoke_virtual(
-                                "android.telephony.TelephonyManager",
-                                "getDeviceId",
-                                &[0],
-                                Some(1),
-                            );
-                            m.invoke_static("android.util.Log", "d", &[1], None);
-                            m.ret(Some(1));
-                        });
-                    })
-                    .class(&format!("{package}.Main"), |c| {
-                        c.extends("android.app.Activity");
-                        c.method("onCreate", 1, |m| {
-                            m.invoke_virtual(
-                                "com.google.android.gms.ads.Sdk",
-                                "init",
-                                &[0],
-                                Some(1),
-                            );
-                        });
-                    })
-                    .build();
-                AppInput {
-                    package,
-                    policy_html: "<p>we may collect your device id.</p>".to_string(),
-                    description: "An app with an embedded ad SDK.".to_string(),
-                    apk: Apk::new(manifest, dex),
-                    labels: Vec::new(),
-                }
-            })
-            .collect();
-        let batch = Engine::new(PPChecker::new()).with_jobs(2).run(inputs);
-        assert_eq!(batch.metrics.errors, 0);
-        // One distinct lib content across six apps: summarized once,
-        // replayed five times.
-        assert_eq!(batch.metrics.taint_summary_cache.misses, 1);
-        assert_eq!(batch.metrics.taint_summary_cache.hits, 5);
-        assert_eq!(batch.metrics.taint_summary_cache.entries, 1);
-        assert!(batch.metrics.to_string().contains("taint summaries: 5 hits / 1 misses"));
-    }
-
     fn scratch_store(name: &str) -> (std::path::PathBuf, Arc<Store>) {
         let dir =
             std::env::temp_dir().join(format!("ppengine-store-{name}-{}", std::process::id()));
@@ -689,7 +630,7 @@ mod tests {
         let warm_stats = warm.metrics.store.expect("store metrics present");
         assert_eq!(warm_stats.apps_skipped, 10, "all unchanged apps skipped");
         assert_eq!(warm_stats.reports.writes, 0, "nothing recomputed, nothing rewritten");
-        assert_eq!(warm.metrics.taint_summary_cache.misses, 0, "no taint kernel runs");
+        assert_eq!(warm.metrics.stage_totals, StageTimings::default(), "no pipeline stage runs");
 
         // Byte-identical results either way.
         assert_eq!(cold.aggregate(), warm.aggregate());

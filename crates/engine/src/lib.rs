@@ -22,10 +22,10 @@
 //!   order and [`BatchReport::aggregate`] is a pure fold over them, so
 //!   `jobs=1` and `jobs=16` produce byte-identical aggregate reports.
 //! * **Persistent warm starts** — [`Engine::with_store`] attaches a
-//!   `ppchecker-store` artifact store: library taint summaries and whole
-//!   app reports replay from disk across process restarts, so a re-run
-//!   over an updated corpus only re-analyzes apps that actually changed
-//!   ([`diff_batches`] then reports the per-app verdict movement).
+//!   `ppchecker-store` artifact store: whole app reports replay from disk
+//!   across process restarts, so a re-run over an updated corpus only
+//!   re-analyzes apps that actually changed ([`diff_batches`] then
+//!   reports the per-app verdict movement).
 //! * **One per-app body** — [`Engine::check_one`] is what every batch
 //!   worker runs per app and what the `ppchecker-serve` daemon runs per
 //!   request: store probe, panic guard, cached policy analysis, persist.

@@ -21,7 +21,7 @@ pub struct StoreSummary {
     /// Parsed-policy records: always 0, since the engine persists no
     /// policies; kept for readers of the counters.
     pub policies: StoreStats,
-    /// Library taint-summary records (keyed by lib content hash).
+    /// Retired and always zero; kept because `repobench` compiles against it.
     pub lib_summaries: StoreStats,
     /// Full per-app report records (keyed by app inputs × checker
     /// config).
@@ -37,7 +37,7 @@ impl StoreSummary {
     pub fn cumulative(store: &Store, apps_skipped: u64) -> Self {
         StoreSummary {
             policies: store.stats(RecordKind::Policy),
-            lib_summaries: store.stats(RecordKind::LibSummary),
+            lib_summaries: StoreStats::default(),
             reports: store.stats(RecordKind::Report),
             apps_skipped,
         }
@@ -47,7 +47,7 @@ impl StoreSummary {
     pub fn delta_since(&self, earlier: &StoreSummary) -> StoreSummary {
         StoreSummary {
             policies: self.policies.delta_since(&earlier.policies),
-            lib_summaries: self.lib_summaries.delta_since(&earlier.lib_summaries),
+            lib_summaries: StoreStats::default(),
             reports: self.reports.delta_since(&earlier.reports),
             apps_skipped: self.apps_skipped - earlier.apps_skipped,
         }
@@ -55,7 +55,7 @@ impl StoreSummary {
 
     /// Total corrupt records encountered across all kinds.
     pub fn corrupt(&self) -> u64 {
-        self.policies.corrupt + self.lib_summaries.corrupt + self.reports.corrupt
+        self.policies.corrupt + self.reports.corrupt
     }
 }
 
@@ -63,8 +63,7 @@ impl fmt::Display for StoreSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "store: {} apps skipped; reports {}h/{}m/{}w, policies {}h/{}m/{}w, \
-             lib summaries {}h/{}m/{}w; {} corrupt",
+            "store: {} apps skipped; reports {}h/{}m/{}w, policies {}h/{}m/{}w; {} corrupt",
             self.apps_skipped,
             self.reports.hits,
             self.reports.misses,
@@ -72,9 +71,6 @@ impl fmt::Display for StoreSummary {
             self.policies.hits,
             self.policies.misses,
             self.policies.writes,
-            self.lib_summaries.hits,
-            self.lib_summaries.misses,
-            self.lib_summaries.writes,
             self.corrupt(),
         )
     }
@@ -134,7 +130,7 @@ pub struct EngineSnapshot {
     pub esa_pair_memo: CacheStats,
     /// Threshold comparisons answered by the norm bound alone.
     pub esa_pruned: u64,
-    /// Cross-app library taint-summary cache totals.
+    /// Retired and always zero; kept because `repobench` compiles against it.
     pub taint_summary_cache: CacheStats,
     /// Global interner occupancy.
     pub interner: InternerStats,
@@ -176,9 +172,7 @@ pub struct MetricsSummary {
     /// ESA threshold comparisons answered by the norm bound alone (no dot
     /// product), as a delta over the run.
     pub esa_pruned: u64,
-    /// Cross-app library taint-summary cache counters, as a delta over
-    /// the run (`misses` counts distinct embedded lib contents, `hits`
-    /// apps that reused another app's lib summaries).
+    /// Retired and always zero; kept because `repobench` compiles against it.
     pub taint_summary_cache: CacheStats,
     /// Global interner occupancy at the end of the run (process-wide:
     /// includes the static pre-seed plus everything interned so far).
@@ -289,14 +283,6 @@ impl fmt::Display for MetricsSummary {
             self.esa_pair_memo.entries,
             self.esa_pruned,
         )?;
-        writeln!(
-            f,
-            "taint summaries: {} hits / {} misses ({:.1}% hit rate, {} libs cached)",
-            self.taint_summary_cache.hits,
-            self.taint_summary_cache.misses,
-            self.taint_summary_cache.hit_rate() * 100.0,
-            self.taint_summary_cache.entries,
-        )?;
         if let Some(store) = &self.store {
             writeln!(
                 f,
@@ -352,7 +338,6 @@ mod tests {
         assert!(text.contains("interner:"));
         assert!(text.contains("pair memo"));
         assert!(text.contains("pruned"));
-        assert!(text.contains("taint summaries"));
         // No quantile table without recorded spans.
         assert!(!text.contains("p99"));
     }
@@ -377,19 +362,17 @@ mod tests {
     fn store_summary_delta_subtracts_per_kind() {
         let earlier = StoreSummary {
             policies: StoreStats { hits: 1, misses: 2, writes: 2, corrupt: 0 },
-            lib_summaries: StoreStats::default(),
             reports: StoreStats { hits: 0, misses: 4, writes: 4, corrupt: 1 },
-            apps_skipped: 0,
+            ..StoreSummary::default()
         };
         let later = StoreSummary {
             policies: StoreStats { hits: 5, misses: 2, writes: 2, corrupt: 0 },
-            lib_summaries: StoreStats { hits: 3, misses: 0, writes: 0, corrupt: 0 },
             reports: StoreStats { hits: 4, misses: 4, writes: 4, corrupt: 1 },
             apps_skipped: 4,
+            ..StoreSummary::default()
         };
         let delta = later.delta_since(&earlier);
         assert_eq!(delta.policies.hits, 4);
-        assert_eq!(delta.lib_summaries.hits, 3);
         assert_eq!(delta.reports.hits, 4);
         assert_eq!(delta.apps_skipped, 4);
         assert_eq!(delta.corrupt(), 0);

@@ -35,7 +35,6 @@ pub mod lexicon;
 pub mod sentence;
 pub mod tagger;
 pub mod token;
-pub mod tree;
 
 pub use chunk::NounPhrase;
 pub use depparse::{parse, Dependency, Parse, Rel};

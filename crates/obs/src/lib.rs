@@ -45,7 +45,7 @@ pub mod span;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS, STRIPES};
-pub use memo::{CacheStats, Fill, Memo};
+pub use memo::{CacheStats, Memo};
 pub use span::SpanGuard;
 pub use trace::{Phase, TraceCheck, TraceEvent};
 

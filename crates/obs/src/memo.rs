@@ -1,24 +1,23 @@
 //! [`Memo`]: the one cache map of the pipeline — ESA's interpretation
-//! vectors and pair verdicts, the lib taint summaries and the engine's
-//! policy sentence verdicts all live in one (DESIGN.md §12).
+//! vectors and pair verdicts and the engine's policy sentence verdicts
+//! all live in one (DESIGN.md §12).
 //!
 //! A memo has three properties:
 //!
 //! - **Fill once.** Each resident key owns a `OnceLock` cell. However
-//!   many threads ask for a new key at once, one of them runs the fill;
-//!   the others block on the cell, then read it.
+//!   many threads ask for a new key at once, one of them computes the
+//!   value; the others block on the cell, then read it.
 //! - **Exact counts.** Every lookup counts exactly one hit or one miss.
 //!   A miss means this call computed the value, so `misses` is the
 //!   number of values this process computed, for any thread
-//!   interleaving. A fill that replays a stored value (a disk tier)
-//!   returns [`Fill::Replayed`] and counts as a hit.
+//!   interleaving.
 //! - **Cap.** Past `cap` resident keys a miss computes its value without
 //!   admitting it, so a resident process holds at most `cap` values.
 //!
 //! The map is one `RwLock<HashMap>` with std's randomly keyed SipHash:
 //! some keys (policy sentences, description phrases) come from outside
-//! the program. A hit takes the read lock and clones the value; the fill is
-//! never run under the lock.
+//! the program. A hit takes the read lock and clones the value; the
+//! computation never runs under the lock.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -29,7 +28,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// Hit/miss counters of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from the cache (or replayed by the fill).
+    /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that computed their value.
     pub misses: u64,
@@ -59,15 +58,6 @@ impl CacheStats {
     }
 }
 
-/// How a fill produced its value.
-#[derive(Debug)]
-pub enum Fill<V> {
-    /// Computed by this call: the lookup counts a miss.
-    Computed(V),
-    /// Replayed from elsewhere, e.g. a disk tier: the lookup counts a hit.
-    Replayed(V),
-}
-
 /// A thread-safe, cap-bounded, fill-once memo (see the module docs).
 #[derive(Debug)]
 pub struct Memo<K, V> {
@@ -83,22 +73,12 @@ impl<K: Hash + Eq, V: Clone> Memo<K, V> {
         Memo { map: RwLock::default(), cap, hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
     }
 
-    /// The value of `key`, computing it with `compute` on a miss.
+    /// The value of `key`, computed with `compute` when no resident value
+    /// exists; a computation counts one miss. A panicking `compute`
+    /// passes its panic to the caller and leaves the key empty, so the
+    /// next lookup fills it. `compute` may use other memos but must not
+    /// look up its own key, which would wait on itself.
     pub fn get_or_compute<Q>(&self, key: &Q, compute: impl FnOnce() -> V) -> V
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned + ?Sized,
-        Q::Owned: Into<K>,
-    {
-        self.get_or_fill(key, || Fill::Computed(compute()))
-    }
-
-    /// The value of `key`, produced by `fill` when no resident value
-    /// exists. A panicking fill passes its panic to the caller and
-    /// leaves the key empty, so the next lookup fills it. A fill may use
-    /// other memos but must not look up its own key, which would wait
-    /// on itself.
-    pub fn get_or_fill<Q>(&self, key: &Q, fill: impl FnOnce() -> Fill<V>) -> V
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ToOwned + ?Sized,
@@ -109,14 +89,19 @@ impl<K: Hash + Eq, V: Clone> Memo<K, V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return value;
         }
+        let compute = || {
+            let value = compute();
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            value
+        };
         let Some(cell) = self.cell(key) else {
-            return self.count(fill());
+            return compute();
         };
         let mut filled_here = false;
         let value = cell
             .get_or_init(|| {
                 filled_here = true;
-                self.count(fill())
+                compute()
             })
             .clone();
         if !filled_here {
@@ -143,15 +128,6 @@ impl<K: Hash + Eq, V: Clone> Memo<K, V> {
         let cell = Arc::new(OnceLock::new());
         map.insert(key.to_owned().into(), Arc::clone(&cell));
         Some(cell)
-    }
-
-    fn count(&self, fill: Fill<V>) -> V {
-        let (counter, value) = match fill {
-            Fill::Computed(value) => (&self.misses, value),
-            Fill::Replayed(value) => (&self.hits, value),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        value
     }
 
     /// Snapshot of the counters.
@@ -237,6 +213,8 @@ mod tests {
         assert_eq!(computes.load(Ordering::Relaxed), 4, "the admitted key computed once");
         let stats = memo.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (4, 1, 1));
+        let earlier = CacheStats { hits: 1, misses: 1, entries: 9 };
+        assert_eq!(stats.delta_since(&earlier), CacheStats { hits: 0, misses: 3, entries: 1 });
     }
 
     #[test]
@@ -251,16 +229,5 @@ mod tests {
         assert_eq!(memo.get_or_compute(&1, || 11), 10);
         let stats = memo.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
-    }
-
-    #[test]
-    fn a_replayed_fill_counts_as_a_hit() {
-        let memo: Memo<u32, &str> = Memo::new(4);
-        assert_eq!(memo.get_or_fill(&1, || Fill::Replayed("stored")), "stored");
-        assert_eq!(memo.get_or_fill(&2, || Fill::Computed("fresh")), "fresh");
-        assert_eq!(memo.get_or_fill(&1, || Fill::Computed("recomputed")), "stored");
-        let stats = memo.stats();
-        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 2, 2));
-        assert_eq!(stats.delta_since(&CacheStats { hits: 1, misses: 1, entries: 9 }).hits, 1);
     }
 }

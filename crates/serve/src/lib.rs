@@ -2,8 +2,8 @@
 //!
 //! The resident analysis daemon: a warm [`ppchecker_engine::Engine`]
 //! behind two wire transports, so a fleet of callers amortizes the
-//! expensive state — parsed lib policies, the ESA interpretation-vector
-//! cache, cross-app taint summaries, the global interner — across the
+//! expensive state — parsed lib policies, the policy sentence cache, the
+//! ESA interpretation-vector cache, the global interner — across the
 //! life of one process instead of rebuilding it per invocation.
 //!
 //! ## Transports

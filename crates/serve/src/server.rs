@@ -563,11 +563,10 @@ fn store_to_json(store: Option<&ppchecker_engine::StoreSummary>) -> String {
         )
     };
     format!(
-        "{{\"apps_skipped\":{},\"reports\":{},\"policies\":{},\"lib_summaries\":{}}}",
+        "{{\"apps_skipped\":{},\"reports\":{},\"policies\":{}}}",
         s.apps_skipped,
         kind(&s.reports),
         kind(&s.policies),
-        kind(&s.lib_summaries),
     )
 }
 
@@ -617,7 +616,7 @@ fn metrics_to_json(shared: &Shared) -> String {
          \"queue\":{{\"workers\":{},\"capacity\":{},\"inflight\":{},\"draining\":{}}},\
          \"lib_policies\":{},\
          \"caches\":{{\"policy\":{},\"policy_cap\":{},\"esa_vectors\":{},\"esa_pair_memo\":{},\
-         \"esa_pruned\":{},\"taint_summaries\":{}}},\
+         \"esa_pruned\":{}}},\
          \"store\":{},\
          \"interner\":{{\"symbols\":{},\"preseeded\":{},\"bytes\":{},\"soft_cap_bytes\":{},\
          \"over_soft_cap\":{},\"over_cap_interns\":{}}},\
@@ -642,7 +641,6 @@ fn metrics_to_json(shared: &Shared) -> String {
         cache_to_json(&engine.esa_cache),
         cache_to_json(&engine.esa_pair_memo),
         engine.esa_pruned,
-        cache_to_json(&engine.taint_summary_cache),
         store_to_json(engine.store.as_ref()),
         interner.symbols,
         interner.preseeded,

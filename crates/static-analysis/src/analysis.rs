@@ -80,22 +80,6 @@ pub fn analyze(apk: &Apk) -> Result<StaticReport, ParseDexError> {
 ///
 /// Returns [`ParseDexError`] when a packed dex cannot be recovered.
 pub fn analyze_with(apk: &Apk, opts: AnalysisOptions) -> Result<StaticReport, ParseDexError> {
-    analyze_with_cache(apk, opts, None)
-}
-
-/// [`analyze_with`] plus an optional cross-app library taint-summary
-/// cache (see [`crate::summary::TaintSummaryCache`]); batch runners
-/// share one cache across every app so identical embedded libs are
-/// summarized once.
-///
-/// # Errors
-///
-/// Returns [`ParseDexError`] when a packed dex cannot be recovered.
-pub fn analyze_with_cache(
-    apk: &Apk,
-    opts: AnalysisOptions,
-    cache: Option<&crate::summary::TaintSummaryCache>,
-) -> Result<StaticReport, ParseDexError> {
     let apg = {
         let _span = ppchecker_obs::span!("static.apg_build");
         Apg::build(apk)?
@@ -160,7 +144,7 @@ pub fn analyze_with_cache(
 
     // Retain_code via taint analysis.
     let _span = ppchecker_obs::span!("static.taint");
-    report.retained = taint::analyze_cached(&apg, &in_scope, cache);
+    report.retained = taint::analyze(&apg, &in_scope);
 
     Ok(report)
 }

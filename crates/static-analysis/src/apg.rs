@@ -19,16 +19,11 @@
 //! their per-method state by id.
 
 use crate::callbacks;
-use crate::libs::{self, KnownLib};
-use ppchecker_apk::{
-    stable_hash_classes, Apk, Class, ComponentKind, Dex, Insn, Method, MethodRef, ParseDexError,
-    Reg,
-};
+use ppchecker_apk::{Apk, Class, ComponentKind, Dex, Insn, Method, MethodRef, ParseDexError, Reg};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::sync::OnceLock;
 
 /// Superclass links CHA follows from a class.
 const MAX_ANCESTORS: usize = 32;
@@ -63,9 +58,6 @@ pub struct Apg<'a> {
     callee_ids: Vec<u32>,
     /// Lifecycle entry methods of the manifest's components.
     lifecycle: Vec<u32>,
-    /// Detected known libs with their content-hash cache keys, computed
-    /// on first use (see [`Apg::known_lib_keys`]).
-    lib_keys: OnceLock<Vec<(&'static KnownLib, u64)>>,
 }
 
 impl<'a> Apg<'a> {
@@ -89,7 +81,6 @@ impl<'a> Apg<'a> {
             callee_rows: Vec::new(),
             callee_ids: Vec::new(),
             lifecycle: Vec::new(),
-            lib_keys: OnceLock::new(),
         };
         apg.lifecycle = apk
             .manifest
@@ -142,28 +133,6 @@ impl<'a> Apg<'a> {
     /// manifest order.
     pub fn lifecycle_entries(&self) -> &[u32] {
         &self.lifecycle
-    }
-
-    /// Known third-party libs embedded in the app, each with the
-    /// content-hash key its taint summary is cached under. Detection and
-    /// hashing run once per APG — the dex is immutable after build — so
-    /// a batch engine re-analyzing the app hits this as a slice read.
-    pub fn known_lib_keys(&self) -> &[(&'static KnownLib, u64)] {
-        self.lib_keys.get_or_init(|| {
-            libs::detect_libs(&self.dex)
-                .into_iter()
-                .map(|lib| {
-                    let mut classes: Vec<&Class> = self
-                        .dex
-                        .classes
-                        .iter()
-                        .filter(|c| c.name.starts_with(lib.prefix))
-                        .collect();
-                    classes.sort_by(|a, b| a.name.cmp(&b.name));
-                    (lib, stable_hash_classes(classes.iter().copied()))
-                })
-                .collect()
-        })
     }
 }
 

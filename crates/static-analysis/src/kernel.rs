@@ -24,23 +24,18 @@
 //!   grew. Dependency lists are CSR slices built by one sort per app.
 //!   Both engines drive the same monotone transfer function to its least
 //!   fixpoint, so the result is order-independent.
-//! * **Library summaries** — with a [`TaintSummaryCache`], the
-//!   first-iteration contribution of each known-lib method is keyed by
-//!   the lib's content hash and replayed into later apps embedding the
-//!   identical classes (see [`crate::summary`]).
 //!
-//! See DESIGN.md §11 for the equivalence and soundness arguments.
+//! See DESIGN.md §11 for the equivalence argument.
 
 use crate::apg::Apg;
 use crate::consts::{self, UriValue};
 use crate::sensitive::{self, SensitiveApi};
 use crate::sinks::{self, SinkApi};
-use crate::summary::{LibSummary, MethodSummary, NamedLabel, SummaryLeak, TaintSummaryCache};
 use crate::taint::{body_regs, intent_targets, Leak};
 use crate::uris;
-use ppchecker_apk::{Class, Insn, PrivateInfo, Reg};
+use ppchecker_apk::{Insn, PrivateInfo, Reg};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Sentinel for "no id" in packed op fields.
 const NONE: u32 = u32::MAX;
@@ -53,16 +48,16 @@ thread_local! {
 }
 
 /// Runs the kernel over the methods `in_scope` marks (indexed by id).
-pub(crate) fn run(apg: &Apg, in_scope: &[bool], cache: Option<&TaintSummaryCache>) -> Vec<Leak> {
+pub(crate) fn run(apg: &Apg, in_scope: &[bool]) -> Vec<Leak> {
     COMPILE.with(|cell| {
         let mut cs = cell.borrow_mut();
         {
             let _span = ppchecker_obs::span!("taint.compile");
             compile(apg, in_scope, &mut cs);
         }
-        let prog = Program { apg, in_scope, cs: &cs };
+        let prog = Program { apg, cs: &cs };
         let _span = ppchecker_obs::span!("taint.fixpoint");
-        STATE.with(|s| exec(&prog, cache, &mut s.borrow_mut()))
+        STATE.with(|s| exec(&prog, &mut s.borrow_mut()))
     })
 }
 
@@ -356,7 +351,6 @@ impl CompileScratch {
 /// Everything the fixpoint needs, borrowed together.
 struct Program<'a, 's> {
     apg: &'a Apg<'a>,
-    in_scope: &'a [bool],
     cs: &'s CompileScratch,
 }
 
@@ -687,36 +681,6 @@ fn label_parts(label: &LabelRef) -> (PrivateInfo, String) {
     }
 }
 
-/// An interned label in the summary's app-independent form: table
-/// pointers stay pointers, URI witnesses are cloned.
-fn named_of(label: &LabelRef) -> NamedLabel {
-    match label {
-        LabelRef::Api(api) => NamedLabel::Api(api),
-        LabelRef::Uri { info, src } => NamedLabel::Uri { info: *info, src: src.clone() },
-    }
-}
-
-/// Equality between an interned label and a summary label: pointer
-/// comparison for table-sourced labels (both sides intern out of the
-/// same static table), content comparison for URI witnesses.
-fn label_matches(label: &LabelRef, nl: &NamedLabel) -> bool {
-    match (label, nl) {
-        (LabelRef::Api(a), NamedLabel::Api(b)) => std::ptr::eq(*a, *b),
-        (LabelRef::Uri { info, src }, NamedLabel::Uri { info: i, src: s }) => info == i && src == s,
-        _ => false,
-    }
-}
-
-/// Equality between an interned sink site and a summary leak's site:
-/// sink-table pointer plus the declaring `(class, method)` names.
-fn site_matches(prog: &Program, site: &SiteRef, sl: &SummaryLeak) -> bool {
-    if !std::ptr::eq(site.api, sl.api) {
-        return false;
-    }
-    let (class, method) = prog.apg.method_def(site.at_ix);
-    class.name == sl.at_class && method.name == sl.at_method
-}
-
 // ---------------------------------------------------------------------------
 // Fixpoint state
 // ---------------------------------------------------------------------------
@@ -738,27 +702,7 @@ struct StateScratch {
     /// The current invoke's argument taint (one bitset).
     arg: Vec<u64>,
     dirty: Vec<bool>,
-    /// Methods seeded from a summary: their initial processing is elided.
-    skip: Vec<bool>,
     queue: VecDeque<u32>,
-    /// Staging area for summary application (reused across methods): one
-    /// `(where, label)` entry per label a method summary contributes.
-    pend: Vec<(Contribution, u32)>,
-}
-
-/// Where one summary label lands.
-#[derive(Debug, Clone, Copy)]
-enum Contribution {
-    /// The summarized method's return taint.
-    Ret,
-    /// A field id's taint.
-    Field(u32),
-    /// A lib-internal callee's parameter taint.
-    Param(u32),
-    /// An ICC channel's taint.
-    Channel(u32),
-    /// A sink site's leaks.
-    Leak(u32),
 }
 
 impl StateScratch {
@@ -773,9 +717,7 @@ impl StateScratch {
             leak_total: 0,
             arg: Vec::new(),
             dirty: Vec::new(),
-            skip: Vec::new(),
             queue: VecDeque::new(),
-            pend: Vec::new(),
         }
     }
 
@@ -793,8 +735,6 @@ impl StateScratch {
         self.arg.resize(w, 0);
         self.dirty.clear();
         self.dirty.resize(cs.method_total, false);
-        self.skip.clear();
-        self.skip.resize(cs.method_total, false);
         self.queue.clear();
     }
 
@@ -813,17 +753,9 @@ impl StateScratch {
     }
 }
 
-fn exec(prog: &Program, cache: Option<&TaintSummaryCache>, st: &mut StateScratch) -> Vec<Leak> {
+fn exec(prog: &Program, st: &mut StateScratch) -> Vec<Leak> {
     st.reset(prog);
-    if let Some(cache) = cache {
-        let _span = ppchecker_obs::span!("taint.summary_replay");
-        seed_from_summaries(prog, st, cache);
-    }
-    for &ix in &prog.cs.scope_ixs {
-        if !st.skip[ix as usize] {
-            st.mark(ix);
-        }
-    }
+    st.mark_all(&prog.cs.scope_ixs);
     while let Some(ix) = st.queue.pop_front() {
         st.dirty[ix as usize] = false;
         process(prog, st, ix);
@@ -964,268 +896,13 @@ fn collect_leaks(prog: &Program, st: &StateScratch) -> Vec<Leak> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Library summaries
-// ---------------------------------------------------------------------------
-
-/// For every known lib embedded in the app: replay its summary into the
-/// state (marking summarized methods skippable), or — for the app that
-/// computes the summary — store `F_m(∅)` of each in-scope lib method and
-/// interpret the lib normally.
-fn seed_from_summaries(prog: &Program, st: &mut StateScratch, cache: &TaintSummaryCache) {
-    for &(lib, key) in prog.apg.known_lib_keys() {
-        // Only the app that computes the summary pays for the class
-        // walk; replays never touch the dex.
-        let compute = || {
-            let mut classes: Vec<&Class> =
-                prog.apg.dex().classes.iter().filter(|c| c.name.starts_with(lib.prefix)).collect();
-            classes.sort_by(|a, b| a.name.cmp(&b.name));
-            compute_lib_summary(prog, &classes)
-        };
-        let Some(summary) = cache.replay_or_compute(key, compute) else {
-            continue;
-        };
-        // The summaries assumed their external calls hit the framework;
-        // if any resolves to an app method here, first-iteration
-        // semantics differ — process the whole lib normally (one check
-        // per app, not per method).
-        if summary.external_calls.iter().any(|(c, m)| prog.apg.lookup_ix(c, m).is_some()) {
-            continue;
-        }
-        for ms in &summary.methods {
-            apply_method_summary(prog, st, ms);
-        }
-    }
-}
-
-/// Validates and replays one method summary. Every contribution goes
-/// through the same grow-and-dirty paths as live interpretation, so
-/// downstream methods (including other summarized ones) are re-queued
-/// when their inputs grow beyond ∅. Any validation failure leaves the
-/// method un-skipped — it is simply processed normally.
-fn apply_method_summary(prog: &Program, st: &mut StateScratch, ms: &MethodSummary) {
-    let Some(ix) = prog.apg.lookup_ix(&ms.class, &ms.method) else { return };
-    if !prog.in_scope[ix as usize] {
-        return; // never processed in this app; contributions would be unsound
-    }
-
-    // Stage the translated contributions into reusable scratch; a
-    // summary that fails validation halfway mutates nothing.
-    let cs = prog.cs;
-    let mut pend = std::mem::take(&mut st.pend);
-    if stage_summary(prog, ms, &mut pend) {
-        // Apply through the dirty-marking grow paths.
-        for &(to, label) in &pend {
-            match to {
-                Contribution::Ret => {
-                    if set(st.return_taint.row_mut(ix), label) {
-                        st.mark_all(cs.callers_of.row(ix));
-                    }
-                }
-                Contribution::Field(f) => {
-                    if set(st.field_taint.row_mut(f), label) {
-                        st.mark_all(cs.field_readers.row(f));
-                    }
-                }
-                Contribution::Param(t) => {
-                    if set(st.param_taint.row_mut(t), label) {
-                        st.mark(t);
-                    }
-                }
-                Contribution::Channel(ch) => {
-                    if set(st.icc_taint.row_mut(ch), label) {
-                        st.mark_all(cs.channel_readers.row(ch));
-                    }
-                }
-                Contribution::Leak(site) => {
-                    if set(st.sink_leaks.row_mut(site), label) {
-                        st.leak_total += 1;
-                    }
-                }
-            }
-        }
-        st.skip[ix as usize] = true;
-    }
-    st.pend = pend;
-}
-
-/// Translates one method summary into dense ids, clearing and filling
-/// `pend`. Returns false — staging incomplete, nothing to apply — if any
-/// name fails to resolve against this app's interned tables. All
-/// matching is by content; no strings are built.
-fn stage_summary(prog: &Program, ms: &MethodSummary, pend: &mut Vec<(Contribution, u32)>) -> bool {
-    let cs = prog.cs;
-    pend.clear();
-    let stage = |pend: &mut Vec<(Contribution, u32)>, to, labels: &[NamedLabel]| -> bool {
-        for nl in labels {
-            let Some(id) = cs.labels.iter().position(|l| label_matches(l, nl)) else {
-                return false;
-            };
-            pend.push((to, id as u32));
-        }
-        true
-    };
-    if !stage(pend, Contribution::Ret, &ms.ret) {
-        return false;
-    }
-    for (class, field, labels) in &ms.fields {
-        let Some(fid) = cs.fields.iter().position(|&(fix, fidx)| {
-            let (c, f) = field_at(prog.apg, fix, fidx);
-            c == class.as_str() && f == field.as_str()
-        }) else {
-            return false;
-        };
-        if !stage(pend, Contribution::Field(fid as u32), labels) {
-            return false;
-        }
-    }
-    for (class, method, labels) in &ms.params {
-        let Some(t) = prog.apg.lookup_ix(class, method) else { return false };
-        if !prog.in_scope[t as usize] || !stage(pend, Contribution::Param(t), labels) {
-            return false;
-        }
-    }
-    for (name, labels) in &ms.channels {
-        let Some(ch) = cs.channels.iter().position(|c| c == name) else { return false };
-        if !stage(pend, Contribution::Channel(ch as u32), labels) {
-            return false;
-        }
-    }
-    for sl in &ms.leaks {
-        let Some(sid) = cs.sites.iter().position(|s| site_matches(prog, s, sl)) else {
-            return false;
-        };
-        if !stage(pend, Contribution::Leak(sid as u32), std::slice::from_ref(&sl.label)) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Computes `F_m(∅)` for every summarizable in-scope method of a lib by
-/// running the *compiled* program against a private scratch state — the
-/// same interpreter that drives the live fixpoint, so summary semantics
-/// can never drift from kernel semantics.
-fn compute_lib_summary(prog: &Program, classes: &[&Class]) -> LibSummary {
-    let lib_names: HashSet<(&str, &str)> = classes
-        .iter()
-        .flat_map(|c| c.methods.iter().map(move |m| (c.name.as_str(), m.name.as_str())))
-        .collect();
-    let mut scratch = StateScratch::new();
-    let mut out = LibSummary::default();
-    for class in classes {
-        for method in &class.methods {
-            let Some(ix) = prog.apg.lookup_ix(&class.name, &method.name) else { continue };
-            // A later declaration of a pair is never read (the first
-            // declaration owns the id).
-            if !prog.in_scope[ix as usize] || !std::ptr::eq(prog.apg.method_def(ix).1, method) {
-                continue;
-            }
-            if let Some(ms) = summarize_method(
-                prog,
-                &mut scratch,
-                ix,
-                class,
-                method,
-                &lib_names,
-                &mut out.external_calls,
-            ) {
-                out.methods.push(ms);
-            }
-        }
-    }
-    out.external_calls.sort_unstable();
-    out.external_calls.dedup();
-    out
-}
-
-fn summarize_method(
-    prog: &Program,
-    scratch: &mut StateScratch,
-    ix: u32,
-    class: &Class,
-    method: &ppchecker_apk::Method,
-    lib_names: &HashSet<(&str, &str)>,
-    lib_external_calls: &mut Vec<(String, String)>,
-) -> Option<MethodSummary> {
-    // Classify call targets; bail out of summarization when the method's
-    // first-iteration behavior depends on app code outside the lib.
-    let mut external_calls: Vec<(String, String)> = Vec::new();
-    for insn in &method.instructions {
-        let Insn::Invoke { class: c, method: m, .. } = insn else { continue };
-        if lib_names.contains(&(c.as_str(), m.as_str())) {
-            // Lib-internal: must resolve to an in-scope method so the
-            // recorded param push matches live semantics.
-            match prog.apg.lookup_ix(c, m) {
-                Some(t) if prog.in_scope[t as usize] => {}
-                _ => return None,
-            }
-        } else if prog.apg.lookup_ix(c, m).is_some() {
-            return None; // calls app code outside the lib: app-dependent
-        } else {
-            external_calls.push((c.clone(), m.clone()));
-        }
-    }
-    lib_external_calls.append(&mut external_calls);
-
-    // One transfer-function application against empty global state.
-    scratch.reset(prog);
-    process(prog, scratch, ix);
-
-    let cs = prog.cs;
-    let labels_of = |bits: &[u64]| -> Vec<NamedLabel> {
-        ones(bits).map(|b| named_of(&cs.labels[b as usize])).collect()
-    };
-    let mut ms = MethodSummary {
-        class: class.name.clone(),
-        method: method.name.clone(),
-        ret: labels_of(scratch.return_taint.row(ix)),
-        fields: Vec::new(),
-        params: Vec::new(),
-        channels: Vec::new(),
-        leaks: Vec::new(),
-    };
-    for (&(fix, fidx), bits) in cs.fields.iter().zip(scratch.field_taint.rows()) {
-        if !is_empty(bits) {
-            let (c, f) = field_at(prog.apg, fix, fidx);
-            ms.fields.push((c.to_string(), f.to_string(), labels_of(bits)));
-        }
-    }
-    for (t, bits) in scratch.param_taint.rows().enumerate() {
-        if !is_empty(bits) {
-            let (c, m) = prog.apg.method_def(t as u32);
-            ms.params.push((c.name.clone(), m.name.clone(), labels_of(bits)));
-        }
-    }
-    for (channel, bits) in cs.channels.iter().zip(scratch.icc_taint.rows()) {
-        if !is_empty(bits) {
-            ms.channels.push((channel.clone(), labels_of(bits)));
-        }
-    }
-    for (site, bits) in cs.sites.iter().zip(scratch.sink_leaks.rows()) {
-        if is_empty(bits) {
-            continue;
-        }
-        let (at_class, at_method) = prog.apg.method_def(site.at_ix);
-        for bit in ones(bits) {
-            ms.leaks.push(SummaryLeak {
-                label: named_of(&cs.labels[bit as usize]),
-                api: site.api,
-                at_class: at_class.name.clone(),
-                at_method: at_method.name.clone(),
-            });
-        }
-    }
-    Some(ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reach;
-    use crate::taint::{analyze, analyze_cached, analyze_reference};
+    use crate::taint::{analyze, analyze_reference};
     use crate::Rng;
-    use ppchecker_apk::{Apk, ComponentKind, Dex, DexBuilder, Manifest, MethodBuilder};
+    use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest, MethodBuilder};
     use proptest::prelude::*;
 
     const SOURCES: &[(&str, &str)] = &[
@@ -1353,7 +1030,7 @@ mod tests {
     fn leaks_both_ways(apk: &Apk) -> (Vec<Leak>, Vec<Leak>) {
         let apg = Apg::build(apk).unwrap();
         let methods = reach::reachable_methods(&apg);
-        (run(&apg, &methods, None), analyze_reference(&apg, &methods))
+        (run(&apg, &methods), analyze_reference(&apg, &methods))
     }
 
     proptest! {
@@ -1565,13 +1242,30 @@ mod tests {
         assert_eq!(huge, small);
     }
 
-    /// An app embedding an admob-prefixed SDK whose entry method leaks
-    /// device id → Log and returns tainted data to the app.
+    /// An app embedding an admob-prefixed SDK that the app calls: the
+    /// SDK's entry method reads the device id, hands it to a lib-internal
+    /// method that writes it to a file, and returns it to the app, which
+    /// logs it.
     fn lib_app(package: &str) -> Apk {
         let mut manifest = Manifest::new(package);
         let main = format!("{package}.Main");
         manifest.add_component(ComponentKind::Activity, &main, true);
-        let dex = lib_classes(Dex::builder())
+        let dex = Dex::builder()
+            .class("com.google.android.gms.ads.Sdk", |c| {
+                c.method("init", 1, |m| {
+                    m.invoke_virtual(
+                        "android.telephony.TelephonyManager",
+                        "getDeviceId",
+                        &[0],
+                        Some(1),
+                    );
+                    m.invoke_virtual("com.google.android.gms.ads.Sdk", "upload", &[1], None);
+                    m.ret(Some(1));
+                });
+                c.method("upload", 1, |m| {
+                    m.invoke_virtual("java.io.FileOutputStream", "write", &[0], None);
+                });
+            })
             .class(&main, |c| {
                 c.extends("android.app.Activity");
                 c.method("onCreate", 1, |m| {
@@ -1583,101 +1277,26 @@ mod tests {
         Apk::new(manifest, dex)
     }
 
-    fn lib_classes(builder: DexBuilder) -> DexBuilder {
-        builder.class("com.google.android.gms.ads.Sdk", |c| {
-            c.method("init", 1, |m| {
-                m.invoke_virtual(
-                    "android.telephony.TelephonyManager",
-                    "getDeviceId",
-                    &[0],
-                    Some(1),
-                );
-                m.invoke_virtual("com.google.android.gms.ads.Sdk", "upload", &[1], None);
-                m.ret(Some(1));
-            });
-            c.method("upload", 1, |m| {
-                m.invoke_virtual("java.io.FileOutputStream", "write", &[0], None);
-            });
-        })
-    }
-
     #[test]
-    fn summary_cache_preserves_leaks_across_apps() {
-        let cache = TaintSummaryCache::new();
-        let mut all_cold: Vec<Vec<Leak>> = Vec::new();
-        let mut all_warm: Vec<Vec<Leak>> = Vec::new();
-        for (i, package) in ["com.first", "com.second", "com.third"].iter().enumerate() {
-            let apk = lib_app(package);
-            let apg = Apg::build(&apk).unwrap();
-            let methods = reach::reachable_methods(&apg);
-            let cold = analyze_reference(&apg, &methods);
-            let warm = analyze_cached(&apg, &methods, Some(&cache));
-            assert!(!cold.is_empty(), "lib app {i} must leak");
-            all_cold.push(cold);
-            all_warm.push(warm);
+    fn reachable_lib_code_leaks_through_lib_calls_and_returns() {
+        // The paper corpus never reaches its embedded lib code, so this
+        // is the case where both engines interpret lib methods.
+        for package in ["com.first", "com.second", "com.third"] {
+            let leaks = reachable_leaks(&lib_app(package));
+            let mut sites: Vec<(PrivateInfo, &str, &str)> =
+                leaks.iter().map(|l| (l.info, l.sink_api.as_str(), l.at_method.as_str())).collect();
+            sites.sort_unstable();
+            let main = format!("{package}.Main.onCreate");
+            let mut expected = vec![
+                (PrivateInfo::DeviceId, "android.util.Log.d", main.as_str()),
+                (
+                    PrivateInfo::DeviceId,
+                    "java.io.FileOutputStream.write",
+                    "com.google.android.gms.ads.Sdk.upload",
+                ),
+            ];
+            expected.sort_unstable();
+            assert_eq!(sites, expected);
         }
-        assert_eq!(all_cold, all_warm, "summary-warm runs must be byte-identical");
-        // First app misses and stores; the other two hit.
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.entries(), 1);
-    }
-
-    #[test]
-    fn a_lib_the_summary_cap_keeps_out_still_reports_its_leaks() {
-        use crate::summary::LIB_SUMMARY_CAP;
-        let cache = TaintSummaryCache::new();
-        for key in 0..LIB_SUMMARY_CAP as u64 + 8 {
-            let _ = cache.replay_or_compute(key, LibSummary::default);
-        }
-        assert_eq!(cache.entries(), LIB_SUMMARY_CAP, "distinct libs past the cap are not kept");
-        let apk = lib_app("com.first");
-        let apg = Apg::build(&apk).unwrap();
-        let methods = reach::reachable_methods(&apg);
-        let uncached = analyze(&apg, &methods);
-        assert!(!uncached.is_empty(), "the lib app must leak");
-        let before = cache.stats();
-        for _ in 0..2 {
-            assert_eq!(analyze_cached(&apg, &methods, Some(&cache)), uncached);
-        }
-        let after = cache.stats();
-        assert_eq!(after.misses - before.misses, 2, "a lib kept out is computed in every app");
-        assert_eq!(after.entries, LIB_SUMMARY_CAP);
-    }
-
-    #[test]
-    fn summary_is_invalidated_by_lib_content_change() {
-        let cache = TaintSummaryCache::new();
-        let a = lib_app("com.first");
-        let apg_a = Apg::build(&a).unwrap();
-        let ms = reach::reachable_methods(&apg_a);
-        let _ = analyze_cached(&apg_a, &ms, Some(&cache));
-
-        // Same class/method names, different body ⇒ different content
-        // hash ⇒ no summary reuse.
-        let mut manifest = Manifest::new("com.mod");
-        manifest.add_component(ComponentKind::Activity, "com.mod.Main", true);
-        let dex = Dex::builder()
-            .class("com.google.android.gms.ads.Sdk", |c| {
-                c.method("init", 1, |m| {
-                    m.invoke_virtual("android.location.Location", "getLongitude", &[0], Some(1));
-                    m.ret(Some(1));
-                });
-                c.method("upload", 1, |_| {});
-            })
-            .class("com.mod.Main", |c| {
-                c.extends("android.app.Activity");
-                c.method("onCreate", 1, |m| {
-                    m.invoke_virtual("com.google.android.gms.ads.Sdk", "init", &[0], Some(1));
-                    m.invoke_static("android.util.Log", "d", &[1], None);
-                });
-            })
-            .build();
-        let b = Apk::new(manifest, dex);
-        let apg_b = Apg::build(&b).unwrap();
-        let ms_b = reach::reachable_methods(&apg_b);
-        let warm = analyze_cached(&apg_b, &ms_b, Some(&cache));
-        assert_eq!(warm, analyze_reference(&apg_b, &ms_b));
-        assert_eq!(cache.entries(), 2, "modified lib stored under a new key");
     }
 }

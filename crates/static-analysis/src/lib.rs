@@ -46,17 +46,13 @@ pub mod libs;
 pub mod reach;
 pub mod sensitive;
 pub mod sinks;
-pub mod summary;
 pub mod taint;
 pub mod uris;
 
-pub use analysis::{
-    analyze, analyze_with, analyze_with_cache, AnalysisOptions, Callsite, StaticReport,
-};
+pub use analysis::{analyze, analyze_with, AnalysisOptions, Callsite, StaticReport};
 pub use apg::Apg;
 pub use libs::{detect_libs, KnownLib, LibKind, KNOWN_LIBS};
 pub use sinks::SinkKind;
-pub use summary::TaintSummaryCache;
 pub use taint::Leak;
 
 /// splitmix64: seed-deterministic test inputs without a rand dependency.

@@ -53,23 +53,8 @@ type TaintSet = BTreeSet<Label>;
 ///
 /// Panics if `methods` does not hold one entry per method id.
 pub fn analyze(apg: &Apg, methods: &[bool]) -> Vec<Leak> {
-    analyze_cached(apg, methods, None)
-}
-
-/// [`analyze`] with an optional cross-app library summary cache: known
-/// libs embedded in the app get their per-method taint summaries reused
-/// across apps with byte-identical lib classes (see [`crate::summary`]).
-///
-/// # Panics
-///
-/// Panics if `methods` does not hold one entry per method id.
-pub fn analyze_cached(
-    apg: &Apg,
-    methods: &[bool],
-    cache: Option<&crate::summary::TaintSummaryCache>,
-) -> Vec<Leak> {
     assert_eq!(methods.len(), apg.method_count(), "one scope entry per method id");
-    crate::kernel::run(apg, methods, cache)
+    crate::kernel::run(apg, methods)
 }
 
 /// The reference engine: string-keyed maps, whole-scope sweeps. The

@@ -3,18 +3,16 @@
 //! The persistent, content-addressed artifact store behind incremental
 //! re-analysis.
 //!
-//! Expensive artifacts the pipeline derives — the taint summary of one
-//! embedded library, the full problem report of one app — are pure
-//! functions of some input bytes. This crate persists those artifacts on
-//! disk keyed by the content hash of their inputs, so a re-run over an
+//! The full problem report of one app is a pure function of its input
+//! bytes and the checker configuration. This crate persists reports on
+//! disk keyed by the content hash of those inputs, so a re-run over an
 //! updated corpus only pays for what actually changed: unchanged apps
-//! replay their stored report, unchanged libs skip the taint kernel.
+//! replay their stored report.
 //!
 //! The store is deliberately dependency-free (std only) and sits at the
-//! bottom of the workspace graph: `ppchecker-policy`, `ppchecker-static`,
-//! `ppchecker-core`, and `ppchecker-engine` encode their artifacts
-//! through [`wire`] and move the bytes through a [`Store`] (or any other
-//! [`ArtifactTier`]).
+//! bottom of the workspace graph: `ppchecker-policy` and
+//! `ppchecker-core` encode policy analyses and reports through [`wire`],
+//! and `ppchecker-engine` moves report bytes through a [`Store`].
 //!
 //! ## On-disk format
 //!
@@ -44,7 +42,7 @@
 pub mod store;
 pub mod wire;
 
-pub use store::{ArtifactTier, RecordKind, Store, StoreStats};
+pub use store::{RecordKind, Store, StoreStats};
 pub use wire::{WireError, WireReader, WireWriter};
 
 /// The canonical content hash for store keys: FNV-1a folded over 8-byte

@@ -21,9 +21,6 @@ pub enum RecordKind {
     /// A parsed policy (`PolicyAnalysis` encoding). The engine writes
     /// none: it analyzes policies through its in-memory sentence cache.
     Policy,
-    /// A library taint summary (`LibSummary` encoding), keyed by
-    /// `stable_hash_classes` of the library's classes.
-    LibSummary,
     /// A full per-app problem report, keyed by the combined hash of the
     /// app's inputs and the checker configuration.
     Report,
@@ -31,14 +28,12 @@ pub enum RecordKind {
 
 impl RecordKind {
     /// Every kind, for iteration in stats and index rendering.
-    pub const ALL: [RecordKind; 3] =
-        [RecordKind::Policy, RecordKind::LibSummary, RecordKind::Report];
+    pub const ALL: [RecordKind; 2] = [RecordKind::Policy, RecordKind::Report];
 
     /// Directory name under `objects/`.
     pub fn dir(self) -> &'static str {
         match self {
             RecordKind::Policy => "policy",
-            RecordKind::LibSummary => "libsum",
             RecordKind::Report => "report",
         }
     }
@@ -49,7 +44,6 @@ impl RecordKind {
     pub fn schema_version(self) -> u32 {
         match self {
             RecordKind::Policy => 1,
-            RecordKind::LibSummary => 1,
             RecordKind::Report => 1,
         }
     }
@@ -57,8 +51,7 @@ impl RecordKind {
     fn index(self) -> usize {
         match self {
             RecordKind::Policy => 0,
-            RecordKind::LibSummary => 1,
-            RecordKind::Report => 2,
+            RecordKind::Report => 1,
         }
     }
 }
@@ -119,21 +112,6 @@ impl KindCounters {
     }
 }
 
-/// Anything that can hold artifact bytes by `(kind, key)`. The on-disk
-/// [`Store`] is the real implementation; tests substitute in-memory
-/// tiers. Object-safe so caches can hold `Arc<dyn ArtifactTier>` (the
-/// `Debug` bound keeps those holders derivable).
-pub trait ArtifactTier: Send + Sync + std::fmt::Debug {
-    /// Fetches the payload for `key`, or `None` on miss *or* corruption
-    /// — the caller recomputes either way.
-    fn load(&self, kind: RecordKind, key: u64) -> Option<Vec<u8>>;
-
-    /// Persists the payload for `key`. Failures are swallowed: a store
-    /// that cannot write degrades to a cache miss on the next run, it
-    /// never fails the analysis.
-    fn save(&self, kind: RecordKind, key: u64, payload: &[u8]);
-}
-
 /// The persistent artifact store. Cheap to clone behind an `Arc`; all
 /// methods take `&self` and are safe to call from many threads (writes
 /// are atomic via tmp+rename, counters are atomics).
@@ -141,7 +119,7 @@ pub trait ArtifactTier: Send + Sync + std::fmt::Debug {
 pub struct Store {
     root: PathBuf,
     tmp_seq: AtomicU64,
-    counters: [KindCounters; 3],
+    counters: [KindCounters; 2],
 }
 
 impl Store {
@@ -190,6 +168,48 @@ impl Store {
             }
         }
         n
+    }
+
+    /// Fetches the payload for `key`, or `None` on miss *or* corruption
+    /// — the caller recomputes either way.
+    pub fn load(&self, kind: RecordKind, key: u64) -> Option<Vec<u8>> {
+        let counters = &self.counters[kind.index()];
+        let path = self.record_path(kind, key);
+        match fs::read(&path) {
+            Ok(bytes) => match Store::decode_record(kind, key, &bytes) {
+                Some(payload) => {
+                    counters.hits.fetch_add(1, Ordering::Relaxed);
+                    Some(payload)
+                }
+                None => {
+                    counters.corrupt.fetch_add(1, Ordering::Relaxed);
+                    counters.misses.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            },
+            Err(_) => {
+                counters.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Persists the payload for `key`. Failures are swallowed: a store
+    /// that cannot write degrades to a cache miss on the next run, it
+    /// never fails the analysis.
+    pub fn save(&self, kind: RecordKind, key: u64, payload: &[u8]) {
+        let record = Store::encode_record(kind, key, payload);
+        let tmp = self.tmp_path();
+        let written = fs::File::create(&tmp).and_then(|mut f| f.write_all(&record)).is_ok();
+        let final_path = self.record_path(kind, key);
+        let renamed = written
+            && final_path.parent().is_some_and(|shard| fs::create_dir_all(shard).is_ok())
+            && fs::rename(&tmp, &final_path).is_ok();
+        if renamed {
+            self.counters[kind.index()].writes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let _ = fs::remove_file(&tmp);
+        }
     }
 
     fn record_path(&self, kind: RecordKind, key: u64) -> PathBuf {
@@ -269,45 +289,6 @@ impl Store {
     }
 }
 
-impl ArtifactTier for Store {
-    fn load(&self, kind: RecordKind, key: u64) -> Option<Vec<u8>> {
-        let counters = &self.counters[kind.index()];
-        let path = self.record_path(kind, key);
-        match fs::read(&path) {
-            Ok(bytes) => match Store::decode_record(kind, key, &bytes) {
-                Some(payload) => {
-                    counters.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(payload)
-                }
-                None => {
-                    counters.corrupt.fetch_add(1, Ordering::Relaxed);
-                    counters.misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            },
-            Err(_) => {
-                counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn save(&self, kind: RecordKind, key: u64, payload: &[u8]) {
-        let record = Store::encode_record(kind, key, payload);
-        let tmp = self.tmp_path();
-        let written = fs::File::create(&tmp).and_then(|mut f| f.write_all(&record)).is_ok();
-        let final_path = self.record_path(kind, key);
-        let renamed = written
-            && final_path.parent().is_some_and(|shard| fs::create_dir_all(shard).is_ok())
-            && fs::rename(&tmp, &final_path).is_ok();
-        if renamed {
-            self.counters[kind.index()].writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = fs::remove_file(&tmp);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,17 +320,17 @@ mod tests {
     fn truncated_record_is_a_miss_and_overwritable() {
         let root = scratch("truncated");
         let store = Store::open(&root).unwrap();
-        store.save(RecordKind::LibSummary, 7, b"summary bytes");
-        let path = store.record_path(RecordKind::LibSummary, 7);
+        store.save(RecordKind::Report, 7, b"report bytes");
+        let path = store.record_path(RecordKind::Report, 7);
         let full = fs::read(&path).unwrap();
         for cut in [0, 3, 12, full.len() - 1] {
             fs::write(&path, &full[..cut]).unwrap();
-            assert_eq!(store.load(RecordKind::LibSummary, 7), None, "cut at {cut}");
+            assert_eq!(store.load(RecordKind::Report, 7), None, "cut at {cut}");
         }
         // Recompute-and-overwrite restores service.
-        store.save(RecordKind::LibSummary, 7, b"summary bytes");
-        assert_eq!(store.load(RecordKind::LibSummary, 7), Some(b"summary bytes".to_vec()));
-        assert!(store.stats(RecordKind::LibSummary).corrupt >= 4);
+        store.save(RecordKind::Report, 7, b"report bytes");
+        assert_eq!(store.load(RecordKind::Report, 7), Some(b"report bytes".to_vec()));
+        assert!(store.stats(RecordKind::Report).corrupt >= 4);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -438,8 +419,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
                         let key = i % 4; // deliberate contention
-                        store.save(RecordKind::LibSummary, key, format!("v{t}").as_bytes());
-                        if let Some(bytes) = store.load(RecordKind::LibSummary, key) {
+                        store.save(RecordKind::Report, key, format!("v{t}").as_bytes());
+                        if let Some(bytes) = store.load(RecordKind::Report, key) {
                             // Whatever wins the race must be a complete record.
                             assert!(bytes.starts_with(b"v"), "torn read: {bytes:?}");
                         }

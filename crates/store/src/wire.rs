@@ -1,11 +1,11 @@
 //! Length-prefixed binary framing for store payloads.
 //!
-//! Every artifact codec in the workspace (parsed policies, lib taint
-//! summaries, app reports) serializes through this one pair of types, so
-//! the framing rules live in exactly one place: little-endian fixed-width
-//! integers, `u32` length prefixes on strings and sequences, and a
-//! reader that never panics — every decode defect surfaces as a
-//! [`WireError`] the caller converts into "recompute".
+//! Every artifact codec in the workspace (parsed policies, app reports)
+//! serializes through this one pair of types, so the framing rules live
+//! in exactly one place: little-endian fixed-width integers, `u32`
+//! length prefixes on strings and sequences, and a reader that never
+//! panics — every decode defect surfaces as a [`WireError`] the caller
+//! converts into "recompute".
 
 use std::fmt;
 
