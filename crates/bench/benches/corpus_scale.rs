@@ -1,11 +1,12 @@
 //! Streamed corpus scale-out: sustain ≥100k generated apps through the
 //! pipelined generate→analyze path with bounded memory.
 //!
-//! This is the evidence bench for the streaming engine path: apps are
-//! produced by sharded background generators ([`stream_scaled_sharded`])
-//! and analyzed through [`Engine::run_streamed`] without ever
-//! materializing the corpus — peak memory is the in-flight window, not
-//! the app count. Two phases run in one process:
+//! This is the evidence bench for the streaming engine path: each app is
+//! generated by the worker that pulls it from [`stream_scaled`] and
+//! analyzed through [`Engine::run_streamed`] without ever materializing
+//! the corpus — peak memory is the in-flight window, not the app count.
+//! The process runs `available_jobs()` workers and no other thread. Two
+//! phases run in one process:
 //!
 //! 1. a 10k-app streamed run (after warmup), recording wall time and the
 //!    process peak RSS (`VmHWM`) as the small-scale reference;
@@ -25,7 +26,7 @@
 
 use ppchecker_bench::emit::BenchResult;
 use ppchecker_core::PPChecker;
-use ppchecker_corpus::stream_scaled_sharded;
+use ppchecker_corpus::stream_scaled;
 use ppchecker_engine::{available_jobs, Engine};
 use std::time::{Duration, Instant};
 
@@ -63,8 +64,7 @@ fn peak_rss_kb() -> u64 {
 /// Streams `n` apps through the engine, returning per-window wall times
 /// (every `WINDOW` completed records) and the run's problem-app count.
 fn run_streamed(engine: &Engine, n: usize) -> (Vec<Duration>, usize) {
-    let shards = available_jobs();
-    let apps = stream_scaled_sharded(SEED, n, shards).map(|g| g.input);
+    let apps = stream_scaled(SEED, n).map(|g| g.input);
     let mut windows = Vec::with_capacity(n / WINDOW);
     let mut seen = 0usize;
     let mut window_start = Instant::now();
@@ -84,7 +84,7 @@ fn run_streamed(engine: &Engine, n: usize) -> (Vec<Duration>, usize) {
 fn main() {
     let engine = engine();
     let jobs = available_jobs();
-    println!("corpus_scale: streaming via {} generator shard(s), {jobs} job(s)", jobs);
+    println!("corpus_scale: streaming with {jobs} job(s)");
 
     // Warmup pays one-time costs (KB construction, lib-policy analysis)
     // outside the measured windows.
@@ -131,7 +131,6 @@ fn main() {
             ("apps".to_string(), LARGE.to_string()),
             ("window".to_string(), WINDOW.to_string()),
             ("jobs".to_string(), jobs.to_string()),
-            ("shards".to_string(), jobs.to_string()),
             ("seed".to_string(), SEED.to_string()),
             ("peak_rss_10k_kb".to_string(), rss_small.to_string()),
             ("peak_rss_100k_kb".to_string(), rss_large.to_string()),

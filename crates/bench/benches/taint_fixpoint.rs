@@ -4,8 +4,9 @@
 //! on a lib-heavy workload.
 //!
 //! Prints a one-shot comparison (the PR-4 acceptance bar is ≥ 2× on the
-//! cold fixpoint) with per-app allocation counts from a counting global
-//! allocator, before the sampled criterion groups.
+//! cold fixpoint) with each engine's allocation totals per pass and their
+//! per-app means from a counting global allocator, before the sampled
+//! criterion groups.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppchecker_apk::Apk;
@@ -97,8 +98,8 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> Duration {
 }
 
 /// One-shot report: cold fixpoint reference vs kernel (the acceptance
-/// number), reachability-only, and per-app
-/// allocation counts for both engines. Every duration is best-of-3.
+/// number), reachability-only, and each engine's allocation totals per
+/// pass with their per-app means. Every duration is best-of-3.
 fn report_taint(apps: &[Scoped]) {
     let n = apps.len();
     println!("taint_fixpoint: {n} apps (golden corpus)");
@@ -108,17 +109,16 @@ fn report_taint(apps: &[Scoped]) {
     black_box(run_reference(apps));
     black_box(run_kernel_cold(apps));
 
-    // Allocation counts from one steady-state pass of each engine.
-    let (calls0, bytes0) = alloc_snapshot();
-    black_box(run_reference(apps));
-    let (calls1, bytes1) = alloc_snapshot();
-    let ref_allocs = (calls1 - calls0) / n as u64;
-    let ref_bytes = (bytes1 - bytes0) / n as u64;
-    let (calls0, bytes0) = alloc_snapshot();
-    black_box(run_kernel_cold(apps));
-    let (calls1, bytes1) = alloc_snapshot();
-    let kernel_allocs = (calls1 - calls0) / n as u64;
-    let kernel_bytes = (bytes1 - bytes0) / n as u64;
+    // Allocation totals from one steady-state pass of each engine.
+    let allocs_per_pass = |run: fn(&[Scoped]) -> usize| {
+        let (calls0, bytes0) = alloc_snapshot();
+        black_box(run(apps));
+        let (calls1, bytes1) = alloc_snapshot();
+        (calls1 - calls0, bytes1 - bytes0)
+    };
+    let (ref_calls, ref_bytes) = allocs_per_pass(run_reference);
+    let (kernel_calls, kernel_bytes) = allocs_per_pass(run_kernel_cold);
+    let per_app = |total: u64| total as f64 / n as f64;
 
     let reference_dt = best_of(3, || (0..PASSES).map(|_| run_reference(apps)).sum());
     let kernel_dt = best_of(3, || (0..PASSES).map(|_| run_kernel_cold(apps)).sum());
@@ -129,7 +129,16 @@ fn report_taint(apps: &[Scoped]) {
     println!("  btreeset reference: {reference_dt:?} for {PASSES} passes");
     println!("  bitset kernel cold: {kernel_dt:?} for {PASSES} passes  speedup: {speedup:.2}x");
     println!("  reachability only: {reach_dt:?} for {PASSES} passes");
-    println!("  allocations/app: reference {ref_allocs} calls / {ref_bytes} B, kernel {kernel_allocs} calls / {kernel_bytes} B");
+    for (engine, calls, bytes) in
+        [("reference", ref_calls, ref_bytes), ("kernel", kernel_calls, kernel_bytes)]
+    {
+        println!(
+            "  allocations per pass, {engine}: {calls} calls / {bytes} B \
+             ({:.2} calls / {:.2} B per app)",
+            per_app(calls),
+            per_app(bytes)
+        );
+    }
 }
 
 /// A lib-heavy workload: `n` distinct apps all embedding the same fat ad

@@ -14,10 +14,10 @@
 //!   ```
 //!
 //! * `--stream <n>` — the first `n` apps of the generated scale corpus
-//!   under `--seed`, produced by `--shards` background generator threads
-//!   and analyzed through [`Engine::run_streamed`]: generation overlaps
-//!   analysis under backpressure, records are written to the output sink
-//!   as they complete, and peak memory is constant in `n`.
+//!   under `--seed`, analyzed through [`Engine::run_streamed`]: each
+//!   worker generates the next app when it pulls it, records are written
+//!   to the output sink as they complete, and peak memory is constant in
+//!   `n`.
 //!
 //! * `--manifest <file>` — a dataset manifest naming a reproducible
 //!   subset (seed + ID list); the named apps stream the same way.
@@ -33,7 +33,7 @@ use ppchecker_apk::{packer, Apk};
 use ppchecker_core::{
     AppInput, BoilerplateIndex, DataSafetyLabel, DetectorId, DetectorRegistry, PPChecker,
 };
-use ppchecker_corpus::{stream_scaled_sharded, DatasetManifest};
+use ppchecker_corpus::{stream_scaled, DatasetManifest};
 use ppchecker_engine::{available_jobs, AggregateSummary, AppRecord, Engine};
 use ppchecker_store::Store;
 use std::fmt::Write as _;
@@ -53,8 +53,6 @@ pub enum BatchSource {
         n: usize,
         /// Generation seed.
         seed: u64,
-        /// Generator shard threads.
-        shards: usize,
     },
     /// A dataset manifest file naming a reproducible subset.
     Manifest(PathBuf),
@@ -352,8 +350,8 @@ pub fn run_batch_to(
             let (apps, libs) = load_corpus(dir)?;
             stream_batch_to(apps, libs, jobs, store.clone(), detectors, out)?
         }
-        BatchSource::Stream { n, seed, shards } => {
-            let apps = stream_scaled_sharded(*seed, *n, *shards).map(|g| g.input);
+        BatchSource::Stream { n, seed } => {
+            let apps = stream_scaled(*seed, *n).map(|g| g.input);
             stream_batch_to(apps, builtin_lib_policies(), jobs, store.clone(), detectors, out)?
         }
         BatchSource::Manifest(path) => {
@@ -534,23 +532,23 @@ mod tests {
     }
 
     #[test]
-    fn streamed_batch_is_jobs_and_shard_invariant() {
-        let base = BatchOptions {
-            source: BatchSource::Stream { n: 40, seed: 42, shards: 1 },
-            jobs: 1,
-            ..BatchOptions::default()
+    fn streamed_batch_is_jobs_invariant() {
+        let stream = |jobs| {
+            run_batch(&BatchOptions {
+                source: BatchSource::Stream { n: 40, seed: 42 },
+                jobs,
+                ..BatchOptions::default()
+            })
+            .unwrap()
+            .0
         };
-        let serial = run_batch(&base).unwrap();
-        let sharded = run_batch(&BatchOptions {
-            source: BatchSource::Stream { n: 40, seed: 42, shards: 4 },
-            jobs: 3,
-            ..BatchOptions::default()
-        })
-        .unwrap();
-        assert_eq!(serial.0, sharded.0, "record stream must be byte-identical");
-        assert_eq!(serial.0.lines().count(), 41, "40 records + aggregate line");
-        assert!(serial.0.contains("\"aggregate\""));
-        assert!(serial.0.contains("\"apps\":40"));
+        let serial = stream(1);
+        for jobs in [3, 8] {
+            assert_eq!(serial, stream(jobs), "record stream must be byte-identical at {jobs} jobs");
+        }
+        assert_eq!(serial.lines().count(), 41, "40 records + aggregate line");
+        assert!(serial.contains("\"aggregate\""));
+        assert!(serial.contains("\"apps\":40"));
     }
 
     #[test]
@@ -558,7 +556,7 @@ mod tests {
         let dir = temp_dir("stream-store");
         fs::create_dir_all(&dir).unwrap();
         let opts = BatchOptions {
-            source: BatchSource::Stream { n: 12, seed: 42, shards: 2 },
+            source: BatchSource::Stream { n: 12, seed: 42 },
             jobs: 2,
             store: Some(dir.join(".ppstore")),
             ..BatchOptions::default()

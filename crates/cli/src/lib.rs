@@ -9,9 +9,8 @@
 //!                 [--lib-policy ID=policy.html]... [--suggest] \
 //!                 [--synonyms] [--constraints] [--detectors IDS]
 //! ppchecker batch (--corpus <dir> | --stream N | --manifest <file>) \
-//!                 [--seed N] [--shards N] [--jobs N] \
-//!                 [--out results.jsonl] [--trace trace.json] [--store <dir>] \
-//!                 [--detectors IDS]
+//!                 [--seed N] [--jobs N] [--out results.jsonl] \
+//!                 [--trace trace.json] [--store <dir>] [--detectors IDS]
 //! ppchecker trace-check <trace.json>  # validate a batch --trace file
 //! ppchecker policy <policy.html>      # inspect the six-step analysis
 //! ppchecker pack <dex.txt> <out.pkdx> # pack a dex (packer demo)

@@ -4,7 +4,6 @@ use ppchecker_cli::{
     parse_detectors, parse_serve_args, run_batch_to, run_check, run_demo, run_pack, run_policy,
     run_serve, run_trace_check, run_unpack, BatchOptions, BatchSource, CheckOptions, CliError,
 };
-use ppchecker_engine::available_jobs;
 use std::fs;
 use std::io::{self, BufWriter, Write as _};
 use std::process::ExitCode;
@@ -18,7 +17,7 @@ USAGE:
                   [--lib-policy ID=policy.html]... [--suggest] \\
                   [--synonyms] [--constraints] [--json] [--detectors IDS]
   ppchecker batch (--corpus <dir> | --stream N | --manifest <file>) \\
-                  [--seed N] [--shards N] [--jobs N] [--out results.jsonl] \\
+                  [--seed N] [--jobs N] [--out results.jsonl] \\
                   [--trace trace.json] [--store <dir>] [--detectors IDS]
   ppchecker trace-check <trace.json>
   ppchecker policy <policy.html>
@@ -114,7 +113,6 @@ fn batch(args: &[String]) -> Result<String, CliError> {
                 .map(|v| v.parse::<u64>().map_err(|_| CliError("bad --seed".into())))
                 .transpose()?
                 .unwrap_or(42),
-            shards: positive("--shards")?.unwrap_or_else(available_jobs),
         },
         (None, None, Some(path)) => BatchSource::Manifest(path.into()),
         _ => {

@@ -4,8 +4,8 @@
 use crate::batch::{build_checker, builtin_lib_policies, load_corpus};
 use crate::{parse_detectors, CliError};
 use ppchecker_core::DetectorId;
-use ppchecker_corpus::{stream_scaled_sharded, DatasetManifest};
-use ppchecker_engine::{available_jobs, Engine};
+use ppchecker_corpus::{stream_scaled, DatasetManifest};
+use ppchecker_engine::Engine;
 use ppchecker_serve::{install_sigterm_handler, ServeConfig, Server};
 use ppchecker_store::Store;
 use std::fs;
@@ -154,7 +154,7 @@ pub fn run_serve(opts: ServeOptions) -> Result<String, CliError> {
     }
     // Warm passes run after the store attaches so their results persist.
     if let Some(n) = opts.stream {
-        let apps = stream_scaled_sharded(opts.seed, n, available_jobs()).map(|g| g.input);
+        let apps = stream_scaled(opts.seed, n).map(|g| g.input);
         let summary = engine.run_streamed(apps, |_| {});
         eprintln!(
             "serve: warmed over {n} streamed apps (seed {}, {} problem apps)",

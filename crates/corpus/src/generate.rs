@@ -14,9 +14,9 @@ use ppchecker_static::KNOWN_LIBS;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-/// The per-app RNG seed: a pure function of `(seed, index)`, which is
-/// what makes generation shardable — any thread can generate any index
-/// and produce the same bytes.
+/// The per-app RNG seed: a pure function of `(seed, index)`, so whichever
+/// thread generates an index (any engine worker pulling the stream, or a
+/// manifest regenerating a subset) produces the same bytes.
 pub fn app_seed(seed: u64, index: usize) -> u64 {
     seed ^ (index as u64).wrapping_mul(0x9E3779B97F4A7C15)
 }

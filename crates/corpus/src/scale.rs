@@ -5,7 +5,7 @@
 //! `APP_COUNT` are exactly the paper plan (byte-identical generation), and
 //! every index beyond it synthesizes a spec from pure index arithmetic —
 //! no global state, no materialized plan beyond the calibrated prefix —
-//! so any shard can generate any index independently.
+//! so generating app *i* never needs app *i − 1*.
 //!
 //! Each 50-index block beyond the paper prefix mixes in the scenario
 //! variants the scenario packs ([`crate::manifest`]) name:
@@ -21,22 +21,18 @@
 //! | 41, 43, 47           | near-duplicate family members of bucket 11 |
 //! | everything else      | baseline |
 //!
-//! Streaming comes in two shapes: [`stream_scaled`] (the canonical serial
-//! generator — the reference for byte-identity) and
-//! [`stream_scaled_sharded`] (thread-per-shard behind the same iterator
-//! shape, constant memory, identical output for every shard count).
+//! [`stream_scaled`] is the one stream. It generates each app inside
+//! `next()`, so an engine run hands it straight to
+//! `Engine::run_streamed`: whichever worker holds the scheduler's input
+//! lock generates the next app (3–8 µs per app on a 2-vCPU host), peak
+//! memory is the engine's in-flight window, and no thread exists only to
+//! generate.
 
 use crate::dataset::GeneratedApp;
 use crate::generate::generate_app;
 use crate::plan::{build_plan, AppSpec, PolicyShape, APP_COUNT};
 use ppchecker_apk::PrivateInfo;
-use ppchecker_engine::pipeline::{sharded_stream, ShardedStream};
 use ppchecker_static::KNOWN_LIBS;
-use std::sync::Arc;
-
-/// Buffered apps per generator shard in [`stream_scaled_sharded`]. Peak
-/// generator-side memory is `shards × SHARD_DEPTH` apps.
-pub const SHARD_DEPTH: usize = 32;
 
 /// Which scenario a scale-corpus index belongs to. Pure in the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +130,8 @@ fn baseline_spec(index: usize) -> AppSpec {
 
 /// The spec for any index of the scale corpus: the calibrated plan below
 /// [`APP_COUNT`], synthesized scenarios beyond it. Pure in
-/// `(plan, index)` — this is the function sharded generation distributes.
+/// `(plan, index)`, so any index generates without its predecessors
+/// (what dataset manifests rely on to regenerate a subset).
 pub fn scaled_spec(plan: &[AppSpec], index: usize) -> AppSpec {
     if index < plan.len() {
         return plan[index].clone();
@@ -184,21 +181,23 @@ pub fn generate_scaled(plan: &[AppSpec], seed: u64, index: usize) -> GeneratedAp
     GeneratedApp { input: generate_app(&spec, seed), spec }
 }
 
-/// The canonical serial stream over the first `n` scale-corpus indices.
-/// For `n <= APP_COUNT` this is byte-identical to
-/// [`crate::stream_apps`] truncated to `n`. This is the reference
-/// ordering every sharded configuration must reproduce.
+/// The stream over the first `n` scale-corpus indices, each app generated
+/// when it is pulled. For `n <= APP_COUNT` this is byte-identical to
+/// [`crate::stream_apps`] truncated to `n`.
 pub fn stream_scaled(seed: u64, n: usize) -> impl Iterator<Item = GeneratedApp> {
     let plan = build_plan();
     (0..n).map(move |index| generate_scaled(&plan, seed, index))
 }
 
-/// The sharded stream: same apps, same order, generated by `shards`
-/// background threads with a bounded per-shard buffer ([`SHARD_DEPTH`]),
-/// so generation overlaps analysis and peak memory stays constant in `n`.
-pub fn stream_scaled_sharded(seed: u64, n: usize, shards: usize) -> ShardedStream<GeneratedApp> {
-    let plan = Arc::new(build_plan());
-    sharded_stream(n, shards, SHARD_DEPTH, move |index| generate_scaled(&plan, seed, index))
+/// Retired: [`stream_scaled`] under its old name, which ignores
+/// `_shards`. Kept only until the repository benchmark, which still calls
+/// it, moves to [`stream_scaled`].
+pub fn stream_scaled_sharded(
+    seed: u64,
+    n: usize,
+    _shards: usize,
+) -> impl Iterator<Item = GeneratedApp> {
+    stream_scaled(seed, n)
 }
 
 #[cfg(test)]
@@ -285,16 +284,5 @@ mod tests {
         let huge = generate_scaled(&plan, 42, 2021);
         let normal = generate_scaled(&plan, 42, 2022);
         assert!(huge.input.policy_html.len() > 4 * normal.input.policy_html.len());
-    }
-
-    #[test]
-    fn sharded_matches_serial_for_every_shard_count() {
-        let n = 1300; // crosses the paper/synthesized boundary
-        let reference: Vec<String> = stream_scaled(42, n).map(|a| a.input.policy_html).collect();
-        for shards in [1, 4, 16] {
-            let sharded: Vec<String> =
-                stream_scaled_sharded(42, n, shards).map(|a| a.input.policy_html).collect();
-            assert_eq!(sharded, reference, "shards={shards}");
-        }
     }
 }

@@ -182,27 +182,30 @@ impl Engine {
         ])
     }
 
-    /// Probes the store for `app`'s full report. Any defect — no record,
-    /// corruption, a decode failure, a (vanishingly unlikely) key
-    /// collision against a different package — reads as a miss and the
-    /// pipeline runs in full.
-    fn stored_report(&self, app: &AppInput) -> Option<Report> {
+    /// Probes the store for `app`'s full report: `None` without a store,
+    /// else the app's report key with the stored report, if any. The key
+    /// comes back so that a miss persists under it without hashing the
+    /// inputs again. Any defect — no record, corruption, a decode
+    /// failure, a (vanishingly unlikely) key collision against a different
+    /// package — reads as a miss and the pipeline runs in full.
+    fn stored_report(&self, app: &AppInput) -> Option<(u64, Option<Report>)> {
         let store = self.store.as_ref()?;
         let _span = ppchecker_obs::span!("engine.store_probe");
-        let bytes = store.load(RecordKind::Report, self.report_key(app))?;
-        let report = decode_report(&bytes).ok()?;
-        if report.package == app.package {
+        let key = self.report_key(app);
+        let report = store
+            .load(RecordKind::Report, key)
+            .and_then(|bytes| decode_report(&bytes).ok())
+            .filter(|report| report.package == app.package);
+        if report.is_some() {
             self.skipped.fetch_add(1, Ordering::Relaxed);
-            Some(report)
-        } else {
-            None
         }
+        Some((key, report))
     }
 
-    /// Persists a freshly computed report under the app's input key.
-    fn persist_report(&self, app: &AppInput, report: &Report) {
+    /// Persists a freshly computed report under its report key.
+    fn persist_report(&self, key: u64, report: &Report) {
         if let Some(store) = &self.store {
-            store.save(RecordKind::Report, self.report_key(app), &encode_report(report));
+            store.save(RecordKind::Report, key, &encode_report(report));
         }
     }
 
@@ -289,9 +292,12 @@ impl Engine {
     /// Returns the pipeline's structured [`Error`]; worker panics are
     /// caught and surfaced as [`Error::worker`].
     pub fn check_one(&self, app: &AppInput) -> Result<CheckOutcome, Error> {
-        if let Some(report) = self.stored_report(app) {
-            return Ok(CheckOutcome { report, timings: Some(StageTimings::default()) });
-        }
+        let key = match self.stored_report(app) {
+            Some((_, Some(report))) => {
+                return Ok(CheckOutcome { report, timings: Some(StageTimings::default()) })
+            }
+            probe => probe.map(|(key, _)| key),
+        };
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _span = ppchecker_obs::span!("app.check", app.package);
             self.checker.check(
@@ -303,8 +309,8 @@ impl Engine {
         }));
         match outcome {
             Ok(result) => {
-                if let Ok(checked) = &result {
-                    self.persist_report(app, &checked.report);
+                if let (Some(key), Ok(checked)) = (key, &result) {
+                    self.persist_report(key, &checked.report);
                 }
                 result
             }
@@ -410,7 +416,7 @@ impl MetricsProbe {
 /// The per-span distribution deltas since `before`, for every span that
 /// recorded during the run. Histograms are striped across threads;
 /// `snapshot()` merges the stripes, so a name's delta aggregates every
-/// worker shard (stripe merging is commutative and associative — worker
+/// worker's stripe (stripe merging is commutative and associative — worker
 /// assignment cannot change the result).
 fn stage_quantiles_since(
     before: &[(&'static str, ppchecker_obs::HistogramSnapshot)],

@@ -51,7 +51,6 @@ pub mod cache;
 pub mod delta;
 pub mod engine;
 pub mod metrics;
-pub mod pipeline;
 pub mod report;
 pub mod scheduler;
 
@@ -59,6 +58,5 @@ pub use cache::ArtifactCache;
 pub use delta::{diff_batches, AppDelta, BatchDelta, DeltaKind, Verdict};
 pub use engine::{available_jobs, Engine, StreamSummary};
 pub use metrics::{EngineSnapshot, MetricsSummary, StoreSummary};
-pub use pipeline::{sharded_stream, ShardedStream};
 pub use ppchecker_obs::CacheStats;
 pub use report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};

@@ -157,8 +157,8 @@ pub struct MetricsSummary {
     /// this exceeds `wall_time`; the ratio is the effective parallelism.
     pub stage_totals: StageTimings,
     /// Per-span duration distributions (p50/p90/p99/max), read off the
-    /// obs histogram deltas over the run and merged across worker
-    /// shards. Empty when `ppchecker_obs` metrics were disabled.
+    /// obs histogram deltas over the run and merged across the worker
+    /// stripes. Empty when `ppchecker_obs` metrics were disabled.
     pub stage_quantiles: Vec<StageStats>,
     /// Policy cache counters: one lookup per sentence of an app policy
     /// (lib policies enter the cache during construction); `entries` is
