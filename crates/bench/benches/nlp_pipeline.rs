@@ -4,12 +4,14 @@
 //!
 //! Prints a one-shot report with tokens/sec, sentences/sec and
 //! policy-analyses/sec over a seeded 50-app corpus sample, plus the
-//! allocation count and heap traffic per analyzed policy measured through
-//! a counting global allocator. The interning refactor is judged by these
+//! allocation count and heap traffic per analyzed policy, uncached and
+//! through a warm sentence cache, measured through a counting global
+//! allocator. The interning refactor is judged by these
 //! numbers: fewer allocations per policy at equal or better throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppchecker_corpus::small_dataset;
+use ppchecker_engine::ArtifactCache;
 use ppchecker_nlp::sentence::split_sentences;
 use ppchecker_nlp::token::tokenize;
 use ppchecker_policy::html::extract_text;
@@ -51,12 +53,21 @@ fn alloc_snapshot() -> (u64, u64) {
     (ALLOC_CALLS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
 }
 
+/// Every sentence of `texts`, owned.
+fn corpus_sentences(texts: &[String]) -> Vec<String> {
+    let mut sentences = Vec::new();
+    for text in texts {
+        sentences.extend(split_sentences(text).iter().map(String::from));
+    }
+    sentences
+}
+
 /// One-shot throughput + allocation report over a seeded 50-app sample.
 fn report_pipeline() {
     let dataset = small_dataset(42, 50);
     let texts: Vec<String> =
         dataset.apps.iter().map(|app| extract_text(&app.input.policy_html)).collect();
-    let sentences: Vec<String> = texts.iter().flat_map(|t| split_sentences(t)).collect();
+    let sentences = corpus_sentences(&texts);
     let analyzer = PolicyAnalyzer::new();
 
     // Warm every lazily-initialized table (lexicon, patterns, interner)
@@ -98,14 +109,32 @@ fn report_pipeline() {
     }
     let dt = t.elapsed().as_secs_f64();
     let (calls1, bytes1) = alloc_snapshot();
-    let n = dataset.apps.len() as u64;
+    let n = dataset.apps.len();
     println!("  analyze: {} policies in {:.2}ms  ({:.0} analyses/sec)", n, dt * 1e3, n as f64 / dt);
+    report_allocations("uncached", (calls1 - calls0, bytes1 - bytes0), n);
+
+    // The engine's path: every sentence verdict from a warm cache, so
+    // what is left is the strip, the split and the document loop.
+    let cache = ArtifactCache::new(PolicyAnalyzer::new());
+    for app in &dataset.apps {
+        black_box(cache.policy(&app.input.policy_html));
+    }
+    let (calls0, bytes0) = alloc_snapshot();
+    for app in &dataset.apps {
+        black_box(cache.policy(&app.input.policy_html));
+    }
+    let (calls1, bytes1) = alloc_snapshot();
+    report_allocations("warm cached", (calls1 - calls0, bytes1 - bytes0), n);
+}
+
+/// Prints `(calls, bytes)` allocated over `n` policies, in total and per
+/// policy.
+fn report_allocations(path: &str, (calls, bytes): (u64, u64), n: usize) {
     println!(
-        "  allocations: {} calls / {} KiB total  ({} calls, {:.1} KiB per policy)",
-        calls1 - calls0,
-        (bytes1 - bytes0) / 1024,
-        (calls1 - calls0) / n,
-        (bytes1 - bytes0) as f64 / n as f64 / 1024.0
+        "  allocations, {path}: {calls} calls / {} KiB total  ({:.2} calls, {:.2} KiB per policy)",
+        bytes / 1024,
+        calls as f64 / n as f64,
+        bytes as f64 / n as f64 / 1024.0
     );
 }
 
@@ -115,7 +144,7 @@ fn bench_pipeline(c: &mut Criterion) {
     let dataset = small_dataset(42, 50);
     let texts: Vec<String> =
         dataset.apps.iter().map(|app| extract_text(&app.input.policy_html)).collect();
-    let sentences: Vec<String> = texts.iter().flat_map(|t| split_sentences(t)).collect();
+    let sentences = corpus_sentences(&texts);
     let analyzer = PolicyAnalyzer::new();
 
     let mut g = c.benchmark_group("nlp");

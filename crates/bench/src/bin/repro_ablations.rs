@@ -74,8 +74,8 @@ fn main() {
     let mut corpus_total = 0usize;
     for app in dataset.apps.iter().take(300) {
         let text = ppchecker_policy::html::extract_text(&app.input.policy_html);
-        for sent in ppchecker_nlp::split_sentences(&text) {
-            let p = ppchecker_nlp::parse(&sent);
+        for sent in ppchecker_nlp::split_sentences(&text).iter() {
+            let p = ppchecker_nlp::parse(sent);
             corpus_total += 1;
             if match_sentence(&p, &seeds).is_some() {
                 corpus_seed += 1;

@@ -1,5 +1,5 @@
 //! JSON rendering of a [`ppchecker_core::Report`] for machine
-//! consumption (`ppchecker check --format json` and batch JSONL).
+//! consumption (`ppchecker check --json` and batch JSONL).
 //!
 //! The implementation lives in [`ppchecker_serve::json`] — the daemon's
 //! wire schema and the CLI's JSON output are the same format by

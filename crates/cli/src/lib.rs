@@ -7,7 +7,7 @@
 //! ppchecker check --policy policy.html --description desc.txt \
 //!                 --manifest manifest.txt --dex app.dex \
 //!                 [--lib-policy ID=policy.html]... [--suggest] \
-//!                 [--synonyms] [--constraints] [--detectors IDS]
+//!                 [--synonyms] [--constraints] [--json] [--detectors IDS]
 //! ppchecker batch (--corpus <dir> | --stream N | --manifest <file>) \
 //!                 [--seed N] [--jobs N] [--out results.jsonl] \
 //!                 [--trace trace.json] [--store <dir>] [--detectors IDS]
@@ -17,9 +17,9 @@
 //! ppchecker unpack <in.pkdx> <out.txt>
 //! ppchecker demo                      # run the bundled sample app
 //! ppchecker serve [--addr HOST:PORT] [--jsonl-addr HOST:PORT] \
-//!                 [--workers N] [--queue-depth N] [--corpus <dir>] \
-//!                 [--stream N] [--seed N] [--manifest <file>] \
-//!                 [--store <dir>] [--detectors IDS]
+//!                 [--workers N] [--queue-depth N] [--max-body-bytes N] \
+//!                 [--corpus <dir>] [--stream N] [--seed N] \
+//!                 [--manifest <file>] [--store <dir>] [--detectors IDS]
 //! ```
 //!
 //! `serve --workers N` bounds the checks that run at once across every
@@ -71,6 +71,90 @@ impl std::error::Error for CliError {}
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError(format!("io error: {e}"))
+    }
+}
+
+/// A subcommand's arguments, checked against the flags it takes.
+///
+/// A flag that takes a value consumes the next argument, whatever it
+/// is; a repeated flag keeps every value. Any other argument starting
+/// with `-`, and any bare argument past the subcommand's positional
+/// ones, is an error, so a misspelt or retired flag fails instead of
+/// being ignored.
+#[derive(Debug, Default)]
+pub struct Flags<'a> {
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Parses `args` against the subcommand's `valued` flags, its
+    /// `switches` and at most `positional` bare arguments.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] for an unknown flag, a valued flag without
+    /// its value, or a surplus bare argument.
+    pub fn parse(
+        args: &'a [String],
+        valued: &[&str],
+        switches: &[&str],
+        positional: usize,
+    ) -> Result<Self, CliError> {
+        let mut flags = Flags::default();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if valued.contains(&arg) {
+                let value = args.next().ok_or_else(|| CliError(format!("{arg} needs a value")))?;
+                flags.values.push((arg, value));
+            } else if switches.contains(&arg) {
+                flags.switches.push(arg);
+            } else if arg.starts_with('-') && arg.len() > 1 {
+                return Err(CliError(format!("unknown flag {arg}")));
+            } else if flags.positional.len() < positional {
+                flags.positional.push(arg);
+            } else {
+                return Err(CliError(format!("unexpected argument {arg:?}")));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of the first `flag`, if given.
+    pub fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).next()
+    }
+
+    /// Every value of `flag`, in order.
+    pub fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.values.iter().filter(move |(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    /// `true` if `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The `i`th bare argument, if given.
+    pub fn positional(&self, i: usize) -> Option<&'a str> {
+        self.positional.get(i).copied()
+    }
+
+    /// The value of `flag` as a positive integer, if given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when the value is not a positive integer.
+    pub fn positive(&self, flag: &str) -> Result<Option<usize>, CliError> {
+        self.value(flag)
+            .map(|v| {
+                v.parse::<usize>()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| CliError(format!("{flag} needs a positive integer")))
+            })
+            .transpose()
     }
 }
 
@@ -325,6 +409,32 @@ mod tests {
         // The incomplete detector was deselected, so its findings vanish
         // even though the demo app's policy is incomplete by default.
         assert!(out.contains("incomplete: false"), "selection output:\n{out}");
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_take_values_switches_and_positionals() {
+        let args = strings(&["in.txt", "--key", "--json", "--json", "--key", "7", "out.txt"]);
+        let flags = Flags::parse(&args, &["--key"], &["--json"], 2).unwrap();
+        assert_eq!(flags.value("--key"), Some("--json"), "a valued flag consumes its value");
+        assert_eq!(flags.values("--key").collect::<Vec<_>>(), ["--json", "7"]);
+        assert!(flags.has("--json"));
+        assert_eq!((flags.positional(0), flags.positional(1)), (Some("in.txt"), Some("out.txt")));
+        assert_eq!(flags.positive("--key").unwrap_err().0, "--key needs a positive integer");
+    }
+
+    #[test]
+    fn flags_reject_what_the_subcommand_does_not_take() {
+        let fail = |args: &[&str]| {
+            Flags::parse(&strings(args), &["--jobs"], &["--json"], 1).unwrap_err().0
+        };
+        assert_eq!(fail(&["--jobs", "2", "--jbos", "2"]), "unknown flag --jbos");
+        assert_eq!(fail(&["-j"]), "unknown flag -j");
+        assert_eq!(fail(&["--jobs"]), "--jobs needs a value");
+        assert_eq!(fail(&["a", "b"]), "unexpected argument \"b\"");
     }
 
     #[test]

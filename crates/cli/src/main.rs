@@ -3,6 +3,7 @@
 use ppchecker_cli::{
     parse_detectors, parse_serve_args, run_batch_to, run_check, run_demo, run_pack, run_policy,
     run_serve, run_trace_check, run_unpack, BatchOptions, BatchSource, CheckOptions, CliError,
+    Flags,
 };
 use std::fs;
 use std::io::{self, BufWriter, Write as _};
@@ -26,6 +27,7 @@ USAGE:
   ppchecker demo
   ppchecker serve [--addr HOST:PORT] [--jsonl-addr HOST:PORT] [--workers N] \\
                   [--queue-depth N] [--max-body-bytes N] [--corpus <dir>] \\
+                  [--stream N] [--seed N] [--manifest <file>] \\
                   [--store <dir>] [--detectors IDS]
 
   --detectors takes a comma-separated detector selection, e.g.
@@ -34,6 +36,10 @@ USAGE:
   serve --workers N bounds the checks that run at once across every
   connection (default: the core count); --queue-depth N more may wait
   (default 2 x workers) before HTTP answers 429 and JSONL blocks.
+  serve --stream N (or --manifest <file>) analyzes the first N
+  generated apps at --seed N (or the manifest's apps) before serving.
+
+  Each subcommand takes only the flags shown; any other flag fails.
 ";
 
 fn main() -> ExitCode {
@@ -51,21 +57,27 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<String, CliError> {
+    let rest = args.get(1..).unwrap_or_default();
+    let bare = |count: usize| Flags::parse(rest, &[], &[], count);
     match args.first().map(String::as_str) {
-        Some("check") => check(&args[1..]),
-        Some("batch") => batch(&args[1..]),
+        Some("check") => check(rest),
+        Some("batch") => batch(rest),
         Some("trace-check") => {
-            let path = args.get(1).ok_or_else(|| CliError("missing trace file".into()))?;
+            let path =
+                bare(1)?.positional(0).ok_or_else(|| CliError("missing trace file".into()))?;
             run_trace_check(&fs::read_to_string(path)?)
         }
         Some("policy") => {
-            let path = args.get(1).ok_or_else(|| CliError("missing policy file".into()))?;
+            let path =
+                bare(1)?.positional(0).ok_or_else(|| CliError("missing policy file".into()))?;
             Ok(run_policy(&fs::read_to_string(path)?))
         }
         Some("pack") => {
-            let input = args.get(1).ok_or_else(|| CliError("missing input".into()))?;
-            let output = args.get(2).ok_or_else(|| CliError("missing output".into()))?;
-            let key = flag_value(args, "--key")
+            let flags = Flags::parse(rest, &["--key"], &[], 2)?;
+            let input = flags.positional(0).ok_or_else(|| CliError("missing input".into()))?;
+            let output = flags.positional(1).ok_or_else(|| CliError("missing output".into()))?;
+            let key = flags
+                .value("--key")
                 .map(|v| v.parse::<u8>().map_err(|_| CliError("bad --key".into())))
                 .transpose()?
                 .unwrap_or(0xA5);
@@ -74,42 +86,48 @@ fn run(args: &[String]) -> Result<String, CliError> {
             Ok(format!("packed into {output}\n"))
         }
         Some("unpack") => {
-            let input = args.get(1).ok_or_else(|| CliError("missing input".into()))?;
-            let output = args.get(2).ok_or_else(|| CliError("missing output".into()))?;
+            let flags = bare(2)?;
+            let input = flags.positional(0).ok_or_else(|| CliError("missing input".into()))?;
+            let output = flags.positional(1).ok_or_else(|| CliError("missing output".into()))?;
             let text = run_unpack(&fs::read(input)?)?;
             fs::write(output, text)?;
             Ok(format!("unpacked into {output}\n"))
         }
-        Some("demo") => run_demo(),
-        Some("serve") => run_serve(parse_serve_args(&args[1..])?),
+        Some("demo") => {
+            bare(0)?;
+            run_demo()
+        }
+        Some("serve") => run_serve(parse_serve_args(rest)?),
         _ => Err(CliError("missing or unknown subcommand".into())),
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
 fn batch(args: &[String]) -> Result<String, CliError> {
-    let positive = |flag: &str| -> Result<Option<usize>, CliError> {
-        flag_value(args, flag)
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError(format!("{flag} needs a positive integer")))
-            })
-            .transpose()
-    };
-
-    let corpus = flag_value(args, "--corpus");
-    let stream = positive("--stream")?;
-    let manifest = flag_value(args, "--manifest");
+    let flags = Flags::parse(
+        args,
+        &[
+            "--corpus",
+            "--stream",
+            "--manifest",
+            "--seed",
+            "--jobs",
+            "--out",
+            "--trace",
+            "--store",
+            "--detectors",
+        ],
+        &[],
+        0,
+    )?;
+    let corpus = flags.value("--corpus");
+    let stream = flags.positive("--stream")?;
+    let manifest = flags.value("--manifest");
     let source = match (corpus, stream, manifest) {
         (Some(dir), None, None) => BatchSource::CorpusDir(dir.into()),
         (None, Some(n), None) => BatchSource::Stream {
             n,
-            seed: flag_value(args, "--seed")
+            seed: flags
+                .value("--seed")
                 .map(|v| v.parse::<u64>().map_err(|_| CliError("bad --seed".into())))
                 .transpose()?
                 .unwrap_or(42),
@@ -123,16 +141,12 @@ fn batch(args: &[String]) -> Result<String, CliError> {
     };
 
     let mut opts = BatchOptions { source, ..BatchOptions::default() };
-    if let Some(jobs) = positive("--jobs")? {
+    if let Some(jobs) = flags.positive("--jobs")? {
         opts.jobs = jobs;
     }
-    if let Some(path) = flag_value(args, "--trace") {
-        opts.trace = Some(path.into());
-    }
-    if let Some(dir) = flag_value(args, "--store") {
-        opts.store = Some(dir.into());
-    }
-    if let Some(ids) = flag_value(args, "--detectors") {
+    opts.trace = flags.value("--trace").map(Into::into);
+    opts.store = flags.value("--store").map(Into::into);
+    if let Some(ids) = flags.value("--detectors") {
         opts.detectors = Some(parse_detectors(ids)?);
     }
 
@@ -140,7 +154,7 @@ fn batch(args: &[String]) -> Result<String, CliError> {
     // byte-stable across runs and job counts); the timing summary goes
     // to stderr. Records are written as they complete, so even a
     // million-app stream never buffers more than the in-flight window.
-    let metrics = match flag_value(args, "--out") {
+    let metrics = match flags.value("--out") {
         Some(path) => {
             let file =
                 fs::File::create(path).map_err(|e| CliError(format!("--out {path}: {e}")))?;
@@ -162,9 +176,15 @@ fn batch(args: &[String]) -> Result<String, CliError> {
 }
 
 fn check(args: &[String]) -> Result<String, CliError> {
+    let flags = Flags::parse(
+        args,
+        &["--policy", "--description", "--manifest", "--dex", "--lib-policy", "--detectors"],
+        &["--suggest", "--synonyms", "--constraints", "--json"],
+        0,
+    )?;
     let need = |flag: &str| -> Result<String, CliError> {
-        let path = flag_value(args, flag)
-            .ok_or_else(|| CliError(format!("missing required {flag} <file>")))?;
+        let path =
+            flags.value(flag).ok_or_else(|| CliError(format!("missing required {flag} <file>")))?;
         Ok(fs::read_to_string(path)?)
     };
     let mut opts = CheckOptions {
@@ -172,24 +192,19 @@ fn check(args: &[String]) -> Result<String, CliError> {
         description: need("--description")?,
         manifest_text: need("--manifest")?,
         dex_text: need("--dex")?,
-        suggest: args.iter().any(|a| a == "--suggest"),
-        synonyms: args.iter().any(|a| a == "--synonyms"),
-        constraints: args.iter().any(|a| a == "--constraints"),
-        json: args.iter().any(|a| a == "--json"),
+        suggest: flags.has("--suggest"),
+        synonyms: flags.has("--synonyms"),
+        constraints: flags.has("--constraints"),
+        json: flags.has("--json"),
         ..CheckOptions::default()
     };
-    if let Some(ids) = flag_value(args, "--detectors") {
+    if let Some(ids) = flags.value("--detectors") {
         opts.detectors = Some(parse_detectors(ids)?);
     }
-    for (i, a) in args.iter().enumerate() {
-        if a == "--lib-policy" {
-            let spec =
-                args.get(i + 1).ok_or_else(|| CliError("--lib-policy needs ID=file".into()))?;
-            let (id, path) = spec
-                .split_once('=')
-                .ok_or_else(|| CliError("--lib-policy needs ID=file".into()))?;
-            opts.lib_policies.push((id.to_string(), fs::read_to_string(path)?));
-        }
+    for spec in flags.values("--lib-policy") {
+        let (id, path) =
+            spec.split_once('=').ok_or_else(|| CliError("--lib-policy needs ID=file".into()))?;
+        opts.lib_policies.push((id.to_string(), fs::read_to_string(path)?));
     }
     run_check(&opts)
 }

@@ -2,7 +2,7 @@
 //! warm engine and block until it drains.
 
 use crate::batch::{build_checker, builtin_lib_policies, load_corpus};
-use crate::{parse_detectors, CliError};
+use crate::{parse_detectors, CliError, Flags};
 use ppchecker_core::DetectorId;
 use ppchecker_corpus::{stream_scaled, DatasetManifest};
 use ppchecker_engine::Engine;
@@ -58,54 +58,51 @@ impl Default for ServeOptions {
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on unparsable numeric flags.
+/// Returns [`CliError`] on an unknown flag or an unparsable value.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliError> {
-    let flag_value = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let positive = |flag: &str| -> Result<Option<usize>, CliError> {
-        flag_value(flag)
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError(format!("{flag} needs a positive integer")))
-            })
-            .transpose()
-    };
+    let flags = Flags::parse(
+        args,
+        &[
+            "--addr",
+            "--jsonl-addr",
+            "--workers",
+            "--queue-depth",
+            "--max-body-bytes",
+            "--corpus",
+            "--stream",
+            "--seed",
+            "--manifest",
+            "--store",
+            "--detectors",
+        ],
+        &[],
+        0,
+    )?;
     let mut opts = ServeOptions::default();
-    if let Some(addr) = flag_value("--addr") {
+    if let Some(addr) = flags.value("--addr") {
         opts.config.addr = addr.to_string();
     }
-    if let Some(addr) = flag_value("--jsonl-addr") {
+    if let Some(addr) = flags.value("--jsonl-addr") {
         opts.config.jsonl_addr = Some(addr.to_string());
     }
-    if let Some(workers) = positive("--workers")? {
+    if let Some(workers) = flags.positive("--workers")? {
         opts.config.workers = workers;
         opts.config.queue_depth = 2 * workers;
     }
-    if let Some(depth) = positive("--queue-depth")? {
+    if let Some(depth) = flags.positive("--queue-depth")? {
         opts.config.queue_depth = depth;
     }
-    if let Some(bytes) = positive("--max-body-bytes")? {
+    if let Some(bytes) = flags.positive("--max-body-bytes")? {
         opts.config.max_body_bytes = bytes;
     }
-    if let Some(dir) = flag_value("--corpus") {
-        opts.corpus_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(n) = positive("--stream")? {
-        opts.stream = Some(n);
-    }
-    if let Some(seed) = flag_value("--seed") {
+    opts.corpus_dir = flags.value("--corpus").map(PathBuf::from);
+    opts.stream = flags.positive("--stream")?;
+    if let Some(seed) = flags.value("--seed") {
         opts.seed = seed.parse::<u64>().map_err(|_| CliError("bad --seed".into()))?;
     }
-    if let Some(path) = flag_value("--manifest") {
-        opts.manifest = Some(PathBuf::from(path));
-    }
-    if let Some(dir) = flag_value("--store") {
-        opts.store_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(ids) = flag_value("--detectors") {
+    opts.manifest = flags.value("--manifest").map(PathBuf::from);
+    opts.store_dir = flags.value("--store").map(PathBuf::from);
+    if let Some(ids) = flags.value("--detectors") {
         opts.detectors = Some(parse_detectors(ids)?);
     }
     Ok(opts)
@@ -257,6 +254,16 @@ mod tests {
         let err = parse_serve_args(&args(&["--detectors", "nosuch"])).unwrap_err();
         assert!(err.0.contains("unknown detector"), "{err}");
         assert!(err.0.contains("boilerplate"), "listing includes registered ids: {err}");
+    }
+
+    #[test]
+    fn unknown_flags_fail() {
+        let err =
+            parse_serve_args(&args(&["--addr", "127.0.0.1:0", "--wrokers", "2"])).unwrap_err();
+        assert_eq!(err.0, "unknown flag --wrokers");
+        let err = parse_serve_args(&args(&["--corpus", "dir", "extra"])).unwrap_err();
+        assert_eq!(err.0, "unexpected argument \"extra\"");
+        assert_eq!(parse_serve_args(&args(&["--store"])).unwrap_err().0, "--store needs a value");
     }
 
     #[test]

@@ -119,10 +119,14 @@ pub fn analyze_description_with(text: &str, esa: &Interpreter) -> DescriptionAna
     // probe per (phrase, profile) pair. For the shared interpreter the
     // profile vectors are resolved once per process.
     let profiles = profile_vectors(esa);
-    for sent in split_sentences(text) {
-        let tokens = tag_str(&sent);
+    // Each noun phrase's text goes into this one buffer; evidence copies
+    // it only when a permission fires.
+    let mut phrase = String::new();
+    for sent in split_sentences(text).iter() {
+        let tokens = tag_str(sent);
         for np in chunk_nps(&tokens) {
-            let phrase = np.content_text(&tokens);
+            phrase.clear();
+            np.push_content_text(&tokens, &mut phrase);
             if phrase.is_empty() {
                 continue;
             }
@@ -228,8 +232,8 @@ mod tests {
             // exact cosine reaches the threshold is evidence.
             let mut expected_pruned = 0u64;
             let mut expected = Vec::new();
-            for sent in split_sentences(text) {
-                let tokens = tag_str(&sent);
+            for sent in split_sentences(text).iter() {
+                let tokens = tag_str(sent);
                 for np in chunk_nps(&tokens) {
                     let phrase = np.content_text(&tokens);
                     let phrase_vec = esa.interpret_sparse(&phrase);

@@ -21,18 +21,24 @@ pub struct NounPhrase {
 impl NounPhrase {
     /// Returns the phrase text joined with single spaces.
     pub fn text(&self, tokens: &[Token]) -> String {
-        tokens[self.start..self.end].iter().map(|t| t.lower()).collect::<Vec<_>>().join(" ")
+        let mut out = String::new();
+        push_words(&tokens[self.start..self.end], &mut out);
+        out
     }
 
     /// Returns the phrase text without leading determiners/possessives.
     ///
     /// "your personal information" → "personal information".
     pub fn content_text(&self, tokens: &[Token]) -> String {
-        let mut s = self.start;
-        while s < self.head && matches!(tokens[s].tag, Tag::Det | Tag::PronounPoss) {
-            s += 1;
-        }
-        tokens[s..self.end].iter().map(|t| t.lower()).collect::<Vec<_>>().join(" ")
+        let mut out = String::new();
+        self.push_content_text(tokens, &mut out);
+        out
+    }
+
+    /// Appends [`content_text`](NounPhrase::content_text) to `out`, so a
+    /// caller that reuses one buffer allocates nothing per phrase.
+    pub fn push_content_text(&self, tokens: &[Token], out: &mut String) {
+        push_words(&tokens[self.content_start(tokens)..self.end], out);
     }
 
     /// The phrase's content as a single interned symbol.
@@ -41,19 +47,37 @@ impl NounPhrase {
     /// phrases intern the joined content text once and hit the interner's
     /// read path on every later occurrence.
     pub fn content_symbol(&self, tokens: &[Token]) -> Symbol {
-        let mut s = self.start;
-        while s < self.head && matches!(tokens[s].tag, Tag::Det | Tag::PronounPoss) {
-            s += 1;
-        }
+        let s = self.content_start(tokens);
         if self.end - s == 1 {
             return tokens[s].lower;
         }
         crate::intern::intern(&self.content_text(tokens))
     }
 
+    /// Index of the first content token: past leading determiners and
+    /// possessives, but never past the head.
+    fn content_start(&self, tokens: &[Token]) -> usize {
+        let mut s = self.start;
+        while s < self.head && matches!(tokens[s].tag, Tag::Det | Tag::PronounPoss) {
+            s += 1;
+        }
+        s
+    }
+
     /// Returns `true` if `idx` lies within the phrase.
     pub fn contains(&self, idx: usize) -> bool {
         idx >= self.start && idx < self.end
+    }
+}
+
+/// Appends the tokens' lowercase forms to `out`, separated by single
+/// spaces.
+fn push_words(tokens: &[Token], out: &mut String) {
+    for (k, t) in tokens.iter().enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(t.lower());
     }
 }
 

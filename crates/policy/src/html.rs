@@ -18,76 +18,81 @@
 /// assert!(!text.contains("var x"));
 /// ```
 pub fn extract_text(html: &str) -> String {
-    let mut out = String::with_capacity(html.len() / 2);
+    // Tags, comments and entities never expand, so the text fits in one
+    // allocation of the document's size.
+    let mut out = String::with_capacity(html.len());
     let bytes = html.as_bytes();
     let mut i = 0;
+    // Inside a script or style: the name of the tag that closes it.
     let mut skip_until: Option<&str> = None;
     while i < bytes.len() {
-        if bytes[i] == b'<' {
-            // Comment?
-            if html[i..].starts_with("<!--") {
-                match html[i..].find("-->") {
-                    Some(end) => {
-                        i += end + 3;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            let close = match html[i..].find('>') {
-                Some(c) => i + c,
-                None => break,
-            };
-            let tag_body = &html[i + 1..close];
-            let tag_name: String = tag_body
-                .trim_start_matches('/')
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric())
-                .collect::<String>()
-                .to_lowercase();
-            if let Some(terminator) = skip_until {
-                if tag_body.starts_with('/') && tag_name == terminator {
-                    skip_until = None;
-                }
-                i = close + 1;
-                continue;
-            }
-            match tag_name.as_str() {
-                "script" | "style" if !tag_body.starts_with('/') => {
-                    skip_until = Some(if tag_name == "script" { "script" } else { "style" });
-                }
-                // Block-level boundaries become paragraph breaks.
-                "p" | "div" | "li" | "h1" | "h2" | "h3" | "h4" | "h5" | "h6" | "tr" | "table"
-                | "ul" | "ol" | "section" | "article" | "header" | "footer" | "blockquote" => {
-                    out.push_str("\n\n");
-                }
-                "br" => out.push('\n'),
-                _ => {}
-            }
-            i = close + 1;
-        } else if skip_until.is_some() {
-            i += 1;
-        } else if bytes[i] == b'&' {
+        // The run up to the next tag (or entity) is copied whole, or
+        // skipped whole inside a script or style.
+        let run = bytes[i..]
+            .iter()
+            .position(|&b| b == b'<' || (b == b'&' && skip_until.is_none()))
+            .unwrap_or(bytes.len() - i);
+        if skip_until.is_none() {
+            out.push_str(&html[i..i + run]);
+        }
+        i += run;
+        if i == bytes.len() {
+            break;
+        }
+        if bytes[i] == b'&' {
             let (decoded, len) = decode_entity(&html[i..]);
             out.push_str(decoded);
             i += len;
-        } else {
-            // SAFETY of slicing: iterate bytes but push full UTF-8 chars.
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&html[i..i + ch_len]);
-            i += ch_len;
+            continue;
+        }
+        if html[i..].starts_with("<!--") {
+            match html[i..].find("-->") {
+                Some(end) => {
+                    i += end + 3;
+                    continue;
+                }
+                None => break,
+            }
+        }
+        let close = match bytes[i..].iter().position(|&b| b == b'>') {
+            Some(c) => i + c,
+            None => break,
+        };
+        let tag_body = &html[i + 1..close];
+        let closing = tag_body.starts_with('/');
+        // The tag name, lowercased in place: no name below is longer
+        // than 10 bytes.
+        let name = tag_body.trim_start_matches('/').as_bytes();
+        let name = &name[..name.iter().take_while(|b| b.is_ascii_alphanumeric()).count()];
+        let mut lower = [0u8; 10];
+        let name: &[u8] = match lower.get_mut(..name.len()) {
+            Some(lower) => {
+                lower.copy_from_slice(name);
+                lower.make_ascii_lowercase();
+                lower
+            }
+            None => b"",
+        };
+        i = close + 1;
+        if let Some(terminator) = skip_until {
+            if closing && name == terminator.as_bytes() {
+                skip_until = None;
+            }
+            continue;
+        }
+        match name {
+            b"script" | b"style" if !closing => {
+                skip_until = Some(if name == b"script" { "script" } else { "style" });
+            }
+            // Block-level boundaries become paragraph breaks.
+            b"p" | b"div" | b"li" | b"h1" | b"h2" | b"h3" | b"h4" | b"h5" | b"h6" | b"tr"
+            | b"table" | b"ul" | b"ol" | b"section" | b"article" | b"header" | b"footer"
+            | b"blockquote" => out.push_str("\n\n"),
+            b"br" => out.push('\n'),
+            _ => {}
         }
     }
     out
-}
-
-fn utf8_len(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 fn decode_entity(s: &str) -> (&'static str, usize) {

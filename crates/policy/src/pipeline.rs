@@ -84,12 +84,13 @@ impl PolicyAnalysis {
         PolicyAnalysis::from_text(&html::extract_text(html_doc), verdict)
     }
 
-    /// [`PolicyAnalysis::from_html`] after the HTML strip.
+    /// [`PolicyAnalysis::from_html`] after the HTML strip. The split
+    /// writes every sentence into one buffer, which the verdicts borrow.
     fn from_text(text: &str, mut verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
         let sents = split_sentences(text);
         let mut analysis =
             PolicyAnalysis { total_sentences: sents.len(), ..PolicyAnalysis::default() };
-        for sent in &sents {
+        for sent in sents.iter() {
             match verdict(sent) {
                 SentenceVerdict::Disclaimer => analysis.has_disclaimer = true,
                 SentenceVerdict::NotUseful => {}

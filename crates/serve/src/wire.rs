@@ -1,6 +1,6 @@
 //! The versioned wire schema. All report/outcome/delta serialization in
 //! the workspace funnels through one module per schema revision, so the
-//! daemon, the CLI's `--format json`, batch JSONL, and `diff` delta
+//! daemon, the CLI's `check --json`, batch JSONL, and `diff` delta
 //! output can never drift apart.
 //!
 //! [`v2`] is the current revision: outcome envelopes carry a `schema`

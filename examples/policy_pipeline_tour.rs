@@ -32,7 +32,7 @@ fn main() {
     // Step 1b: sentence splitting with enumeration repair.
     let sentences = split_sentences(&text);
     println!("== {} sentences ==", sentences.len());
-    for s in &sentences {
+    for s in sentences.iter() {
         println!("  • {s}");
     }
 

@@ -1,0 +1,91 @@
+//! Exact allocation counts of a warm check, gated as work counters: the
+//! whole `Engine::check_one`, its policy stage (`ArtifactCache::policy`)
+//! and its description stage (`analyze_description_with`), summed over
+//! the 1,197-app paper prefix of the scale stream after one warm-up pass.
+//!
+//! Allocation calls are a function of the input alone: a warm pass hits
+//! every cache, and the counter below counts only this test's thread
+//! (debug and release builds count the same). A change that allocates
+//! more (or less) per app moves a count and fails here; so can a
+//! toolchain whose standard library allocates differently (these were
+//! taken with rustc 1.95). Re-derive the expected counts by running
+//! `cargo test --release --test allocation_counts` and copying the
+//! measured triple from the failure message, and say in the change why
+//! they moved.
+
+use ppchecker_core::{AppInput, PPChecker};
+use ppchecker_corpus::{stream_scaled, APP_COUNT};
+use ppchecker_desc::analyze_description_with;
+use ppchecker_engine::Engine;
+use ppchecker_esa::Interpreter;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+/// The system allocator, counting the allocation calls (`alloc` and
+/// `realloc`) of each thread.
+struct CountingAlloc;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    // Past the thread's teardown there is nothing left to count.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocation calls this thread makes while running `f` over `apps`.
+fn calls_over(apps: &[AppInput], mut f: impl FnMut(&AppInput)) -> u64 {
+    let before = CALLS.with(Cell::get);
+    for app in apps {
+        f(app);
+    }
+    CALLS.with(Cell::get) - before
+}
+
+#[test]
+fn warm_check_allocations_are_exact() {
+    let engine = Engine::new(PPChecker::new()).with_jobs(1);
+    let esa = Interpreter::shared();
+    let apps: Vec<AppInput> = stream_scaled(42, APP_COUNT).map(|app| app.input).collect();
+    let check = |app: &AppInput| drop(black_box(engine.check_one(app).expect("app checks")));
+    for app in &apps {
+        check(app);
+    }
+
+    let measured = (
+        calls_over(&apps, check),
+        calls_over(&apps, |app| drop(black_box(engine.cache().policy(&app.policy_html)))),
+        calls_over(&apps, |app| drop(black_box(analyze_description_with(&app.description, esa)))),
+    );
+    let per_app = |calls: u64| calls as f64 / APP_COUNT as f64;
+    assert_eq!(
+        measured,
+        (57_774, 5_578, 14_822),
+        "allocation calls (check_one, policy, description) over {APP_COUNT} warm apps; \
+         per app {:.2} / {:.2} / {:.2}",
+        per_app(measured.0),
+        per_app(measured.1),
+        per_app(measured.2),
+    );
+}

@@ -47,6 +47,8 @@ proptest! {
     fn splitter_preserves_ascii_alnum(s in "[a-zA-Z0-9 .,;:!?]{0,300}") {
         let sents = sentence::split_sentences(&s);
         let kept: String = sents
+            .iter()
+            .collect::<Vec<_>>()
             .join(" ")
             .chars()
             .filter(|c| c.is_ascii_alphanumeric())
