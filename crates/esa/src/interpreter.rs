@@ -16,6 +16,7 @@ use crate::kb::{concepts, Concept};
 use crate::kernel::{self, CsrIndex, SparseVector};
 use ppchecker_nlp::intern::Symbol;
 use ppchecker_obs::{CacheStats, Memo};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -74,42 +75,9 @@ pub struct Interpreter {
 impl Interpreter {
     /// Builds an interpreter over the given concept corpus.
     pub fn new(corpus: &[Concept]) -> Self {
-        let n = corpus.len();
-        // term frequencies per concept
-        let mut tf: Vec<HashMap<String, f64>> = Vec::with_capacity(n);
-        let mut df: HashMap<String, usize> = HashMap::new();
-        for concept in corpus {
-            let mut counts: HashMap<String, f64> = HashMap::new();
-            for term in terms(concept.text) {
-                *counts.entry(term).or_insert(0.0) += 1.0;
-            }
-            for term in counts.keys() {
-                *df.entry(term.clone()).or_insert(0) += 1;
-            }
-            tf.push(counts);
-        }
-        let mut postings: HashMap<String, Vec<(u32, f64)>> = HashMap::new();
-        for (ci, counts) in tf.iter().enumerate() {
-            for (term, &count) in counts {
-                let idf = ((n as f64 + 1.0) / (df[term] as f64 + 1.0)).ln() + 1.0;
-                let w = (1.0 + count.ln()) * idf;
-                postings.entry(term.clone()).or_default().push((ci as u32, w));
-            }
-        }
-        // L2-normalize each term's interpretation vector so frequent terms
-        // don't dominate purely by article length. Rows are already sorted
-        // by concept id (the outer loop runs in concept order).
-        for row in postings.values_mut() {
-            let norm = row.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for (_, w) in row.iter_mut() {
-                    *w /= norm;
-                }
-            }
-        }
         Interpreter {
-            index: CsrIndex::build(postings),
-            n_concepts: n,
+            index: build_index(corpus),
+            n_concepts: corpus.len(),
             vector_cache: Memo::new(VECTOR_CACHE_CAP),
             pair_memo: Memo::new(PAIR_MEMO_CAP),
             pruned: AtomicU64::new(0),
@@ -280,23 +248,125 @@ pub fn cosine(a: &ConceptVector, b: &ConceptVector) -> f64 {
     }
 }
 
-/// Stopwords excluded from interpretation.
-const STOPWORDS: &[&str] = &[
-    "the", "a", "an", "of", "to", "and", "or", "in", "on", "at", "by", "for", "with", "from", "is",
-    "are", "was", "were", "be", "been", "will", "would", "can", "could", "may", "might", "we",
-    "you", "your", "our", "their", "this", "that", "these", "those", "it", "its", "as", "not",
-    "no", "any", "all", "such", "other", "about", "into", "if", "when", "than", "then",
-];
+/// Compiles the L2-normalized tf-idf index of `corpus` in one pass over
+/// its words.
+///
+/// Terms are numbered in first-seen order and borrow from the concept
+/// texts (a term owns its text only when lowercasing or [`singularize`]
+/// rewrote it). Each concept's terms are counted by sorting their ids,
+/// and every weight is `(1 + ln tf) · idf` divided by its row's norm,
+/// summed in concept order, so the rows are bit-identical to the
+/// per-term maps this replaced (the `build_oracle` tests hold them to
+/// it).
+fn build_index(corpus: &[Concept]) -> CsrIndex {
+    let _span = ppchecker_obs::span!("esa.index_build");
+    // About one distinct term per 12 bytes of article text (621 in the
+    // bundled KB's 7,688), so the map is sized once.
+    let text_bytes: usize = corpus.iter().map(|c| c.text.len()).sum();
+    let mut term_ids: HashMap<Cow<'static, str>, u32> = HashMap::with_capacity(text_bytes / 12);
+    // Every term occurrence as its id, concept after concept.
+    let mut occurrences: Vec<u32> = Vec::new();
+    let mut concept_ends = Vec::with_capacity(corpus.len());
+    for concept in corpus {
+        for term in terms(concept.text) {
+            let next = term_ids.len() as u32;
+            occurrences.push(*term_ids.entry(term).or_insert(next));
+        }
+        concept_ends.push(occurrences.len());
+    }
+    // Each concept's distinct terms with their counts, and each term's
+    // document frequency.
+    let mut df = vec![0u32; term_ids.len()];
+    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(occurrences.len());
+    let mut count_ends = Vec::with_capacity(corpus.len());
+    let mut start = 0;
+    for &end in &concept_ends {
+        let ids = &mut occurrences[start..end];
+        ids.sort_unstable();
+        for run in ids.chunk_by(|a, b| a == b) {
+            counts.push((run[0], run.len() as u32));
+            df[run[0] as usize] += 1;
+        }
+        count_ends.push(counts.len());
+        start = end;
+    }
+    // A term's row holds one posting per concept that uses it, in
+    // concept order.
+    let mut offsets = Vec::with_capacity(df.len() + 1);
+    offsets.push(0u32);
+    for &d in &df {
+        offsets.push(offsets[offsets.len() - 1] + d);
+    }
+    let n = corpus.len() as f64;
+    let idf: Vec<f64> = df.iter().map(|&d| ((n + 1.0) / (d as f64 + 1.0)).ln() + 1.0).collect();
+    let mut cursor = offsets[..df.len()].to_vec();
+    let mut concept_ids = vec![0u32; counts.len()];
+    let mut weights = vec![0f64; counts.len()];
+    let mut start = 0;
+    for (ci, &end) in count_ends.iter().enumerate() {
+        for &(term, count) in &counts[start..end] {
+            let at = cursor[term as usize] as usize;
+            cursor[term as usize] += 1;
+            concept_ids[at] = ci as u32;
+            weights[at] = (1.0 + (count as f64).ln()) * idf[term as usize];
+        }
+        start = end;
+    }
+    // L2-normalize each term's interpretation vector so frequent terms
+    // don't dominate purely by article length.
+    for bounds in offsets.windows(2) {
+        let row = &mut weights[bounds[0] as usize..bounds[1] as usize];
+        let norm = row.iter().map(|w| w * w).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for w in row.iter_mut() {
+                *w /= norm;
+            }
+        }
+    }
+    let weights = weights.into_iter().map(|w| w as f32).collect();
+    CsrIndex::from_parts(term_ids, offsets, concept_ids, weights)
+}
 
-/// Extracts normalized terms: lowercase alphabetic tokens, stopwords
-/// removed, naive plural stripping so "cookies" matches "cookie".
-fn terms(text: &str) -> Vec<String> {
+/// Whether `term` is a stopword, excluded from interpretation. A `match`
+/// on the literals compiles to length and byte compares, about 7×
+/// cheaper per word than scanning a list of them.
+#[rustfmt::skip]
+fn is_stopword(term: &str) -> bool {
+    matches!(
+        term,
+        "the" | "a" | "an" | "of" | "to" | "and" | "or" | "in" | "on" | "at" | "by" | "for"
+            | "with" | "from" | "is" | "are" | "was" | "were" | "be" | "been" | "will"
+            | "would" | "can" | "could" | "may" | "might" | "we" | "you" | "your" | "our"
+            | "their" | "this" | "that" | "these" | "those" | "it" | "its" | "as" | "not"
+            | "no" | "any" | "all" | "such" | "other" | "about" | "into" | "if" | "when"
+            | "than" | "then"
+    )
+}
+
+/// Extracts normalized terms: lowercase alphanumeric tokens, stopwords
+/// removed, naive plural stripping so "cookies" matches "cookie". A term
+/// borrows from `text` unless lowercasing or singularizing rewrote it.
+fn terms(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
     text.split(|c: char| !c.is_alphanumeric() && c != '-')
         .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .filter(|t| !STOPWORDS.contains(&t.as_str()) && t.len() > 1)
-        .map(|t| singularize(&t))
-        .collect()
+        .map(lowercase)
+        .filter(|t| t.len() > 1 && !is_stopword(t))
+        .map(singularize)
+}
+
+/// `t.to_lowercase()`, borrowed when that changes nothing.
+fn lowercase(t: &str) -> Cow<'_, str> {
+    if !t.bytes().any(|b| b.is_ascii_uppercase() || !b.is_ascii()) {
+        return Cow::Borrowed(t);
+    }
+    // Non-ASCII text can lowercase to other bytes, or none (U+212A
+    // KELVIN SIGN becomes `k`), so compare the whole mapping.
+    let lower = t.to_lowercase();
+    if lower == t {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(lower)
+    }
 }
 
 /// Nouns whose singular ends in "-ie": their "-ies" plural is just the
@@ -307,24 +377,36 @@ const IE_SINGULARS: &[&str] = &[
     "newbie", "pixie", "prairie", "rookie", "selfie", "smoothie", "sortie", "veggie", "zombie",
 ];
 
-fn singularize(t: &str) -> String {
-    if t.ends_with("ies") && t.len() > 4 {
-        let minus_s = &t[..t.len() - 1];
-        let before = t.as_bytes()[t.len() - 4];
+/// Strips a plural ending. Stripping keeps the term's storage (a prefix
+/// of a borrowed term stays borrowed); only consonant + "ies" → "y"
+/// writes a new string.
+fn singularize(t: Cow<'_, str>) -> Cow<'_, str> {
+    let len = t.len();
+    let keep = if t.ends_with("ies") && len > 4 {
+        let minus_s = &t[..len - 1];
+        let before = t.as_bytes()[len - 4];
         if IE_SINGULARS.contains(&minus_s) || matches!(before, b'a' | b'e' | b'i' | b'o' | b'u') {
             // "-ie" singulars and vowel+"ies" words pluralize by bare "s";
             // only consonant+"ies" comes from a "-y" singular.
-            return minus_s.to_string();
+            len - 1
+        } else {
+            return Cow::Owned(format!("{}y", &t[..len - 3]));
         }
-        format!("{}y", &t[..t.len() - 3])
     } else if t.ends_with('s')
         && !t.ends_with("ss")
-        && !matches!(t, "gps" | "sms" | "its" | "this" | "analytics" | "diagnostics" | "address")
-        && t.len() > 3
+        && !matches!(&*t, "gps" | "sms" | "its" | "this" | "analytics" | "diagnostics" | "address")
+        && len > 3
     {
-        t[..t.len() - 1].to_string()
+        len - 1
     } else {
-        t.to_string()
+        len
+    };
+    match t {
+        Cow::Borrowed(t) => Cow::Borrowed(&t[..keep]),
+        Cow::Owned(mut t) => {
+            t.truncate(keep);
+            Cow::Owned(t)
+        }
     }
 }
 
@@ -411,17 +493,17 @@ mod tests {
 
     #[test]
     fn singularize_consonant_ies_becomes_y() {
-        assert_eq!(singularize("categories"), "category");
-        assert_eq!(singularize("policies"), "policy");
-        assert_eq!(singularize("parties"), "party");
+        assert_eq!(singularize("categories".into()), "category");
+        assert_eq!(singularize("policies".into()), "policy");
+        assert_eq!(singularize("parties".into()), "party");
     }
 
     #[test]
     fn singularize_ie_nouns_keep_their_ending() {
-        assert_eq!(singularize("cookies"), "cookie");
-        assert_eq!(singularize("movies"), "movie");
-        assert_eq!(singularize("selfies"), "selfie");
-        assert_eq!(singularize("zombies"), "zombie");
+        assert_eq!(singularize("cookies".into()), "cookie");
+        assert_eq!(singularize("movies".into()), "movie");
+        assert_eq!(singularize("selfies".into()), "selfie");
+        assert_eq!(singularize("zombies".into()), "zombie");
     }
 
     #[test]
@@ -432,7 +514,7 @@ mod tests {
             ("category", "categories"),
             ("policy", "policies"),
         ] {
-            assert_eq!(terms(singular), terms(plural), "{singular} vs {plural}");
+            assert!(terms(singular).eq(terms(plural)), "{singular} vs {plural}");
         }
     }
 
@@ -570,3 +652,6 @@ mod interpretation_tests {
         assert_eq!(esa.similarity("alpha", "delta"), 0.0);
     }
 }
+
+#[cfg(test)]
+mod build_oracle;

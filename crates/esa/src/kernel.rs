@@ -29,6 +29,9 @@
 //! of signal); all accumulation happens in `f64`, and the public similarity
 //! API stays `f64`.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
 /// A sparse concept-space vector: strictly-sorted concept ids with
 /// parallel weights, plus precomputed occupancy mask, L2 norm and maximum
 /// weight.
@@ -250,38 +253,38 @@ pub const PRUNE_MARGIN: f64 = 1e-9;
 ///
 /// Row `t` (a term's L2-normalized tf-idf interpretation) is the slice pair
 /// `concept_ids[offsets[t]..offsets[t+1]]` / `weights[offsets[t]..offsets[t+1]]`,
-/// sorted by concept id. Built once; lookups never allocate.
+/// sorted by concept id. Built once; lookups never allocate. Term texts
+/// borrow from the knowledge base unless normalization rewrote them, and
+/// keep std's keyed SipHash: the terms looked up come from the texts
+/// being compared.
 #[derive(Debug, Default)]
 pub struct CsrIndex {
-    term_ids: std::collections::HashMap<String, u32>,
+    term_ids: HashMap<Cow<'static, str>, u32>,
     offsets: Vec<u32>,
     concept_ids: Vec<u32>,
     weights: Vec<f32>,
 }
 
 impl CsrIndex {
-    /// Compiles per-term posting lists (each sorted by concept id, weights
-    /// in f64 from the tf-idf build) into the flat CSR arrays.
-    pub fn build<I, S>(rows: I) -> Self
-    where
-        I: IntoIterator<Item = (S, Vec<(u32, f64)>)>,
-        S: Into<String>,
-    {
-        let mut index = CsrIndex { offsets: vec![0], ..CsrIndex::default() };
-        for (term, postings) in rows {
-            debug_assert!(
-                postings.windows(2).all(|w| w[0].0 < w[1].0),
-                "postings must be strictly sorted by concept id"
-            );
-            let id = index.offsets.len() as u32 - 1;
-            index.term_ids.insert(term.into(), id);
-            for (concept, w) in postings {
-                index.concept_ids.push(concept);
-                index.weights.push(w as f32);
-            }
-            index.offsets.push(index.concept_ids.len() as u32);
-        }
-        index
+    /// Assembles an index whose row `term_ids[t]` is the window
+    /// `offsets[t]..offsets[t + 1]` of `concept_ids` and `weights`, each
+    /// window strictly sorted by concept id.
+    pub(crate) fn from_parts(
+        term_ids: HashMap<Cow<'static, str>, u32>,
+        offsets: Vec<u32>,
+        concept_ids: Vec<u32>,
+        weights: Vec<f32>,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), term_ids.len() + 1);
+        debug_assert_eq!(offsets.last().copied(), Some(concept_ids.len() as u32));
+        debug_assert_eq!(concept_ids.len(), weights.len());
+        debug_assert!(
+            offsets.windows(2).all(|w| {
+                concept_ids[w[0] as usize..w[1] as usize].windows(2).all(|c| c[0] < c[1])
+            }),
+            "rows must be strictly sorted by concept id"
+        );
+        CsrIndex { term_ids, offsets, concept_ids, weights }
     }
 
     /// The row id of `term`, if the term occurs in the knowledge base.
@@ -441,11 +444,14 @@ mod tests {
 
     #[test]
     fn csr_rows_round_trip() {
-        let index = CsrIndex::build(vec![
-            ("alpha", vec![(0, 0.5), (3, 1.0)]),
-            ("beta", vec![(1, 0.25)]),
-            ("gamma", Vec::new()),
-        ]);
+        let term_ids =
+            [("alpha", 0), ("beta", 1), ("gamma", 2)].map(|(t, id)| (Cow::Borrowed(t), id));
+        let index = CsrIndex::from_parts(
+            term_ids.into_iter().collect(),
+            vec![0, 2, 3, 3],
+            vec![0, 3, 1],
+            vec![0.5, 1.0, 0.25],
+        );
         assert_eq!(index.term_count(), 3);
         assert_eq!(index.posting_count(), 3);
         let alpha = index.term_id("alpha").unwrap();

@@ -154,8 +154,8 @@ pub struct InternerStats {
 
 /// Default soft cap on interned text: 64 MiB. The pipeline interns
 /// words, never whole documents, so occupancy tracks vocabulary rather
-/// than corpus size: a 100k-app streamed batch (seed 42) ends at 6,742
-/// symbols (608 of them pre-seeded) and 34,655 bytes, about 1/2000 of
+/// than corpus size: a 100k-app streamed batch (seed 42) ends at 6,702
+/// symbols (608 of them pre-seeded) and 33,820 bytes, about 1/2000 of
 /// the cap. A daemon crossing it is being fed unbounded novel vocabulary
 /// (adversarial input, unbounded corpus churn), not growing normally.
 pub const DEFAULT_INTERN_SOFT_CAP_BYTES: usize = 64 * 1024 * 1024;
@@ -201,9 +201,15 @@ impl Interner {
         GLOBAL.get_or_init(Interner::preseeded)
     }
 
-    /// A fresh interner holding the pipeline vocabulary.
-    fn preseeded() -> Self {
+    /// A fresh interner holding the pipeline vocabulary, as [`global`]
+    /// starts out (for isolated tests and measurements).
+    ///
+    /// [`global`]: Interner::global
+    pub fn preseeded() -> Self {
+        let _span = ppchecker_obs::span!("nlp.interner_build");
         let mut interner = Interner::new();
+        // Sized once: the vocabulary repeats few words.
+        interner.preseed.reserve(preseed_vocabulary().count());
         for word in preseed_vocabulary() {
             let id = interner.preseed.len() as u32;
             if let Entry::Vacant(entry) = interner.preseed.entry(word) {
@@ -463,6 +469,7 @@ pub(crate) fn preseed_vocabulary() -> impl Iterator<Item = &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn intern_is_idempotent() {
@@ -562,22 +569,58 @@ mod tests {
         assert_eq!(stats.soft_cap_bytes, DEFAULT_INTERN_SOFT_CAP_BYTES);
     }
 
+    /// Ids in first-seen order of the pre-seed vocabulary.
+    fn expected_preseed_ids() -> HashMap<&'static str, u32> {
+        let mut ids = HashMap::new();
+        for word in preseed_vocabulary() {
+            let next = ids.len() as u32;
+            ids.entry(word).or_insert(next);
+        }
+        ids
+    }
+
+    #[test]
+    fn preseed_ids_follow_first_sight() {
+        let expected = expected_preseed_ids();
+        assert_eq!(expected.len(), 608, "the documented pre-seed size");
+        for interner in [Interner::global(), &Interner::preseeded()] {
+            for (word, &id) in &expected {
+                assert_eq!(interner.get(word), Some(Symbol(id)), "{word}");
+            }
+            let stats = interner.stats();
+            assert_eq!(stats.preseeded, expected.len());
+            let bytes: usize = expected.keys().map(|w| w.len()).sum();
+            assert!(stats.bytes >= bytes);
+        }
+        let fresh = Interner::preseeded().stats();
+        assert_eq!((fresh.symbols, fresh.preseeded), (608, 608));
+        assert_eq!(fresh.bytes, expected.keys().map(|w| w.len()).sum::<usize>());
+    }
+
     /// Eight threads race to intern an overlapping set of novel words while
-    /// resolving and lemmatizing them: each word gets exactly one id, every
-    /// id resolves to its word, and each word is counted once.
+    /// resolving and lemmatizing them, growing the dynamic map through
+    /// many resizes: each word gets exactly one id, every id resolves to
+    /// its word, each word is counted once, and the pre-seeded ids stay
+    /// where they were. Eight rounds, each on a fresh interner.
     #[test]
     fn concurrent_interning_issues_one_id_per_word() {
+        for _ in 0..8 {
+            intern_race();
+        }
+    }
+
+    fn intern_race() {
         use crate::lemma::{lemmatize_noun, lemmatize_verb, memoized};
         use std::sync::Barrier;
 
         let local = Interner::preseeded();
-        let preseeded = local.stats().preseeded;
+        let before = local.stats();
         // Every stem also appears with an "-s" whose lemmas are the stem,
         // so lemmatizing adds no word outside the set. 4,000 words on top
         // of the pre-seed also cross the first segment boundary.
         let words: Vec<String> =
             (0..2_000).flat_map(|i| [format!("zorblet{i}"), format!("zorblet{i}s")]).collect();
-        assert!(preseeded + words.len() > SEGMENT_BASE);
+        assert!(before.preseeded + words.len() > SEGMENT_BASE);
         let threads = 8;
         let stride = words.len() / threads;
         let window = 2 * stride;
@@ -593,6 +636,7 @@ mod tests {
                                 let word = words[(t * stride + i) % words.len()].as_str();
                                 let sym = local.intern(word);
                                 assert_eq!(local.resolve(sym), word);
+                                assert_eq!(local.get(word), Some(sym));
                                 let verb = memoized(local, sym, LemmaKind::Verb);
                                 assert_eq!(local.resolve(verb), lemmatize_verb(word));
                                 let noun = memoized(local, sym, LemmaKind::Noun);
@@ -610,13 +654,25 @@ mod tests {
             assert_eq!(*ids.entry(word).or_insert(sym), sym, "{word} got two ids");
         }
         assert_eq!(ids.len(), words.len(), "every word was interned");
-        let distinct: std::collections::HashSet<Symbol> = ids.values().copied().collect();
+        let distinct: HashSet<Symbol> = ids.values().copied().collect();
         assert_eq!(distinct.len(), words.len(), "no two words share an id");
         for (word, sym) in &ids {
+            assert!(sym.0 as usize >= before.preseeded, "{word} took a pre-seeded id");
             assert_eq!(local.intern(word), *sym);
             assert_eq!(local.resolve(*sym), *word);
         }
-        assert_eq!(local.stats().symbols, preseeded + words.len());
+        let word_bytes: usize = words.iter().map(String::len).sum();
+        assert_eq!(
+            local.stats(),
+            InternerStats {
+                symbols: before.preseeded + words.len(),
+                bytes: before.bytes + word_bytes,
+                ..before
+            }
+        );
+        for (word, id) in expected_preseed_ids() {
+            assert_eq!(local.get(word), Some(Symbol(id)), "{word}");
+        }
     }
 
     #[test]

@@ -8,14 +8,16 @@
 
 use crate::intern::{Interner, Symbol, SymbolSet};
 use crate::token::Tag;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Lexicon mapping lowercased word forms (as interned [`Symbol`]s) to
-/// their most likely tag. Lookups hash a `u32`, not the word's bytes.
+/// their most likely tag. Every lexicon word is pre-seeded in the global
+/// interner, so the lexicon is a dense tag table indexed by symbol id:
+/// a lookup is one bounds check and one load.
 #[derive(Debug)]
 pub struct Lexicon {
-    entries: HashMap<Symbol, Tag>,
+    /// The tag of each symbol id; `None` past the lexicon's words.
+    tags: Box<[Option<Tag>]>,
 }
 
 /// Modal verbs (`MD`).
@@ -560,11 +562,16 @@ pub const ADVERBS: &[&str] = &[
 
 impl Lexicon {
     fn build() -> Self {
+        let _span = ppchecker_obs::span!("nlp.lexicon_build");
         let interner = Interner::global();
-        let mut entries = HashMap::new();
+        let mut tags = vec![None; interner.stats().preseeded];
         let mut insert_all = |words: &[&'static str], tag: Tag| {
             for &w in words {
-                entries.insert(interner.intern_static(w), tag);
+                let id = interner.intern_static(w).id() as usize;
+                if id >= tags.len() {
+                    tags.resize(id + 1, None);
+                }
+                tags[id] = Some(tag);
             }
         };
         // Order matters: later inserts win, so put the highest-priority
@@ -584,10 +591,9 @@ impl Lexicon {
         insert_all(BE_FORMS, Tag::VerbPres);
         insert_all(HAVE_FORMS, Tag::VerbPres);
         insert_all(DO_FORMS, Tag::VerbPres);
-        entries.insert(interner.intern_static("to"), Tag::To);
-        entries.insert(interner.intern_static("not"), Tag::Adv);
-        entries.insert(interner.intern_static("n't"), Tag::Adv);
-        Lexicon { entries }
+        insert_all(&["to"], Tag::To);
+        insert_all(&["not", "n't"], Tag::Adv);
+        Lexicon { tags: tags.into() }
     }
 
     /// Returns the process-wide shared lexicon.
@@ -598,7 +604,7 @@ impl Lexicon {
 
     /// Looks up a lowercased word form by its symbol.
     pub fn lookup(&self, lower: Symbol) -> Option<Tag> {
-        self.entries.get(&lower).copied()
+        self.tags.get(lower.id() as usize).copied().flatten()
     }
 
     /// Looks up a candidate string without interning it — misses (e.g. the
@@ -720,6 +726,50 @@ mod tests {
         assert_eq!(lex.guess("widgets", "widgets"), Tag::NounPlural);
         assert_eq!(lex.guess("Facebook", "facebook"), Tag::NounProper);
         assert_eq!(lex.guess("42", "42"), Tag::Num);
+    }
+
+    /// The dense table answers as the replaced `HashMap<Symbol, Tag>`
+    /// did for every pre-seeded symbol, and `None` for a dynamic one.
+    #[test]
+    fn dense_table_matches_the_replaced_map() {
+        use crate::intern::{intern, preseed_vocabulary};
+        use std::collections::HashMap;
+        let interner = Interner::global();
+        let mut entries = HashMap::new();
+        let mut insert_all = |words: &[&'static str], tag: Tag| {
+            for &w in words {
+                entries.insert(interner.intern_static(w), tag);
+            }
+        };
+        insert_all(NOUNS, Tag::Noun);
+        insert_all(VERBS, Tag::VerbBase);
+        insert_all(ADJECTIVES, Tag::Adj);
+        insert_all(ADVERBS, Tag::Adv);
+        insert_all(WH_WORDS, Tag::Wh);
+        insert_all(PREPOSITIONS, Tag::Prep);
+        insert_all(SUBORDINATORS, Tag::Prep);
+        insert_all(CONJUNCTIONS, Tag::Conj);
+        insert_all(DETERMINERS, Tag::Det);
+        insert_all(PRONOUNS, Tag::Pronoun);
+        insert_all(POSS_PRONOUNS, Tag::PronounPoss);
+        insert_all(MODALS, Tag::Modal);
+        insert_all(BE_FORMS, Tag::VerbPres);
+        insert_all(HAVE_FORMS, Tag::VerbPres);
+        insert_all(DO_FORMS, Tag::VerbPres);
+        entries.insert(interner.intern_static("to"), Tag::To);
+        entries.insert(interner.intern_static("not"), Tag::Adv);
+        entries.insert(interner.intern_static("n't"), Tag::Adv);
+
+        let lex = Lexicon::shared();
+        let preseeded = interner.stats().preseeded;
+        assert_eq!(lex.tags.len(), preseeded, "every lexicon word is pre-seeded");
+        for word in preseed_vocabulary() {
+            let sym = interner.get(word).expect("pre-seeded");
+            assert_eq!(lex.lookup(sym), entries.get(&sym).copied(), "{word}");
+        }
+        let dynamic = intern("zorble-lexicon-dynamic");
+        assert!(dynamic.id() as usize >= preseeded);
+        assert_eq!(lex.lookup(dynamic), None);
     }
 
     #[test]

@@ -362,8 +362,19 @@ fn has_consent_exception(sentence: &str) -> bool {
         "except as required by law",
         "if you do not allow us",
     ];
-    let lower = sentence.to_lowercase();
-    EXCEPTIONS.iter().any(|e| lower.contains(e))
+    if !sentence.is_ascii() {
+        // Non-ASCII text can lowercase into ASCII (U+212A KELVIN SIGN
+        // becomes `k`), so it keeps the full Unicode mapping.
+        let lower = sentence.to_lowercase();
+        return EXCEPTIONS.iter().any(|e| lower.contains(e));
+    }
+    // The splitter hands over lowercase ASCII, which `contains` searches
+    // as is; other ASCII folds case in place, window by window.
+    if !sentence.bytes().any(|b| b.is_ascii_uppercase()) {
+        return EXCEPTIONS.iter().any(|e| sentence.contains(e));
+    }
+    let bytes = sentence.as_bytes();
+    EXCEPTIONS.iter().any(|e| bytes.windows(e.len()).any(|w| w.eq_ignore_ascii_case(e.as_bytes())))
 }
 
 /// The full stock pattern table (seeds + curated mined patterns), built
@@ -556,6 +567,30 @@ mod constraint_tests {
     use super::*;
 
     const CONDITIONAL_DENIAL: &str = "we will not share your location without your consent.";
+
+    #[test]
+    fn consent_exceptions_match_in_any_case() {
+        // Mixed-case ASCII folds in place.
+        assert!(has_consent_exception("We will NOT share it Without Your Prior Consent."));
+        assert!(has_consent_exception("except AS REQUIRED BY LAW"));
+        assert!(!has_consent_exception("We Share It With Your Friends."));
+        // Already lowercase ASCII, as the splitter hands it over.
+        assert!(has_consent_exception(CONDITIONAL_DENIAL));
+        assert!(!has_consent_exception("we will not share your location."));
+    }
+
+    #[test]
+    fn non_ascii_sentences_keep_the_unicode_lowercase() {
+        // U+212A KELVIN SIGN lowercases to ASCII `k`: the sentence takes
+        // the `to_lowercase` path, which still finds the phrase.
+        let kelvin = "Readings in \u{212A} are never shared WITHOUT YOUR CONSENT.";
+        assert!(!kelvin.is_ascii());
+        assert!(has_consent_exception(kelvin));
+        assert!(has_consent_exception("Ünless nothing — unless You Agree"));
+        assert!(!has_consent_exception("Readings in \u{212A} are shared."));
+        // A phrase split by a non-ASCII character does not match.
+        assert!(!has_consent_exception("without your\u{00A0}consent"));
+    }
 
     #[test]
     fn conditional_denial_is_marked() {

@@ -2,6 +2,8 @@
 //! whole `Engine::check_one`, its policy stage (`ArtifactCache::policy`)
 //! and its description stage (`analyze_description_with`), summed over
 //! the 1,197-app paper prefix of the scale stream after one warm-up pass.
+//! Beside them, the two set-up builds every process pays: the ESA index
+//! over the bundled knowledge base and the pre-seeded interner.
 //!
 //! Allocation calls are a function of the input alone: a warm pass hits
 //! every cache, and the counter below counts only this test's thread
@@ -17,7 +19,8 @@ use ppchecker_core::{AppInput, PPChecker};
 use ppchecker_corpus::{stream_scaled, APP_COUNT};
 use ppchecker_desc::analyze_description_with;
 use ppchecker_engine::Engine;
-use ppchecker_esa::Interpreter;
+use ppchecker_esa::{kb, Interpreter};
+use ppchecker_nlp::Interner;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -54,6 +57,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocation calls this thread makes while running `f`.
+fn calls_of(f: impl FnOnce()) -> u64 {
+    let before = CALLS.with(Cell::get);
+    f();
+    CALLS.with(Cell::get) - before
+}
+
 /// Allocation calls this thread makes while running `f` over `apps`.
 fn calls_over(apps: &[AppInput], mut f: impl FnMut(&AppInput)) -> u64 {
     let before = CALLS.with(Cell::get);
@@ -87,5 +97,18 @@ fn warm_check_allocations_are_exact() {
         per_app(measured.0),
         per_app(measured.1),
         per_app(measured.2),
+    );
+}
+
+#[test]
+fn set_up_build_allocations_are_exact() {
+    let measured = (
+        calls_of(|| drop(black_box(Interpreter::new(kb::concepts())))),
+        calls_of(|| drop(black_box(Interner::preseeded()))),
+    );
+    assert_eq!(
+        measured,
+        (28, 2),
+        "allocation calls (ESA index over the bundled KB, pre-seeded interner)"
     );
 }
