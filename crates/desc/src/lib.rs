@@ -29,9 +29,11 @@
 
 use ppchecker_apk::{Permission, PrivateInfo};
 use ppchecker_esa::{Interpreter, SparseVector};
-use ppchecker_nlp::chunk::chunk_nps;
-use ppchecker_nlp::sentence::split_sentences;
-use ppchecker_nlp::tagger::tag_str;
+use ppchecker_nlp::chunk::{chunk_nps_into, NounPhrase};
+use ppchecker_nlp::sentence::{split_sentences_into, Sentences};
+use ppchecker_nlp::tagger::tag_str_into;
+use ppchecker_nlp::Token;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
@@ -105,64 +107,124 @@ fn profile_vectors(esa: &Interpreter) -> std::borrow::Cow<'static, ProfileSet> {
     }
 }
 
+/// Heap bytes past which a thread drops its description buffers after
+/// use instead of keeping them for the next description.
+const SCRATCH_CAP_BYTES: usize = 64 << 10;
+
+/// The buffers one description runs through: its sentences, one
+/// sentence's tagged tokens and noun phrases, and one phrase's text.
+struct DescScratch {
+    sentences: Sentences,
+    tokens: Vec<Token>,
+    nps: Vec<NounPhrase>,
+    phrase: String,
+}
+
+impl DescScratch {
+    const fn new() -> Self {
+        DescScratch {
+            sentences: Sentences::new(),
+            tokens: Vec::new(),
+            nps: Vec::new(),
+            phrase: String::new(),
+        }
+    }
+
+    fn allocated_bytes(&self) -> usize {
+        self.sentences.allocated_bytes()
+            + self.tokens.capacity() * std::mem::size_of::<Token>()
+            + self.nps.capacity() * std::mem::size_of::<NounPhrase>()
+            + self.phrase.capacity()
+    }
+}
+
+thread_local! {
+    /// This thread's description buffers, refilled by each description.
+    static DESC_SCRATCH: RefCell<DescScratch> = const { RefCell::new(DescScratch::new()) };
+}
+
+/// Runs `f` on this thread's description buffers, or on fresh ones in a
+/// nested call while they are in use. Buffers grown past
+/// [`SCRATCH_CAP_BYTES`] are dropped after use.
+fn with_desc_scratch<R>(f: impl FnOnce(&mut DescScratch) -> R) -> R {
+    DESC_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => {
+            let out = f(&mut scratch);
+            if scratch.allocated_bytes() > SCRATCH_CAP_BYTES {
+                *scratch = DescScratch::new();
+            }
+            out
+        }
+        Err(_) => f(&mut DescScratch::new()),
+    })
+}
+
 /// Analyzes a description with an explicit ESA interpreter.
 ///
 /// Every noun phrase of every sentence is compared against each permission
 /// profile; a similarity at or above [`ppchecker_esa::SIMILARITY_THRESHOLD`]
-/// infers the permission.
+/// infers the permission. Split, tag, chunk and phrase text run through
+/// buffers the thread keeps, so a description allocates only when a
+/// permission fires.
 pub fn analyze_description_with(text: &str, esa: &Interpreter) -> DescriptionAnalysis {
     let _span = ppchecker_obs::span!("desc.analyze");
-    let mut out = DescriptionAnalysis::default();
     // Resolve each profile's interpretation vector once per description
     // (not once per noun phrase), then compare phrase vectors against them
     // directly: same cosines as `esa.similarity`, without a vector-cache
     // probe per (phrase, profile) pair. For the shared interpreter the
     // profile vectors are resolved once per process.
     let profiles = profile_vectors(esa);
-    // Each noun phrase's text goes into this one buffer; evidence copies
-    // it only when a permission fires.
-    let mut phrase = String::new();
-    for sent in split_sentences(text).iter() {
-        let tokens = tag_str(sent);
-        for np in chunk_nps(&tokens) {
-            phrase.clear();
-            np.push_content_text(&tokens, &mut phrase);
-            if phrase.is_empty() {
-                continue;
-            }
-            let phrase_vec = esa.vector_of(&phrase);
-            if phrase_vec.is_empty() {
-                // No known terms: similarity against every profile is 0.
-                continue;
-            }
-            // The norm bound rejects most profiles before any dot
-            // product; the verdict is exactly `cosine >= threshold`.
-            for (perm, profile_vec) in profiles.iter() {
-                let Some(sim) = esa.similarity_above(
-                    &phrase_vec,
-                    profile_vec,
-                    ppchecker_esa::SIMILARITY_THRESHOLD,
-                ) else {
+    with_desc_scratch(|scratch| {
+        let DescScratch { sentences, tokens, nps, phrase } = scratch;
+        let mut out = DescriptionAnalysis::default();
+        split_sentences_into(text, sentences);
+        for sent in sentences.iter() {
+            tag_str_into(sent, tokens);
+            chunk_nps_into(tokens, nps);
+            for np in nps.iter() {
+                // Evidence copies the phrase only when a permission fires.
+                phrase.clear();
+                np.push_content_text(tokens, phrase);
+                if phrase.is_empty() {
                     continue;
-                };
-                out.permissions.insert(perm.clone());
-                for &info in PrivateInfo::from_permission(perm) {
-                    out.info.insert(info);
                 }
-                out.evidence.push(Evidence {
-                    phrase: phrase.clone(),
-                    permission: perm.clone(),
-                    similarity: sim,
-                });
+                let phrase_vec = esa.vector_of(phrase);
+                if phrase_vec.is_empty() {
+                    // No known terms: similarity against every profile is 0.
+                    continue;
+                }
+                // The norm bound rejects most profiles before any dot
+                // product; the verdict is exactly `cosine >= threshold`.
+                for (perm, profile_vec) in profiles.iter() {
+                    let Some(sim) = esa.similarity_above(
+                        &phrase_vec,
+                        profile_vec,
+                        ppchecker_esa::SIMILARITY_THRESHOLD,
+                    ) else {
+                        continue;
+                    };
+                    out.permissions.insert(perm.clone());
+                    for &info in PrivateInfo::from_permission(perm) {
+                        out.info.insert(info);
+                    }
+                    out.evidence.push(Evidence {
+                        phrase: phrase.clone(),
+                        permission: perm.clone(),
+                        similarity: sim,
+                    });
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppchecker_nlp::chunk::chunk_nps;
+    use ppchecker_nlp::sentence::split_sentences;
+    use ppchecker_nlp::tagger::tag_str;
 
     #[test]
     fn paper_dooing_description_implies_location() {

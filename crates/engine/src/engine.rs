@@ -314,7 +314,7 @@ impl Engine {
                 }
                 result
             }
-            Err(panic) => Err(Error::worker(panic_message(&panic))),
+            Err(panic) => Err(Error::worker(panic_message(&*panic))),
         }
     }
 
@@ -492,6 +492,44 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// A detector whose policy verdict panics while the thread's
+    /// document buffers are in use: `check_one` reports the panic, and
+    /// the next checks on the same thread match a fresh thread's.
+    #[test]
+    fn a_panicking_verdict_leaves_the_next_check_correct() {
+        use ppchecker_core::{Detector, DetectorCtx, DetectorId, DetectorRegistry, Finding};
+        use ppchecker_policy::PolicyAnalysis;
+        struct PanicsInAVerdict;
+        impl Detector for PanicsInAVerdict {
+            fn id(&self) -> DetectorId {
+                DetectorId::Boilerplate
+            }
+            fn run(&self, ctx: &DetectorCtx<'_>) -> Vec<Finding> {
+                PolicyAnalysis::from_html(&ctx.app.policy_html, |_| panic!("a verdict failed"));
+                Vec::new()
+            }
+        }
+        let input = app(0, "we may collect your location. we will not share your contacts.");
+        let report = |engine: &Engine, input: &AppInput| {
+            format!("{:?}", engine.check_one(input).expect("the app checks").report)
+        };
+        let fresh = {
+            let input = input.clone();
+            std::thread::spawn(move || report(&Engine::new(PPChecker::new()), &input))
+                .join()
+                .expect("a fresh thread checks")
+        };
+        let mut registry = DetectorRegistry::paper();
+        registry.register(Box::new(PanicsInAVerdict));
+        let panicking = Engine::new(PPChecker::new().with_registry(registry));
+        let error = panicking.check_one(&input).expect_err("the verdict panics");
+        assert!(error.to_string().contains("a verdict failed"), "{error}");
+        let engine = Engine::new(PPChecker::new());
+        for _ in 0..2 {
+            assert_eq!(report(&engine, &input), fresh);
+        }
     }
 
     #[test]

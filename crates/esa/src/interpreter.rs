@@ -347,11 +347,44 @@ fn is_stopword(term: &str) -> bool {
 /// removed, naive plural stripping so "cookies" matches "cookie". A term
 /// borrows from `text` unless lowercasing or singularizing rewrote it.
 fn terms(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
-    text.split(|c: char| !c.is_alphanumeric() && c != '-')
-        .filter(|t| !t.is_empty())
-        .map(lowercase)
-        .filter(|t| t.len() > 1 && !is_stopword(t))
-        .map(singularize)
+    words(text).map(lowercase).filter(|t| t.len() > 1 && !is_stopword(t)).map(singularize)
+}
+
+/// The maximal runs of alphanumeric characters and `-` in `text`, as
+/// `text.split(|c: char| !c.is_alphanumeric() && c != '-')` yields them
+/// without the empty pieces. ASCII bytes are classified one by one;
+/// only a non-ASCII byte decodes its character.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    // The length of the character at `i` and whether it belongs to a word.
+    let class_at = move |i: usize| -> (usize, bool) {
+        let b = text.as_bytes()[i];
+        if b.is_ascii() {
+            return (1, b.is_ascii_alphanumeric() || b == b'-');
+        }
+        let c = text[i..].chars().next().expect("a character starts here");
+        (c.len_utf8(), c.is_alphanumeric())
+    };
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let start = loop {
+            if i == text.len() {
+                return None;
+            }
+            let (len, in_word) = class_at(i);
+            if in_word {
+                break i;
+            }
+            i += len;
+        };
+        while i < text.len() {
+            let (len, in_word) = class_at(i);
+            if !in_word {
+                break;
+            }
+            i += len;
+        }
+        Some(&text[start..i])
+    })
 }
 
 /// `t.to_lowercase()`, borrowed when that changes nothing.
@@ -650,6 +683,30 @@ mod interpretation_tests {
         assert_eq!(esa.concept_count(), 2);
         assert!(esa.similarity("alpha beta", "gamma") > 0.9);
         assert_eq!(esa.similarity("alpha", "delta"), 0.0);
+    }
+
+    /// The byte scan finds the words the char-predicate split does, on
+    /// ASCII, non-ASCII letters, non-ASCII separators and their mixes.
+    #[test]
+    fn words_match_the_char_split() {
+        let split = |t: &str| -> Vec<String> {
+            t.split(|c: char| !c.is_alphanumeric() && c != '-')
+                .filter(|w| !w.is_empty())
+                .map(String::from)
+                .collect()
+        };
+        for text in [
+            "",
+            "   ",
+            "we collect your GPS location, e-mail & device-id.",
+            "--a--b-- c_d 3.14 x/y",
+            "données privées — café\u{a0}crème",
+            "\u{212A}elvin ß\u{3000}中文 \u{661}\u{662}",
+            "trailing é",
+            "é leading",
+        ] {
+            assert_eq!(words(text).map(String::from).collect::<Vec<_>>(), split(text), "{text:?}");
+        }
     }
 }
 

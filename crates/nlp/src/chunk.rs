@@ -99,6 +99,14 @@ fn push_words(tokens: &[Token], out: &mut String) {
 /// ```
 pub fn chunk_nps(tokens: &[Token]) -> Vec<NounPhrase> {
     let mut chunks = Vec::new();
+    chunk_nps_into(tokens, &mut chunks);
+    chunks
+}
+
+/// [`chunk_nps`] into `chunks`, replacing what it held and keeping its
+/// buffer.
+pub fn chunk_nps_into(tokens: &[Token], chunks: &mut Vec<NounPhrase>) {
+    chunks.clear();
     let n = tokens.len();
     let mut i = 0;
     while i < n {
@@ -128,7 +136,6 @@ pub fn chunk_nps(tokens: &[Token]) -> Vec<NounPhrase> {
         }
         i += 1;
     }
-    chunks
 }
 
 /// Finds the chunk containing token `idx`, if any.

@@ -301,6 +301,21 @@ impl Interner {
         }
     }
 
+    /// The id the pre-seed gave each word of [`preseed_vocabulary`], in
+    /// that order. A word's first occurrence took the next id, so it is
+    /// that id's text in the table; only a repeated word is looked up.
+    pub(crate) fn preseed_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut next = 0;
+        preseed_vocabulary().map(move |word| {
+            if self.table.slot(next).and_then(|slot| slot.text.get()) == Some(&word) {
+                next += 1;
+                next - 1
+            } else {
+                self.preseed[word]
+            }
+        })
+    }
+
     /// The memoized `kind` lemma of `sym`, if one has been recorded.
     pub(crate) fn memoized_lemma(&self, sym: Symbol, kind: LemmaKind) -> Option<Symbol> {
         // Acquire pairs with the Release in `memoize_lemma`: the lemma's
@@ -437,30 +452,11 @@ pub const SENSITIVE_RESOURCES: &[&str] = &[
 
 /// Everything installed into the global interner's static table.
 pub(crate) fn preseed_vocabulary() -> impl Iterator<Item = &'static str> {
-    use crate::lexicon;
-    let word_classes = [
-        lexicon::MODALS,
-        lexicon::BE_FORMS,
-        lexicon::HAVE_FORMS,
-        lexicon::DO_FORMS,
-        lexicon::SUBORDINATORS,
-        lexicon::PRONOUNS,
-        lexicon::POSS_PRONOUNS,
-        lexicon::DETERMINERS,
-        lexicon::PREPOSITIONS,
-        lexicon::CONJUNCTIONS,
-        lexicon::WH_WORDS,
-        lexicon::VERBS,
-        lexicon::NOUNS,
-        lexicon::ADJECTIVES,
-        lexicon::ADVERBS,
-    ];
     let punct: &[&'static str] =
         &[".", ",", ";", ":", "!", "?", "'", "\"", "(", ")", "-", "/", "to", "n't", "'s"];
-    word_classes
+    crate::lexicon::CLASSES
         .into_iter()
-        .flatten()
-        .copied()
+        .flat_map(|(words, _, _)| words.iter().copied())
         .chain(crate::lemma::preseed_lemma_vocabulary())
         .chain(SENSITIVE_RESOURCES.iter().copied())
         .chain(punct.iter().copied())

@@ -560,39 +560,52 @@ pub const ADVERBS: &[&str] = &[
     "instead",
 ];
 
+/// The lexicon's word classes in the order the interner's pre-seed lists
+/// them, each with its tag and its rank: a word in several classes takes
+/// the tag of its highest-ranked class, and the closed classes rank
+/// highest.
+pub(crate) const CLASSES: [(&[&str], Tag, u8); 15] = [
+    (MODALS, Tag::Modal, 12),
+    (BE_FORMS, Tag::VerbPres, 13),
+    (HAVE_FORMS, Tag::VerbPres, 14),
+    (DO_FORMS, Tag::VerbPres, 15),
+    (SUBORDINATORS, Tag::Prep, 7),
+    (PRONOUNS, Tag::Pronoun, 10),
+    (POSS_PRONOUNS, Tag::PronounPoss, 11),
+    (DETERMINERS, Tag::Det, 9),
+    (PREPOSITIONS, Tag::Prep, 6),
+    (CONJUNCTIONS, Tag::Conj, 8),
+    (WH_WORDS, Tag::Wh, 5),
+    (VERBS, Tag::VerbBase, 2),
+    (NOUNS, Tag::Noun, 1),
+    (ADJECTIVES, Tag::Adj, 3),
+    (ADVERBS, Tag::Adv, 4),
+];
+
 impl Lexicon {
     fn build() -> Self {
         let _span = ppchecker_obs::span!("nlp.lexicon_build");
         let interner = Interner::global();
-        let mut tags = vec![None; interner.stats().preseeded];
-        let mut insert_all = |words: &[&'static str], tag: Tag| {
-            for &w in words {
-                let id = interner.intern_static(w).id() as usize;
-                if id >= tags.len() {
-                    tags.resize(id + 1, None);
+        let preseeded = interner.stats().preseeded;
+        let mut tags = vec![None; preseeded];
+        let mut ranks = vec![0u8; preseeded];
+        // The classes lead the pre-seed, so their words' ids are the
+        // first ones it gave out: read them back instead of probing the
+        // interner per word.
+        let mut ids = interner.preseed_ids();
+        for (words, tag, rank) in CLASSES {
+            for id in ids.by_ref().take(words.len()) {
+                let id = id as usize;
+                if rank > ranks[id] {
+                    tags[id] = Some(tag);
+                    ranks[id] = rank;
                 }
-                tags[id] = Some(tag);
             }
-        };
-        // Order matters: later inserts win, so put the highest-priority
-        // (closed) classes last.
-        insert_all(NOUNS, Tag::Noun);
-        insert_all(VERBS, Tag::VerbBase);
-        insert_all(ADJECTIVES, Tag::Adj);
-        insert_all(ADVERBS, Tag::Adv);
-        insert_all(WH_WORDS, Tag::Wh);
-        insert_all(PREPOSITIONS, Tag::Prep);
-        insert_all(SUBORDINATORS, Tag::Prep);
-        insert_all(CONJUNCTIONS, Tag::Conj);
-        insert_all(DETERMINERS, Tag::Det);
-        insert_all(PRONOUNS, Tag::Pronoun);
-        insert_all(POSS_PRONOUNS, Tag::PronounPoss);
-        insert_all(MODALS, Tag::Modal);
-        insert_all(BE_FORMS, Tag::VerbPres);
-        insert_all(HAVE_FORMS, Tag::VerbPres);
-        insert_all(DO_FORMS, Tag::VerbPres);
-        insert_all(&["to"], Tag::To);
-        insert_all(&["not", "n't"], Tag::Adv);
+        }
+        // Above every class.
+        for (word, tag) in [("to", Tag::To), ("not", Tag::Adv), ("n't", Tag::Adv)] {
+            tags[interner.get(word).expect("pre-seeded").id() as usize] = Some(tag);
+        }
         Lexicon { tags: tags.into() }
     }
 

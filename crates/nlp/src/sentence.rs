@@ -15,14 +15,27 @@ const ABBREVIATIONS: &[&str] = &[
 ];
 
 /// A document's sentences: their normalized texts back to back in one
-/// buffer, and the end of each.
-#[derive(Debug)]
+/// buffer, and the end of each. [`split_sentences_into`] refills one
+/// `Sentences` in place, so a caller that keeps it allocates only when a
+/// document outgrows every earlier one.
+#[derive(Debug, Default)]
 pub struct Sentences {
     text: String,
     ends: Vec<usize>,
 }
 
 impl Sentences {
+    /// An empty buffer, allocating nothing until it is first filled.
+    pub const fn new() -> Self {
+        Sentences { text: String::new(), ends: Vec::new() }
+    }
+
+    /// Heap bytes the buffer holds, used or not: what keeping it for
+    /// the next document costs.
+    pub fn allocated_bytes(&self) -> usize {
+        self.text.capacity() + self.ends.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// Number of sentences.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -59,7 +72,8 @@ impl std::ops::Index<usize> for Sentences {
 /// sentence, matching the paper's fix for NLTK's behaviour on bullet lists.
 ///
 /// One pass, linear in the text's length, into two buffers: the
-/// sentence text, allocated once, and the sentence ends.
+/// sentence text, allocated once, and the sentence ends. To reuse the
+/// buffers across documents, see [`split_sentences_into`].
 ///
 /// # Examples
 ///
@@ -72,10 +86,32 @@ impl std::ops::Index<usize> for Sentences {
 /// assert!(sents[1].contains("device id"));
 /// ```
 pub fn split_sentences(text: &str) -> Sentences {
+    let mut out = Sentences::new();
+    split_sentences_into(text, &mut out);
+    out
+}
+
+/// [`split_sentences`] into `out`, replacing what it held and keeping
+/// its buffers: the same sentences, and no allocation once `out` has
+/// held a document at least as long.
+///
+/// # Examples
+///
+/// ```
+/// use ppchecker_nlp::sentence::{split_sentences, split_sentences_into, Sentences};
+/// let mut out = Sentences::new();
+/// split_sentences_into("A longer first document. With two sentences.", &mut out);
+/// split_sentences_into("We collect data. We share it.", &mut out);
+/// assert!(out.iter().eq(split_sentences("We collect data. We share it.").iter()));
+/// ```
+pub fn split_sentences_into(text: &str, out: &mut Sentences) {
     let _span = ppchecker_obs::span!("nlp.split");
     let src = text.as_bytes();
+    out.text.clear();
+    out.ends.clear();
+    out.text.reserve(src.len());
     let mut s = Splitter {
-        out: Sentences { text: String::with_capacity(src.len()), ends: Vec::new() },
+        out,
         open: false,
         content: false,
         written: false,
@@ -153,7 +189,6 @@ pub fn split_sentences(text: &str) -> Sentences {
         i += 1;
     }
     s.end_fragment(src.len());
-    s.out
 }
 
 /// `true` for the bytes that normalize to themselves up to case and
@@ -190,8 +225,8 @@ fn is_abbreviation(word: &[u8]) -> bool {
 /// The state of [`split_sentences`]'s pass. A fragment is the text
 /// between two sentence breaks; it becomes a sentence of its own, or
 /// joins the last one under the enumeration repair.
-struct Splitter {
-    out: Sentences,
+struct Splitter<'a> {
+    out: &'a mut Sentences,
     /// The last sentence ends in `;`, `,` or `:`, so the next fragment
     /// joins it.
     open: bool,
@@ -210,7 +245,7 @@ struct Splitter {
     word_end: usize,
 }
 
-impl Splitter {
+impl Splitter<'_> {
     /// Writes `run`, lowercased, into the fragment's normalized text.
     /// `run` is ASCII and holds no whitespace but single inner spaces.
     fn put_run(&mut self, run: &str) {

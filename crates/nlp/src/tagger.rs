@@ -226,9 +226,16 @@ fn contextual_repair(tokens: &mut [Token]) {
 /// assert!(toks.iter().any(|t| t.lemma() == "use"));
 /// ```
 pub fn tag_str(sentence: &str) -> Vec<Token> {
-    let mut toks = crate::token::tokenize(sentence);
-    tag(&mut toks);
+    let mut toks = Vec::new();
+    tag_str_into(sentence, &mut toks);
     toks
+}
+
+/// [`tag_str`] into `tokens`, replacing what it held and keeping its
+/// buffer (see [`tokenize_into`](crate::token::tokenize_into)).
+pub fn tag_str_into(sentence: &str, tokens: &mut Vec<Token>) {
+    crate::token::tokenize_into(sentence, tokens);
+    tag(tokens);
 }
 
 #[cfg(test)]

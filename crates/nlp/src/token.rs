@@ -229,13 +229,23 @@ impl fmt::Display for Token {
 /// assert_eq!(words, ["We", "do", "n't", "sell", "your", "e-mail", "address", "."]);
 /// ```
 pub fn tokenize(sentence: &str) -> Vec<Token> {
+    let mut tokens = Vec::new();
+    tokenize_into(sentence, &mut tokens);
+    tokens
+}
+
+/// [`tokenize`] into `tokens`, replacing what it held and keeping its
+/// buffer, so a caller that reuses one vector allocates nothing per
+/// ASCII sentence once it has held the longest.
+pub fn tokenize_into(sentence: &str, tokens: &mut Vec<Token>) {
     let _span = ppchecker_obs::span!("nlp.tokenize");
+    tokens.clear();
     if sentence.is_ascii() {
         // Almost all pipeline text is ASCII: scan bytes directly — no
         // per-sentence `Vec<(usize, char)>`.
-        tokenize_ascii(sentence)
+        tokenize_ascii(sentence, tokens)
     } else {
-        tokenize_chars(sentence)
+        tokenize_chars(sentence, tokens)
     }
 }
 
@@ -274,10 +284,9 @@ fn skip_spaces(bytes: &[u8], mut i: usize) -> usize {
 /// Byte-at-a-time tokenizer for ASCII input, structurally mirroring
 /// [`tokenize_chars`] (every branch corresponds one-to-one; the
 /// differential tests assert identical output on arbitrary ASCII).
-fn tokenize_ascii(sentence: &str) -> Vec<Token> {
+fn tokenize_ascii(sentence: &str, tokens: &mut Vec<Token>) {
     let bytes = sentence.as_bytes();
     let n = bytes.len();
-    let mut tokens = Vec::new();
     let mut i = 0;
     while i < n {
         let start = i;
@@ -315,7 +324,7 @@ fn tokenize_ascii(sentence: &str) -> Vec<Token> {
                 }
             }
             // Split trailing "n't" / "'s" style contractions.
-            push_word(&mut tokens, &sentence[start..j], start);
+            push_word(tokens, &sentence[start..j], start);
             i = j;
         } else if c == b'\'' && i + 1 < n {
             // Apostrophe beginning a contraction suffix: 's, 't, 're, 'll...
@@ -344,13 +353,11 @@ fn tokenize_ascii(sentence: &str) -> Vec<Token> {
             i += 1;
         }
     }
-    tokens
 }
 
 /// Char-at-a-time reference tokenizer, used for non-ASCII input (and as
 /// the differential baseline for [`tokenize_ascii`]).
-fn tokenize_chars(sentence: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
+fn tokenize_chars(sentence: &str, tokens: &mut Vec<Token>) {
     // (byte offset, char) pairs — all slicing below happens on char
     // boundaries.
     let chars: Vec<(usize, char)> = sentence.char_indices().collect();
@@ -400,7 +407,7 @@ fn tokenize_chars(sentence: &str) -> Vec<Token> {
             }
             let word = &sentence[start..end_of(j)];
             // Split trailing "n't" / "'s" style contractions.
-            push_word(&mut tokens, word, start);
+            push_word(tokens, word, start);
             i = j;
         } else if c == '\'' && i + 1 < n {
             // Apostrophe beginning a contraction suffix: 's, 't, 're, 'll...
@@ -429,7 +436,6 @@ fn tokenize_chars(sentence: &str) -> Vec<Token> {
             i += 1;
         }
     }
-    tokens
 }
 
 /// Heuristic: treat `com.example` style strings (contains a previous dot or
@@ -549,8 +555,9 @@ mod tests {
     }
 
     fn assert_paths_agree(sentence: &str) {
-        let fast = tokenize_ascii(sentence);
-        let reference = tokenize_chars(sentence);
+        let (mut fast, mut reference) = (Vec::new(), Vec::new());
+        tokenize_ascii(sentence, &mut fast);
+        tokenize_chars(sentence, &mut reference);
         let view = |ts: &[Token]| -> Vec<(String, usize)> {
             ts.iter().map(|t| (t.text().to_string(), t.start)).collect()
         };

@@ -18,9 +18,19 @@
 /// assert!(!text.contains("var x"));
 /// ```
 pub fn extract_text(html: &str) -> String {
+    let mut out = String::new();
+    extract_text_into(html, &mut out);
+    out
+}
+
+/// [`extract_text`] into `out`, replacing what it held and keeping its
+/// buffer, so a caller that reuses one string allocates nothing once it
+/// has held a document at least as long.
+pub fn extract_text_into(html: &str, out: &mut String) {
     // Tags, comments and entities never expand, so the text fits in one
     // allocation of the document's size.
-    let mut out = String::with_capacity(html.len());
+    out.clear();
+    out.reserve(html.len());
     let bytes = html.as_bytes();
     let mut i = 0;
     // Inside a script or style: the name of the tag that closes it.
@@ -92,7 +102,6 @@ pub fn extract_text(html: &str) -> String {
             _ => {}
         }
     }
-    out
 }
 
 fn decode_entity(s: &str) -> (&'static str, usize) {

@@ -11,8 +11,9 @@ use crate::purpose::{detect_purpose, PurposeClaim};
 use crate::verbs::VerbCategory;
 use ppchecker_nlp::depparse::parse;
 use ppchecker_nlp::intern::{Interner, Symbol};
-use ppchecker_nlp::sentence::split_sentences;
+use ppchecker_nlp::sentence::{split_sentences, split_sentences_into, Sentences};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
@@ -73,21 +74,68 @@ pub struct PolicyAnalysis {
     pub has_disclaimer: bool,
 }
 
+/// Heap bytes past which a thread drops its document buffers after use
+/// instead of keeping them for the next policy, so one huge policy does
+/// not stay resident in a long-lived thread.
+const SCRATCH_CAP_BYTES: usize = 64 << 10;
+
+/// The document loop's buffers: the stripped text and its sentences.
+struct DocScratch {
+    text: String,
+    sentences: Sentences,
+}
+
+impl DocScratch {
+    const fn new() -> Self {
+        DocScratch { text: String::new(), sentences: Sentences::new() }
+    }
+}
+
+thread_local! {
+    /// This thread's document buffers, refilled by each policy.
+    static DOC_SCRATCH: RefCell<DocScratch> = const { RefCell::new(DocScratch::new()) };
+}
+
+/// Runs `f` on this thread's document buffers, or on fresh ones when a
+/// verdict analyzes a policy of its own while the buffers are in use.
+/// Buffers grown past [`SCRATCH_CAP_BYTES`] are dropped after use.
+fn with_doc_scratch<R>(f: impl FnOnce(&mut DocScratch) -> R) -> R {
+    DOC_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => {
+            let out = f(&mut scratch);
+            if scratch.text.capacity() + scratch.sentences.allocated_bytes() > SCRATCH_CAP_BYTES {
+                *scratch = DocScratch::new();
+            }
+            out
+        }
+        Err(_) => f(&mut DocScratch::new()),
+    })
+}
+
 impl PolicyAnalysis {
     /// The document loop of the pipeline: strips `html_doc` to its
     /// visible text (Step 1), splits it into sentences and folds in one
     /// `verdict` per sentence, in document order.
     /// [`PolicyAnalyzer::analyze_html`] passes [`PolicyAnalyzer::verdict`];
-    /// a cache passes a memo of it.
+    /// a cache passes a memo of it. The text and the sentences go into
+    /// buffers the thread keeps, so a policy allocates only its result.
     pub fn from_html(html_doc: &str, verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
         let _span = ppchecker_obs::span!("policy.analyze");
-        PolicyAnalysis::from_text(&html::extract_text(html_doc), verdict)
+        with_doc_scratch(|scratch| {
+            html::extract_text_into(html_doc, &mut scratch.text);
+            split_sentences_into(&scratch.text, &mut scratch.sentences);
+            PolicyAnalysis::fold(&scratch.sentences, verdict)
+        })
     }
 
-    /// [`PolicyAnalysis::from_html`] after the HTML strip. The split
-    /// writes every sentence into one buffer, which the verdicts borrow.
-    fn from_text(text: &str, mut verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
-        let sents = split_sentences(text);
+    /// The document loop over plain text.
+    fn from_text(text: &str, verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
+        PolicyAnalysis::fold(&split_sentences(text), verdict)
+    }
+
+    /// Folds one `verdict` per sentence of `sents` into an analysis; the
+    /// verdicts borrow the sentences' buffer.
+    fn fold(sents: &Sentences, mut verdict: impl FnMut(&str) -> SentenceVerdict) -> Self {
         let mut analysis =
             PolicyAnalysis { total_sentences: sents.len(), ..PolicyAnalysis::default() };
         for sent in sents.iter() {
@@ -553,6 +601,26 @@ mod tests {
             exclusive: false,
         })));
         assert!(claims.contains(&None));
+    }
+
+    /// A verdict that analyzes a policy of its own while the thread's
+    /// document buffers are in use gets fresh buffers: both the nested
+    /// and the outer analyses equal their unnested forms.
+    #[test]
+    fn a_verdict_may_analyze_a_policy_of_its_own() {
+        use crate::wire::encode_analysis;
+        let analyzer = analyzer();
+        let outer = "<p>We collect your location. We will not share your contacts.</p>\
+                     <p>We are not responsible for the privacy practices of third party sites.</p>";
+        let inner = "<h1>Other</h1><p>We may store your device id. You may provide your email.</p>";
+        let inner_alone = encode_analysis(&analyzer.analyze_html(inner));
+        let mut nested = Vec::new();
+        let outer_nested = PolicyAnalysis::from_html(outer, |sentence| {
+            nested.push(encode_analysis(&analyzer.analyze_html(inner)));
+            analyzer.verdict(sentence)
+        });
+        assert_eq!(nested, vec![inner_alone; 3]);
+        assert_eq!(encode_analysis(&outer_nested), encode_analysis(&analyzer.analyze_html(outer)));
     }
 
     #[test]

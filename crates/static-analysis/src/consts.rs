@@ -26,19 +26,29 @@ pub enum UriValue {
 /// `Uri.withAppendedPath`, and turns `iget/sget` of `android.*` URI fields
 /// into [`UriValue::Field`] descriptors.
 pub fn resolve_uri(method: &Method, at: usize, reg: Reg) -> Option<UriValue> {
+    match &method.instructions[resolve_uri_at(method, at, reg)?] {
+        Insn::ConstString { value, .. } => Some(UriValue::Literal(value.clone())),
+        Insn::FieldGet { class, field, .. } => {
+            Some(UriValue::Field(format!("<{class}: android.net.Uri {field}>")))
+        }
+        _ => unreachable!("a URI resolves to a const-string or a field read"),
+    }
+}
+
+/// [`resolve_uri`] without building the value: the index of the
+/// `const-string` or URI field read that `reg` resolves to.
+pub(crate) fn resolve_uri_at(method: &Method, at: usize, reg: Reg) -> Option<usize> {
     let mut wanted = reg;
     let end = at.min(method.instructions.len());
-    for insn in method.instructions[..end].iter().rev() {
+    for (idx, insn) in method.instructions[..end].iter().enumerate().rev() {
         match insn {
-            Insn::ConstString { dst, value } if *dst == wanted => {
-                return Some(UriValue::Literal(value.clone()));
-            }
+            Insn::ConstString { dst, .. } if *dst == wanted => return Some(idx),
             Insn::Move { dst, src } if *dst == wanted => {
                 wanted = *src;
             }
             Insn::FieldGet { class, field, dst } if *dst == wanted => {
                 if class.starts_with("android.provider") || field.contains("CONTENT_URI") {
-                    return Some(UriValue::Field(format!("<{class}: android.net.Uri {field}>")));
+                    return Some(idx);
                 }
                 return None;
             }

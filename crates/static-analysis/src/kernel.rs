@@ -12,9 +12,10 @@
 //!   uses), so register indexes and `param_count` never size a table.
 //!   All compile output lives in thread-local scratch buffers that are
 //!   cleared and reused across apps — the interning tables hold
-//!   static-table pointers and dex locators rather than owned strings —
-//!   so steady-state analysis performs no heap allocation; witness
-//!   strings are materialized only when a leak is reported.
+//!   static-table pointers, dex locators and ranges of one reused text
+//!   buffer rather than owned strings — so steady-state analysis
+//!   performs no heap allocation; witness strings are materialized only
+//!   when a leak is reported.
 //! * **Bitset taint** — a taint set is `w = max(1, ⌈labels/64⌉)` words,
 //!   with `w` fixed per app; each table keeps its sets in one flat
 //!   array. Union, test and population count are plain per-word loops.
@@ -28,14 +29,15 @@
 //! See DESIGN.md §11 for the equivalence argument.
 
 use crate::apg::Apg;
-use crate::consts::{self, UriValue};
+use crate::consts;
 use crate::sensitive::{self, SensitiveApi};
 use crate::sinks::{self, SinkApi};
-use crate::taint::{body_regs, intent_targets, Leak};
+use crate::taint::{body_regs, Leak};
 use crate::uris;
-use ppchecker_apk::{Insn, PrivateInfo, Reg};
+use ppchecker_apk::{Insn, Method, PrivateInfo, Reg};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 /// Sentinel for "no id" in packed op fields.
 const NONE: u32 = u32::MAX;
@@ -224,11 +226,12 @@ struct MethodMeta {
 
 /// A taint label, kept symbolic until a leak is actually reported:
 /// table-sourced labels are just a pointer into the static API table,
-/// URI labels own the witness string the reference engine would emit.
+/// URI labels hold the witness string the reference engine would emit,
+/// as a range of [`CompileScratch::text`].
 #[derive(Debug, Clone)]
 enum LabelRef {
     Api(&'static SensitiveApi),
-    Uri { info: PrivateInfo, src: String },
+    Uri { info: PrivateInfo, src: (u32, u32) },
 }
 
 /// A sink call site: static table entry × method id. Ids are distinct
@@ -281,8 +284,9 @@ impl Csr {
 /// per-app interning tables and the dependency CSRs. Everything is
 /// `clear()`ed — capacity retained — at the start of each app, so a
 /// steady-state compile performs no heap allocation: labels and sites
-/// hold `&'static` table pointers, and fields are `(method id,
-/// instruction index)` locators into the dex instead of owned strings.
+/// hold `&'static` table pointers, fields are `(method id, instruction
+/// index)` locators into the dex, and URI witnesses and channel names
+/// are ranges of one text buffer instead of owned strings.
 #[derive(Debug)]
 struct CompileScratch {
     /// In-scope method ids, ascending.
@@ -293,9 +297,16 @@ struct CompileScratch {
     arg_regs: Vec<Reg>,
     labels: Vec<LabelRef>,
     sites: Vec<SiteRef>,
-    /// ICC channel names (owned: put targets come from const-string
-    /// tracking temporaries; channels are rare).
-    channels: Vec<String>,
+    /// ICC channel names, as ranges of `text`.
+    channels: Vec<(u32, u32)>,
+    /// URI label witnesses and channel names, back to back.
+    text: String,
+    /// Per register slot of the current body: the `const-string`
+    /// instruction it last held and, for an intent, the one naming the
+    /// class it was last set to (`NONE` for neither). Filled only for
+    /// bodies that put extras.
+    slot_strings: Vec<u32>,
+    slot_targets: Vec<u32>,
     /// `(class, field)` pairs as dex locators; resolve via [`field_at`].
     fields: Vec<(u32, u32)>,
     field_pairs: Vec<(u32, u32)>,
@@ -331,6 +342,9 @@ impl CompileScratch {
             labels: Vec::new(),
             sites: Vec::new(),
             channels: Vec::new(),
+            text: String::new(),
+            slot_strings: Vec::new(),
+            slot_targets: Vec::new(),
             fields: Vec::new(),
             field_pairs: Vec::new(),
             caller_pairs: Vec::new(),
@@ -379,6 +393,7 @@ fn compile(apg: &Apg, in_scope: &[bool], cs: &mut CompileScratch) {
     cs.labels.clear();
     cs.sites.clear();
     cs.channels.clear();
+    cs.text.clear();
     cs.fields.clear();
     cs.field_pairs.clear();
     cs.caller_pairs.clear();
@@ -411,25 +426,21 @@ fn compile_method(apg: &Apg, in_scope: &[bool], ix: u32, cs: &mut CompileScratch
     let (class, method) = apg.method_def(ix);
     let class_name = class.name.as_str();
 
-    // Cheap pre-scan so the two per-method body analyses (const-string
-    // intent-target tracking and query-URI resolution) only run on the
-    // rare methods that can actually use their results.
-    let mut has_put_extra = false;
-    let mut has_query = false;
-    for insn in &method.instructions {
-        if let Insn::Invoke { class: c, method: m, .. } = insn {
-            has_put_extra |= c == "android.content.Intent" && m == "putExtra";
-            has_query |= consts::is_query_call(c, m);
-        }
-    }
-    let targets = if has_put_extra { intent_targets(method) } else { HashMap::new() };
-    let query_uris = if has_query { consts::query_sites(method) } else { Vec::new() };
-
     // Dense register slots: slot i is the i-th smallest register the body
     // uses, so the parameter registers it uses are the leading slots.
     let mut body = std::mem::take(&mut cs.body);
     body_regs(method, &mut body);
     let slot = |r: Reg| body.binary_search(&r).expect("body_regs covers every operand") as Reg;
+
+    // Const-string intent-target tracking runs only on the rare bodies
+    // that put an extra.
+    let has_put_extra = method.instructions.iter().any(|insn| {
+        matches!(insn, Insn::Invoke { class: c, method: m, .. }
+            if c == "android.content.Intent" && m == "putExtra")
+    });
+    if has_put_extra {
+        intent_targets(method, slot, body.len(), cs);
+    }
     let ops_start = cs.ops.len() as u32;
     for (idx, insn) in method.instructions.iter().enumerate() {
         match insn {
@@ -457,13 +468,12 @@ fn compile_method(apg: &Apg, in_scope: &[bool], ix: u32, cs: &mut CompileScratch
 
                 let source_label =
                     sensitive::lookup(c, m).map(|api| intern_label_api(cs, api)).unwrap_or(NONE);
-                let uri_label = if has_query {
-                    query_uris
-                        .iter()
-                        .find(|(i, _)| *i == idx)
-                        .and_then(|(_, uri)| uri_parts(uri))
-                        .map(|(info, src)| intern_label_uri(cs, info, src))
-                        .unwrap_or(NONE)
+                // The URI argument follows the receiver.
+                let uri_label = if consts::is_query_call(c, m) {
+                    args.iter()
+                        .skip(1)
+                        .find_map(|&arg| consts::resolve_uri_at(method, idx, arg))
+                        .map_or(NONE, |at| intern_label_uri(cs, &method.instructions[at]))
                 } else {
                     NONE
                 };
@@ -472,8 +482,10 @@ fn compile_method(apg: &Apg, in_scope: &[bool], ix: u32, cs: &mut CompileScratch
                 let mut icc_get = NONE;
                 if c == "android.content.Intent" {
                     if m == "putExtra" {
-                        if let Some(target) = args.first().and_then(|r| targets.get(r)) {
-                            icc_put = intern_channel(cs, target);
+                        let target =
+                            args.first().map_or(NONE, |&r| cs.slot_targets[slot(r) as usize]);
+                        if target != NONE {
+                            icc_put = intern_channel(cs, const_string(method, target));
                         }
                     }
                     if matches!(
@@ -623,24 +635,95 @@ fn intern_label_api(cs: &mut CompileScratch, api: &'static SensitiveApi) -> u32 
     (cs.labels.len() - 1) as u32
 }
 
-fn intern_label_uri(cs: &mut CompileScratch, info: PrivateInfo, src: &str) -> u32 {
-    if let Some(id) = cs
-        .labels
-        .iter()
-        .position(|l| matches!(l, LabelRef::Uri { info: i, src: s } if *i == info && s == src))
-    {
+/// Interns the label of a query site whose URI resolved to `uri` (a
+/// `const-string` or a URI field read), or returns `NONE` when the URI is
+/// not sensitive. The witness is written to the end of `cs.text`, where
+/// it stays only if the label is new.
+fn intern_label_uri(cs: &mut CompileScratch, uri: &Insn) -> u32 {
+    let start = cs.text.len();
+    let info = match uri {
+        Insn::ConstString { value, .. } => {
+            let Some(u) = uris::match_uri_string(value) else {
+                return NONE;
+            };
+            cs.text.push_str(value);
+            u.info
+        }
+        Insn::FieldGet { class, field, .. } => {
+            write!(cs.text, "<{class}: android.net.Uri {field}>").expect("writing to a String");
+            let Some(u) = uris::match_uri_field(&cs.text[start..]) else {
+                cs.text.truncate(start);
+                return NONE;
+            };
+            u.info
+        }
+        _ => unreachable!("a URI resolves to a const-string or a field read"),
+    };
+    let witness = &cs.text[start..];
+    let seen = cs.labels.iter().position(|l| {
+        matches!(l, LabelRef::Uri { info: i, src } if *i == info && text_at(&cs.text, *src) == witness)
+    });
+    if let Some(id) = seen {
+        cs.text.truncate(start);
         return id as u32;
     }
-    cs.labels.push(LabelRef::Uri { info, src: src.to_string() });
+    cs.labels.push(LabelRef::Uri { info, src: (start as u32, cs.text.len() as u32) });
     (cs.labels.len() - 1) as u32
 }
 
 fn intern_channel(cs: &mut CompileScratch, name: &str) -> u32 {
-    if let Some(id) = cs.channels.iter().position(|c| c == name) {
+    if let Some(id) = cs.channels.iter().position(|&c| text_at(&cs.text, c) == name) {
         return id as u32;
     }
-    cs.channels.push(name.to_string());
+    let start = cs.text.len() as u32;
+    cs.text.push_str(name);
+    cs.channels.push((start, cs.text.len() as u32));
     (cs.channels.len() - 1) as u32
+}
+
+/// The `(start, end)` range of `text`.
+fn text_at(text: &str, (start, end): (u32, u32)) -> &str {
+    &text[start as usize..end as usize]
+}
+
+/// The value of the `const-string` at `idx`.
+fn const_string(method: &Method, idx: u32) -> &str {
+    match &method.instructions[idx as usize] {
+        Insn::ConstString { value, .. } => value,
+        _ => unreachable!("an intent target is a const-string"),
+    }
+}
+
+/// The reference engine's `intent_targets` over the body's register
+/// slots, into `cs.slot_targets`: each intent slot maps to the
+/// `const-string` naming the class it was last set to.
+fn intent_targets(
+    method: &Method,
+    slot: impl Fn(Reg) -> Reg,
+    slots: usize,
+    cs: &mut CompileScratch,
+) {
+    let CompileScratch { slot_strings: strings, slot_targets: targets, .. } = cs;
+    strings.clear();
+    strings.resize(slots, NONE);
+    targets.clear();
+    targets.resize(slots, NONE);
+    for (idx, insn) in method.instructions.iter().enumerate() {
+        match insn {
+            Insn::ConstString { dst, .. } => strings[slot(*dst) as usize] = idx as u32,
+            Insn::Invoke { class, method: m, args, .. }
+                if class == "android.content.Intent"
+                    && matches!(m.as_str(), "setClass" | "setClassName" | "setComponent") =>
+            {
+                let target =
+                    args.iter().skip(1).map(|&r| strings[slot(r) as usize]).find(|&s| s != NONE);
+                if let (Some(&intent), Some(target)) = (args.first(), target) {
+                    targets[slot(intent) as usize] = target;
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 fn intern_field(apg: &Apg, cs: &mut CompileScratch, ix: u32, idx: u32) -> u32 {
@@ -663,21 +746,12 @@ fn intern_site(cs: &mut CompileScratch, api: &'static SinkApi, at_ix: u32) -> u3
     (cs.sites.len() - 1) as u32
 }
 
-/// Resolves a query-site URI to `(info, witness)`, mirroring the
-/// reference engine's witness strings.
-fn uri_parts(uri: &UriValue) -> Option<(PrivateInfo, &str)> {
-    match uri {
-        UriValue::Literal(s) => uris::match_uri_string(s).map(|u| (u.info, s.as_str())),
-        UriValue::Field(f) => uris::match_uri_field(f).map(|u| (u.info, f.as_str())),
-    }
-}
-
 /// Materializes a label's `(info, source_api)` exactly as the reference
 /// engine spells it.
-fn label_parts(label: &LabelRef) -> (PrivateInfo, String) {
+fn label_parts(label: &LabelRef, text: &str) -> (PrivateInfo, String) {
     match label {
         LabelRef::Api(api) => (api.info, format!("{}.{}", api.class, api.method)),
-        LabelRef::Uri { info, src } => (*info, src.clone()),
+        LabelRef::Uri { info, src } => (*info, text_at(text, *src).to_string()),
     }
 }
 
@@ -877,7 +951,7 @@ fn collect_leaks(prog: &Program, st: &StateScratch) -> Vec<Leak> {
         let sink_api = format!("{}.{}", site.api.class, site.api.method);
         let at = format!("{}.{}", at_class.name, at_method.name);
         for bit in ones(bits) {
-            let (info, source_api) = label_parts(&prog.cs.labels[bit as usize]);
+            let (info, source_api) = label_parts(&prog.cs.labels[bit as usize], &prog.cs.text);
             out.push(Leak {
                 info,
                 sink: site.api.kind,

@@ -1,9 +1,10 @@
 //! Exact allocation counts of a warm check, gated as work counters: the
-//! whole `Engine::check_one`, its policy stage (`ArtifactCache::policy`)
-//! and its description stage (`analyze_description_with`), summed over
-//! the 1,197-app paper prefix of the scale stream after one warm-up pass.
-//! Beside them, the two set-up builds every process pays: the ESA index
-//! over the bundled knowledge base and the pre-seeded interner.
+//! whole `Engine::check_one`, its policy stage (`ArtifactCache::policy`),
+//! its description stage (`analyze_description_with`) and its static
+//! stage (`analyze_with`), summed over the 1,197-app paper prefix of the
+//! scale stream after one warm-up pass. Beside them, the two set-up
+//! builds every process pays: the ESA index over the bundled knowledge
+//! base and the pre-seeded interner.
 //!
 //! Allocation calls are a function of the input alone: a warm pass hits
 //! every cache, and the counter below counts only this test's thread
@@ -12,7 +13,7 @@
 //! toolchain whose standard library allocates differently (these were
 //! taken with rustc 1.95). Re-derive the expected counts by running
 //! `cargo test --release --test allocation_counts` and copying the
-//! measured triple from the failure message, and say in the change why
+//! measured counts from the failure message, and say in the change why
 //! they moved.
 
 use ppchecker_core::{AppInput, PPChecker};
@@ -21,6 +22,7 @@ use ppchecker_desc::analyze_description_with;
 use ppchecker_engine::Engine;
 use ppchecker_esa::{kb, Interpreter};
 use ppchecker_nlp::Interner;
+use ppchecker_static::{analyze_with, AnalysisOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -87,16 +89,20 @@ fn warm_check_allocations_are_exact() {
         calls_over(&apps, check),
         calls_over(&apps, |app| drop(black_box(engine.cache().policy(&app.policy_html)))),
         calls_over(&apps, |app| drop(black_box(analyze_description_with(&app.description, esa)))),
+        calls_over(&apps, |app| {
+            drop(black_box(analyze_with(&app.apk, AnalysisOptions::default())))
+        }),
     );
     let per_app = |calls: u64| calls as f64 / APP_COUNT as f64;
     assert_eq!(
         measured,
-        (57_774, 5_578, 14_822),
-        "allocation calls (check_one, policy, description) over {APP_COUNT} warm apps; \
-         per app {:.2} / {:.2} / {:.2}",
+        (37_814, 1_198, 277, 20_717),
+        "allocation calls (check_one, policy, description, static) over {APP_COUNT} warm apps; \
+         per app {:.2} / {:.2} / {:.2} / {:.2}",
         per_app(measured.0),
         per_app(measured.1),
         per_app(measured.2),
+        per_app(measured.3),
     );
 }
 

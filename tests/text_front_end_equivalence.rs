@@ -5,11 +5,20 @@
 //! enumeration repair over owned sentences. Stripped text and sentence
 //! lists must be identical on every policy and description of the scale
 //! stream, on the pathological-policy pack and on random markup.
+//!
+//! On the same inputs, each `_into` function (strip, split, tokenize,
+//! tag, chunk), writing into buffers a longer input left dirty, must
+//! give what its allocating form gives.
 
 use ppchecker_corpus::{stream_scaled, ScenarioPack};
-use ppchecker_nlp::sentence::split_sentences;
-use ppchecker_policy::html::extract_text;
+use ppchecker_nlp::chunk::{chunk_nps, chunk_nps_into, NounPhrase};
+use ppchecker_nlp::sentence::{split_sentences, split_sentences_into, Sentences};
+use ppchecker_nlp::tagger::{tag_str, tag_str_into};
+use ppchecker_nlp::token::{tokenize, tokenize_into};
+use ppchecker_nlp::Token;
+use ppchecker_policy::html::{extract_text, extract_text_into};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The front end as it was, verbatim.
 #[allow(clippy::all)]
@@ -230,22 +239,67 @@ mod reference {
     }
 }
 
+/// Buffers the `_into` functions reuse across the inputs of one test,
+/// and the sentences whose tokens they have already compared.
+#[derive(Default)]
+struct Reused {
+    text: String,
+    sentences: Sentences,
+    tokens: Vec<Token>,
+    nps: Vec<NounPhrase>,
+    tagged: HashSet<String>,
+}
+
+/// A longer input than `s` to dirty a buffer with first: `s` twice and
+/// then a sentence of its own.
+fn longer(s: &str) -> String {
+    format!("{s}\n\n{s} And a Longer, trailing sentence; with more words.")
+}
+
 /// Strips `html` and splits both the stripped text and the raw input, and
-/// asserts each result equals the reference's. Returns the stripped text.
-fn assert_front_end_matches(html: &str) -> String {
+/// asserts each result equals the reference's, and that the reused
+/// buffers give the same. Returns the stripped text.
+fn assert_front_end_matches(html: &str, reused: &mut Reused) -> String {
     let text = extract_text(html);
     assert_eq!(text, reference::extract_text(html), "stripped text of {html:?}");
-    assert_split_matches(&text);
+    extract_text_into(&longer(html), &mut reused.text);
+    extract_text_into(html, &mut reused.text);
+    assert_eq!(reused.text, text, "stripped text of {html:?} in a reused buffer");
+    assert_split_matches(&text, reused);
     text
 }
 
-fn assert_split_matches(text: &str) {
+fn assert_split_matches(text: &str, reused: &mut Reused) {
     let got = split_sentences(text);
     assert_eq!(
         got.iter().collect::<Vec<_>>(),
         reference::split_sentences(text),
         "sentences of {text:?}"
     );
+    split_sentences_into(&longer(text), &mut reused.sentences);
+    split_sentences_into(text, &mut reused.sentences);
+    assert!(got.iter().eq(reused.sentences.iter()), "sentences of {text:?} in a reused buffer");
+    for sentence in got.iter() {
+        if reused.tagged.insert(sentence.to_string()) {
+            assert_tokens_match(sentence, reused);
+        }
+    }
+}
+
+/// Tokenize, tag and chunk `sentence` into buffers a longer sentence
+/// filled first, and compare with the allocating forms.
+fn assert_tokens_match(sentence: &str, reused: &mut Reused) {
+    let dirt = longer(sentence);
+    tokenize_into(&dirt, &mut reused.tokens);
+    tokenize_into(sentence, &mut reused.tokens);
+    assert_eq!(reused.tokens, tokenize(sentence), "tokens of {sentence:?}");
+    tag_str_into(&dirt, &mut reused.tokens);
+    chunk_nps_into(&reused.tokens, &mut reused.nps);
+    tag_str_into(sentence, &mut reused.tokens);
+    let tagged = tag_str(sentence);
+    assert_eq!(reused.tokens, tagged, "tagged tokens of {sentence:?}");
+    chunk_nps_into(&reused.tokens, &mut reused.nps);
+    assert_eq!(reused.nps, chunk_nps(&tagged), "noun phrases of {sentence:?}");
 }
 
 /// Every policy and description of the first 20,000 scale apps, which
@@ -253,9 +307,10 @@ fn assert_split_matches(text: &str) {
 #[test]
 fn scale_stream_strips_and_splits_as_before() {
     let (mut policies, mut sentences) = (0usize, 0usize);
+    let mut reused = Reused::default();
     for app in stream_scaled(42, 20_000) {
-        let text = assert_front_end_matches(&app.input.policy_html);
-        assert_split_matches(&app.input.description);
+        let text = assert_front_end_matches(&app.input.policy_html, &mut reused);
+        assert_split_matches(&app.input.description, &mut reused);
         policies += 1;
         sentences += split_sentences(&text).len();
     }
@@ -270,9 +325,10 @@ fn pathological_policy_pack_strips_and_splits_as_before() {
     let mut manifest = ScenarioPack::PathologicalPolicy.manifest(42, 40_000);
     manifest.ids.retain(|&id| id >= 20_000);
     let mut apps = 0usize;
+    let mut reused = Reused::default();
     for app in manifest.apps() {
-        assert_front_end_matches(&app.input.policy_html);
-        assert_split_matches(&app.input.description);
+        assert_front_end_matches(&app.input.policy_html, &mut reused);
+        assert_split_matches(&app.input.description, &mut reused);
         apps += 1;
     }
     assert!(apps > 0, "the pack selects apps past the stream prefix");
@@ -371,9 +427,10 @@ proptest! {
         picks in prop::collection::vec(0..ATOMS.len(), 0..120)
     ) {
         let mut input = String::new();
+        let mut reused = Reused::default();
         for &pick in &picks {
             input.push_str(ATOMS[pick]);
-            assert_front_end_matches(&input);
+            assert_front_end_matches(&input, &mut reused);
         }
     }
 }
