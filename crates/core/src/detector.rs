@@ -443,7 +443,7 @@ impl Detector for PurposeDetector {
                     payload: FindingPayload::Purpose(PurposeFinding {
                         purpose: claim.purpose,
                         kind,
-                        sentence: sentence.text.clone(),
+                        sentence: String::from(&*sentence.text),
                     }),
                 });
             }

@@ -36,8 +36,8 @@ pub fn check_pair(
                         out.push(Inconsistency {
                             lib_id: lib_id.to_string(),
                             category: app_sent.category,
-                            app_sentence: app_sent.text.clone(),
-                            lib_sentence: lib_sent.text.clone(),
+                            app_sentence: String::from(&*app_sent.text),
+                            lib_sentence: String::from(&*lib_sent.text),
                             app_resource: app_res.as_str().to_string(),
                             lib_resource: lib_res.as_str().to_string(),
                         });

@@ -31,7 +31,7 @@ pub fn via_description(
                     out.push(IncorrectFinding {
                         info,
                         channel: Channel::Description,
-                        sentence: sent.text.clone(),
+                        sentence: String::from(&*sent.text),
                         category: sent.category,
                     });
                 }
@@ -71,7 +71,7 @@ pub fn via_code(
                     out.push(IncorrectFinding {
                         info,
                         channel: Channel::Code,
-                        sentence: sent.text.clone(),
+                        sentence: String::from(&*sent.text),
                         category: sent.category,
                     });
                 }

@@ -15,23 +15,31 @@
 //!
 //! The memo is probed by `&str`: a hit clones an `Arc` and allocates
 //! nothing. At most [`POLICY_CACHE_CAP`] sentences stay resident, each
-//! next to its verdict, and they go with the cache. Sentences are
-//! deliberately *not* interned: they are cache keys, not vocabulary, and
-//! an interned key would outlive the cache for the life of the process
-//! (see DESIGN.md §9).
+//! next to its verdict, and they go with the cache. Each resident
+//! sentence's text is stored once: the memo keys by `Arc<str>` and hands
+//! its key to the analysis, so a useful sentence's
+//! [`AnalyzedSentence::text`](ppchecker_policy::AnalyzedSentence::text)
+//! is the key itself. Over the 20,000 policies of the seed-42 stream a
+//! cold cache ends holding 4,273 sentences in 1,029,010 heap bytes
+//! (241 B and 20.7 allocation calls of the cold pass per sentence;
+//! `tests/allocation_counts.rs` gates both). Sentences are deliberately
+//! *not* interned: they are cache keys, not vocabulary, and an interned
+//! key would outlive the cache for the life of the process (see
+//! DESIGN.md §9).
 //!
 //! The cache owns the analyzer whose verdicts it holds, so no verdict
 //! can reach a differently configured analyzer.
 
 use ppchecker_obs::{CacheStats, Memo};
 use ppchecker_policy::{PolicyAnalysis, PolicyAnalyzer, SentenceVerdict};
+use std::sync::Arc;
 
 /// Upper bound on resident sentence verdicts. Past this the cache stops
 /// admitting new sentences (hits still serve, misses still compute), so
 /// a week-long daemon fed an unbounded stream of distinct policies holds
-/// at most this many sentences and verdicts: ~34 MB when full
-/// (EXPERIMENTS.md). A 100k-app scale corpus has ~12.5k distinct
-/// sentences.
+/// at most this many sentences and verdicts: ~26 MB when full of useful
+/// sentences (EXPERIMENTS.md, "Each cached sentence stored once"). A
+/// 100k-app scale corpus has ~12.5k distinct sentences.
 pub const POLICY_CACHE_CAP: usize = 65_536;
 
 /// Thread-safe memo of sentence verdicts under one analyzer, shared by
@@ -39,7 +47,7 @@ pub const POLICY_CACHE_CAP: usize = 65_536;
 #[derive(Debug)]
 pub struct ArtifactCache {
     analyzer: PolicyAnalyzer,
-    sentences: Memo<Box<str>, SentenceVerdict>,
+    sentences: Memo<Arc<str>, SentenceVerdict>,
 }
 
 impl ArtifactCache {
@@ -54,7 +62,7 @@ impl ArtifactCache {
     pub fn policy(&self, html: &str) -> PolicyAnalysis {
         let _span = ppchecker_obs::span!("engine.cache_probe");
         PolicyAnalysis::from_html(html, |sentence| {
-            self.sentences.get_or_compute(sentence, || self.analyzer.verdict(sentence))
+            self.sentences.get_or_compute(sentence, |key| self.analyzer.verdict(Arc::clone(key)))
         })
     }
 
@@ -69,7 +77,6 @@ mod tests {
     use super::*;
     use ppchecker_nlp::Interner;
     use ppchecker_policy::encode_analysis;
-    use std::sync::Arc;
 
     fn stock() -> ArtifactCache {
         ArtifactCache::new(PolicyAnalyzer::new())
@@ -135,6 +142,23 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (2, 2, 2));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// A useful sentence's text is the memo's key: every policy that
+    /// repeats the sentence holds that one allocation, and the analysis
+    /// made no copy of its own. The direct analysis copies the text.
+    #[test]
+    fn a_repeated_sentence_shares_its_text_with_the_key() {
+        let cache = stock();
+        let first = cache.policy("<p>we may collect your location. we value privacy.</p>");
+        let again = cache.policy("<p>we value privacy. we may collect your location.</p>");
+        let (a, b) = (&first.sentences[0].text, &again.sentences[0].text);
+        assert_eq!(&**a, "we may collect your location.");
+        assert!(Arc::ptr_eq(a, b), "the repeat holds another copy of the text");
+        assert_eq!(Arc::strong_count(a), 2, "the key and the analyzed sentence, nothing else");
+        let direct = PolicyAnalyzer::new().analyze_html("<p>we may collect your location.</p>");
+        assert!(!Arc::ptr_eq(a, &direct.sentences[0].text));
+        assert_eq!(Arc::strong_count(&direct.sentences[0].text), 1);
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub struct Interpreter {
     /// Memoized interpretation vectors, keyed by the text itself. Policy
     /// phrases and resource names repeat massively across a corpus, so
     /// [`vector_of`](Self::vector_of) interprets each text once. Keying
-    /// by text keeps the phrases out of the interner.
-    vector_cache: Memo<Box<str>, Arc<SparseVector>>,
+    /// by text keeps the phrases out of the interner; an `Arc<str>` key
+    /// clones without copying the text.
+    vector_cache: Memo<Arc<str>, Arc<SparseVector>>,
     /// `same_thing` verdicts at the paper threshold, keyed by
     /// canonically ordered symbol pair (cosine is symmetric, so `(a, b)`
     /// and `(b, a)` share one entry). A corpus re-asks identical resource
@@ -166,7 +167,7 @@ impl Interpreter {
     /// combine them with [`similarity_above`](Self::similarity_above) or
     /// [`kernel::cosine`], instead of paying a cache probe per pair.
     pub fn vector_of(&self, text: &str) -> Arc<SparseVector> {
-        self.vector_cache.get_or_compute(text, || {
+        self.vector_cache.get_or_compute(text, |_| {
             let _span = ppchecker_obs::span!("esa.vector_build");
             Arc::new(self.interpret_sparse(text))
         })
@@ -220,7 +221,7 @@ impl Interpreter {
         if threshold != SIMILARITY_THRESHOLD {
             return decide();
         }
-        self.pair_memo.get_or_compute(&if a <= b { (a, b) } else { (b, a) }, decide)
+        self.pair_memo.get_or_compute(&if a <= b { (a, b) } else { (b, a) }, |_| decide())
     }
 }
 

@@ -4,15 +4,24 @@
 //!
 //! A memo has three properties:
 //!
-//! - **Fill once.** Each resident key owns a `OnceLock` cell. However
-//!   many threads ask for a new key at once, one of them computes the
-//!   value; the others block on the cell, then read it.
+//! - **Fill once.** A key seen for the first time gets a `Pending` slot
+//!   holding an `Arc<OnceLock>` cell. However many threads ask for the
+//!   key at once, one of them computes the value; the others block on
+//!   the cell, then read it. The thread that computed it replaces the
+//!   slot with `Ready(value)`, so a filled entry is its key and its value
+//!   and nothing more.
 //! - **Exact counts.** Every lookup counts exactly one hit or one miss.
 //!   A miss means this call computed the value, so `misses` is the
 //!   number of values this process computed, for any thread
 //!   interleaving.
 //! - **Cap.** Past `cap` resident keys a miss computes its value without
-//!   admitting it, so a resident process holds at most `cap` values.
+//!   admitting it, so a resident process holds at most `cap` values. The
+//!   map never shrinks, so a miss that finds it full under the read lock
+//!   computes at once and never takes the write lock.
+//!
+//! `compute` receives the key the map keeps (a fresh one past the cap),
+//! so a value may share it: the policy cache's analyzed sentences hold
+//! their key's `Arc<str>` as their text.
 //!
 //! The map is one `RwLock<HashMap>` with std's randomly keyed SipHash:
 //! some keys (policy sentences, description phrases) come from outside
@@ -58,76 +67,138 @@ impl CacheStats {
     }
 }
 
+/// A key a memo can keep, built from the borrowed form a lookup probes
+/// with: a copy of a plain value, or one allocation for shared text.
+pub trait MemoKey<Q: ?Sized>: Borrow<Q> + Hash + Eq + Clone {
+    /// The key to keep for `probe`.
+    fn from_probe(probe: &Q) -> Self;
+}
+
+impl<K: Copy + Hash + Eq> MemoKey<K> for K {
+    fn from_probe(probe: &K) -> K {
+        *probe
+    }
+}
+
+impl MemoKey<str> for Arc<str> {
+    fn from_probe(probe: &str) -> Arc<str> {
+        Arc::from(probe)
+    }
+}
+
+/// One resident key's entry.
+#[derive(Debug)]
+enum Slot<V> {
+    /// The filled value.
+    Ready(V),
+    /// A fill in flight: its filler and any thread that asks meanwhile
+    /// share the cell.
+    Pending(Arc<OnceLock<V>>),
+}
+
+/// What a lookup found under a lock.
+enum Probe<K, V> {
+    Hit(V),
+    Join(K, Arc<OnceLock<V>>),
+    Full,
+    Absent,
+}
+
 /// A thread-safe, cap-bounded, fill-once memo (see the module docs).
 #[derive(Debug)]
 pub struct Memo<K, V> {
-    map: RwLock<HashMap<K, Arc<OnceLock<V>>>>,
+    map: RwLock<HashMap<K, Slot<V>>>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<K: Hash + Eq, V: Clone> Memo<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     /// An empty memo admitting at most `cap` keys.
     pub fn new(cap: usize) -> Self {
         Memo { map: RwLock::default(), cap, hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
     }
 
     /// The value of `key`, computed with `compute` when no resident value
-    /// exists; a computation counts one miss. A panicking `compute`
-    /// passes its panic to the caller and leaves the key empty, so the
-    /// next lookup fills it. `compute` may use other memos but must not
-    /// look up its own key, which would wait on itself.
-    pub fn get_or_compute<Q>(&self, key: &Q, compute: impl FnOnce() -> V) -> V
+    /// exists; a computation counts one miss. `compute` gets the key the
+    /// memo keeps, or a fresh one when the memo is full. A panicking
+    /// `compute` passes its panic to the caller and leaves the key
+    /// empty, so a thread already waiting on it, or else the next
+    /// lookup, fills it. `compute` may use other memos but must not look
+    /// up its own key, which would wait on itself.
+    pub fn get_or_compute<Q>(&self, key: &Q, compute: impl FnOnce(&K) -> V) -> V
     where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned + ?Sized,
-        Q::Owned: Into<K>,
+        K: MemoKey<Q>,
+        Q: Hash + Eq + ?Sized,
     {
-        let hit = self.map.read().expect("memo lock").get(key).and_then(|cell| cell.get().cloned());
-        if let Some(value) = hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return value;
-        }
-        let compute = || {
-            let value = compute();
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            value
+        let probe = {
+            let map = self.map.read().expect("memo lock");
+            match map.get_key_value(key) {
+                Some((_, Slot::Ready(value))) => {
+                    let value = value.clone();
+                    drop(map);
+                    return self.hit(value);
+                }
+                found => self.probe(found, map.len()),
+            }
         };
-        let Some(cell) = self.cell(key) else {
-            return compute();
+        let (kept, cell) = match probe {
+            Probe::Hit(value) => return self.hit(value),
+            Probe::Full => return self.miss(compute(&K::from_probe(key))),
+            Probe::Join(kept, cell) => (kept, cell),
+            Probe::Absent => {
+                let mut map = self.map.write().expect("memo lock");
+                match self.probe(map.get_key_value(key), map.len()) {
+                    Probe::Hit(value) => return self.hit(value),
+                    Probe::Full => {
+                        drop(map);
+                        return self.miss(compute(&K::from_probe(key)));
+                    }
+                    Probe::Join(kept, cell) => (kept, cell),
+                    Probe::Absent => {
+                        let kept = K::from_probe(key);
+                        let cell = Arc::new(OnceLock::new());
+                        map.insert(kept.clone(), Slot::Pending(Arc::clone(&cell)));
+                        (kept, cell)
+                    }
+                }
+            }
         };
         let mut filled_here = false;
         let value = cell
             .get_or_init(|| {
+                let value = compute(&kept);
                 filled_here = true;
-                compute()
+                value
             })
             .clone();
         if !filled_here {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            return self.hit(value);
         }
+        if let Some(slot) = self.map.write().expect("memo lock").get_mut(key) {
+            *slot = Slot::Ready(value.clone());
+        }
+        self.miss(value)
+    }
+
+    /// What a lookup that found `found` in a map of `len` keys does.
+    fn probe(&self, found: Option<(&K, &Slot<V>)>, len: usize) -> Probe<K, V> {
+        match found {
+            Some((_, Slot::Ready(value))) => Probe::Hit(value.clone()),
+            Some((kept, Slot::Pending(cell))) => Probe::Join(kept.clone(), Arc::clone(cell)),
+            None if len >= self.cap => Probe::Full,
+            None => Probe::Absent,
+        }
+    }
+
+    fn hit(&self, value: V) -> V {
+        self.hits.fetch_add(1, Ordering::Relaxed);
         value
     }
 
-    /// The cell of `key`, inserted empty on first sight; `None` when the
-    /// key is absent and the memo is full.
-    fn cell<Q>(&self, key: &Q) -> Option<Arc<OnceLock<V>>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned + ?Sized,
-        Q::Owned: Into<K>,
-    {
-        let mut map = self.map.write().expect("memo lock");
-        if let Some(cell) = map.get(key) {
-            return Some(Arc::clone(cell));
-        }
-        if map.len() >= self.cap {
-            return None;
-        }
-        let cell = Arc::new(OnceLock::new());
-        map.insert(key.to_owned().into(), Arc::clone(&cell));
-        Some(cell)
+    fn miss(&self, value: V) -> V {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// Snapshot of the counters.
@@ -156,7 +227,7 @@ mod tests {
             for _ in 0..threads {
                 scope.spawn(|| {
                     start.wait();
-                    let value = memo.get_or_compute(&7, || {
+                    let value = memo.get_or_compute(&7, |_| {
                         fills.fetch_add(1, Ordering::Relaxed);
                         std::thread::sleep(Duration::from_millis(50));
                         49
@@ -173,7 +244,7 @@ mod tests {
     #[test]
     fn every_lookup_counts_once_and_entries_stay_within_the_cap() {
         for cap in 1..=4 {
-            let memo: Memo<Box<str>, String> = Memo::new(cap);
+            let memo: Memo<Arc<str>, String> = Memo::new(cap);
             let keys: Vec<String> = (0..6).map(|i| format!("key {i}")).collect();
             let (threads, per_thread) = (8, 24);
             std::thread::scope(|scope| {
@@ -183,7 +254,7 @@ mod tests {
                         for i in 0..per_thread {
                             let key = &keys[(t + i) % keys.len()];
                             assert_eq!(
-                                memo.get_or_compute(key.as_str(), || key.to_uppercase()),
+                                memo.get_or_compute(key.as_str(), |kept| kept.to_uppercase()),
                                 key.to_uppercase()
                             );
                         }
@@ -205,11 +276,11 @@ mod tests {
             computes.fetch_add(1, Ordering::Relaxed);
             k * k
         };
-        assert_eq!(memo.get_or_compute(&2, || square(2)), 4);
+        assert_eq!(memo.get_or_compute(&2, |&k| square(k)), 4);
         for _ in 0..3 {
-            assert_eq!(memo.get_or_compute(&3, || square(3)), 9);
+            assert_eq!(memo.get_or_compute(&3, |&k| square(k)), 9);
         }
-        assert_eq!(memo.get_or_compute(&2, || square(2)), 4);
+        assert_eq!(memo.get_or_compute(&2, |&k| square(k)), 4);
         assert_eq!(computes.load(Ordering::Relaxed), 4, "the admitted key computed once");
         let stats = memo.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (4, 1, 1));
@@ -221,13 +292,84 @@ mod tests {
     fn a_panicking_fill_reaches_its_caller_and_the_key_fills_later() {
         let memo: Memo<u32, u32> = Memo::new(4);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            memo.get_or_compute(&1, || panic!("fill failed"))
+            memo.get_or_compute(&1, |_| panic!("fill failed"))
         }));
         let message = caught.expect_err("the panic must reach the caller");
         assert_eq!(message.downcast_ref::<&str>(), Some(&"fill failed"));
-        assert_eq!(memo.get_or_compute(&1, || 10), 10);
-        assert_eq!(memo.get_or_compute(&1, || 11), 10);
+        assert_eq!(memo.get_or_compute(&1, |_| 10), 10);
+        assert_eq!(memo.get_or_compute(&1, |_| 11), 10);
         let stats = memo.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert!(memo.is_ready(&1), "the refill left its value in the map");
+    }
+
+    /// A thread that joins a fill in flight, whose filler then panics,
+    /// computes the value itself: one miss, and the entry is ready for
+    /// every later lookup.
+    #[test]
+    fn a_joiner_of_a_panicked_fill_computes_it_and_later_lookups_hit() {
+        let memo: Memo<u32, u32> = Memo::new(4);
+        let filling = std::sync::Barrier::new(2);
+        let joiner_fills = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let filler = scope.spawn(|| {
+                memo.get_or_compute(&1, |_| {
+                    filling.wait();
+                    // Whenever the joiner arrives it finds the pending
+                    // slot; the pause makes it likely that it is already
+                    // blocked on the cell when the panic comes, which no
+                    // barrier can observe.
+                    std::thread::sleep(Duration::from_millis(100));
+                    panic!("fill failed")
+                })
+            });
+            let joiner = scope.spawn(|| {
+                filling.wait();
+                assert!(!memo.is_ready(&1), "the fill is still in flight");
+                memo.get_or_compute(&1, |&k| {
+                    joiner_fills.fetch_add(1, Ordering::Relaxed);
+                    k + 9
+                })
+            });
+            assert!(filler.join().is_err(), "the filler's panic reaches it");
+            assert_eq!(joiner.join().expect("the joiner computes"), 10);
+        });
+        assert_eq!(joiner_fills.load(Ordering::Relaxed), 1);
+        assert_eq!((memo.stats().misses, memo.stats().hits), (1, 0));
+        assert!(memo.is_ready(&1));
+        for _ in 0..3 {
+            assert_eq!(memo.get_or_compute(&1, |_| unreachable!("a ready key recomputed")), 10);
+        }
+        let stats = memo.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 3, 1));
+    }
+
+    /// `compute` gets the very key the map keeps, so a value can share
+    /// it; past the cap it gets a fresh key the map does not hold.
+    #[test]
+    fn compute_receives_the_kept_key_and_a_fresh_one_past_the_cap() {
+        let memo: Memo<Arc<str>, Arc<str>> = Memo::new(1);
+        let value = memo.get_or_compute("kept", Arc::clone);
+        let map = memo.map.read().expect("memo lock");
+        let (kept, _) = map.get_key_value("kept").expect("admitted");
+        assert!(Arc::ptr_eq(kept, &value), "compute saw a copy of the key");
+        drop(map);
+        let hit = memo.get_or_compute("kept", |_| unreachable!("a ready key recomputed"));
+        assert!(Arc::ptr_eq(&hit, &value));
+
+        let first = memo.get_or_compute("past", Arc::clone);
+        let second = memo.get_or_compute("past", Arc::clone);
+        assert_eq!((&*first, &*second), ("past", "past"));
+        assert!(!Arc::ptr_eq(&first, &second), "each past-cap miss builds its own key");
+        assert!(memo.map.read().expect("memo lock").get("past").is_none());
+        let stats = memo.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (3, 1, 1));
+    }
+
+    impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
+        /// Whether `key` holds a filled value in the map.
+        fn is_ready(&self, key: &K) -> bool {
+            matches!(self.map.read().expect("memo lock").get(key), Some(Slot::Ready(_)))
+        }
     }
 }

@@ -20,8 +20,9 @@ use std::sync::{Arc, OnceLock};
 /// A useful sentence with its extracted elements.
 #[derive(Debug, Clone)]
 pub struct AnalyzedSentence {
-    /// Normalized sentence text.
-    pub text: String,
+    /// Normalized sentence text. Shared: a cache that keys its verdicts
+    /// by the sentence holds this same allocation as the key.
+    pub text: Arc<str>,
     /// Behaviour category of the main verb.
     pub category: VerbCategory,
     /// `true` if the sentence is negated (Step 5).
@@ -325,8 +326,8 @@ impl PolicyAnalyzer {
 
     /// The verdict on one sentence: a disclaimer, or else
     /// [`analyze_sentence`](Self::analyze_sentence)'s result.
-    pub fn verdict(&self, sentence: &str) -> SentenceVerdict {
-        if disclaimer::is_disclaimer(sentence) {
+    pub fn verdict(&self, sentence: impl AsRef<str> + Into<Arc<str>>) -> SentenceVerdict {
+        if disclaimer::is_disclaimer(sentence.as_ref()) {
             return SentenceVerdict::Disclaimer;
         }
         match self.analyze_sentence(sentence) {
@@ -336,8 +337,15 @@ impl PolicyAnalyzer {
     }
 
     /// Runs steps 2 and 4–6 on one sentence. Returns `None` for sentences
-    /// that are not useful.
-    pub fn analyze_sentence(&self, sentence: &str) -> Option<AnalyzedSentence> {
+    /// that are not useful. A useful sentence keeps `text` as its
+    /// [`text`](AnalyzedSentence::text): a `&str` is copied there, an
+    /// `Arc<str>` is kept as it is; a sentence that is not useful copies
+    /// nothing.
+    pub fn analyze_sentence(
+        &self,
+        text: impl AsRef<str> + Into<Arc<str>>,
+    ) -> Option<AnalyzedSentence> {
+        let sentence = text.as_ref();
         let p = parse(sentence);
         let m = match_sentence(&p, &self.patterns)?;
         let negative = negation::is_negative(&p, m.verb)
@@ -383,12 +391,13 @@ impl PolicyAnalyzer {
             return None;
         }
 
+        let purpose = detect_purpose(sentence);
         Some(AnalyzedSentence {
-            text: sentence.to_string(),
+            text: text.into(),
             category: m.category,
             negative,
             conditional,
-            purpose: detect_purpose(sentence),
+            purpose,
             elements: Elements { resources, ..els },
         })
     }

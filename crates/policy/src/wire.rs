@@ -107,7 +107,7 @@ pub fn decode_analysis(bytes: &[u8]) -> Result<PolicyAnalysis, WireError> {
     let n = r.seq()?;
     let mut sentences = Vec::with_capacity(n);
     for _ in 0..n {
-        let text = r.str()?.to_string();
+        let text = Arc::from(r.str()?);
         let category = category_from(r.u8()?)?;
         let negative = r.bool()?;
         let conditional = r.bool()?;

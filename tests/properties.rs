@@ -267,6 +267,87 @@ proptest! {
     }
 }
 
+// ---------- stored-byte decoders ----------
+
+/// The wire encodings of the paper prefix: each app's policy analysis
+/// and its report, as the store keeps them.
+fn paper_prefix_encodings() -> &'static [(Vec<u8>, Vec<u8>)] {
+    static ENCODINGS: std::sync::OnceLock<Vec<(Vec<u8>, Vec<u8>)>> = std::sync::OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        let dataset = ppchecker_corpus::paper_dataset(42);
+        let checker = dataset.make_checker();
+        dataset
+            .iter_apps()
+            .map(|app| {
+                let analysis = checker.analyzer().analyze_html(&app.policy_html);
+                let report = checker.check_app(app).expect("paper apps check").report;
+                (
+                    ppchecker_policy::encode_analysis(&analysis),
+                    ppchecker_core::encode_report(&report),
+                )
+            })
+            .collect()
+    })
+}
+
+/// Decodes `bytes` as an analysis and as a report. Each either fails or
+/// gives a value whose encoding decodes and re-encodes to itself.
+fn decode_both(bytes: &[u8]) -> Result<(), String> {
+    use ppchecker_core::{decode_report, encode_report};
+    use ppchecker_policy::{decode_analysis, encode_analysis};
+    if let Ok(analysis) = decode_analysis(bytes) {
+        let once = encode_analysis(&analysis);
+        let again = decode_analysis(&once).map_err(|e| format!("re-decode analysis: {e}"))?;
+        prop_assert_eq!(encode_analysis(&again), once);
+    }
+    if let Ok(report) = decode_report(bytes) {
+        let once = encode_report(&report);
+        let again = decode_report(&once).map_err(|e| format!("re-decode report: {e}"))?;
+        prop_assert_eq!(encode_report(&again), once);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The analysis and report decoders are total over arbitrary bytes.
+    #[test]
+    fn stored_byte_decoders_are_total(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
+        decode_both(&bytes)?;
+    }
+
+    /// A paper-prefix encoding decodes and re-encodes to its own bytes;
+    /// every truncation of it is an error, and changing any one byte of
+    /// it gives an error or a value, never a panic.
+    #[test]
+    fn stored_paper_encodings_round_trip_and_survive_cuts_and_flips(
+        app in 0..ppchecker_corpus::APP_COUNT,
+        delta in 1u8..255,
+    ) {
+        use ppchecker_core::{decode_report, encode_report};
+        use ppchecker_policy::{decode_analysis, encode_analysis};
+        let encodings = paper_prefix_encodings();
+        prop_assert_eq!(encodings.len(), ppchecker_corpus::APP_COUNT);
+        let (analysis, report) = &encodings[app];
+        let decoded = decode_analysis(analysis).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&encode_analysis(&decoded), analysis);
+        let decoded = decode_report(report).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&encode_report(&decoded), report);
+        prop_assert!((0..analysis.len()).all(|cut| decode_analysis(&analysis[..cut]).is_err()));
+        prop_assert!((0..report.len()).all(|cut| decode_report(&report[..cut]).is_err()));
+        for bytes in [analysis, report] {
+            for cut in 0..bytes.len() {
+                decode_both(&bytes[..cut])?;
+            }
+            let mut mutated = bytes.clone();
+            for i in 0..mutated.len() {
+                mutated[i] = bytes[i].wrapping_add(delta);
+                decode_both(&mutated)?;
+                mutated[i] = bytes[i];
+            }
+        }
+    }
+}
+
 // ---------- HTML extraction ----------
 
 proptest! {
