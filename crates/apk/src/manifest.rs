@@ -326,14 +326,36 @@ mod tests {
         assert_eq!(m.permissions.len(), 1);
     }
 
+    /// A hand-written document with a comment line and a service.
+    const SAMPLE: &str = "\
+# demo manifest
+package com.example.weather
+permission ACCESS_FINE_LOCATION
+permission INTERNET
+activity com.example.weather.Main main
+service com.example.weather.Sync
+";
+
     #[test]
     fn text_format_round_trips() {
         let mut m = Manifest::new("com.example");
         m.add_permission(Permission::Camera);
         m.add_component(ComponentKind::Activity, "com.example.Main", true);
         m.add_component(ComponentKind::Provider, "com.example.Data", false);
-        let again = Manifest::from_text(&m.to_text()).unwrap();
-        assert_eq!(m, again);
+        let sample = Manifest::from_text(SAMPLE).unwrap();
+        assert_eq!(sample.package, "com.example.weather");
+        assert!(sample.has_permission(&Permission::AccessFineLocation));
+        assert_eq!(sample.components.len(), 2);
+        for manifest in [m, sample] {
+            let again = Manifest::from_text(&manifest.to_text()).unwrap();
+            assert_eq!(manifest, again);
+        }
+    }
+
+    #[test]
+    fn text_format_rejects_unknown_directives_and_a_missing_package() {
+        assert_eq!(Manifest::from_text("package a\nbogus x\n").unwrap_err().line, 2);
+        assert!(Manifest::from_text("permission CAMERA\n").is_err());
     }
 
     #[test]
@@ -342,5 +364,7 @@ mod tests {
         m.add_component(ComponentKind::Service, "com.example.Sync", false);
         m.add_component(ComponentKind::Activity, "com.example.Main", true);
         assert_eq!(m.main_activity().unwrap().class_name, "com.example.Main");
+        let sample = Manifest::from_text(SAMPLE).unwrap();
+        assert_eq!(sample.main_activity().unwrap().class_name, "com.example.weather.Main");
     }
 }

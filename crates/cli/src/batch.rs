@@ -27,14 +27,14 @@
 //! `--jobs 1` and `--jobs 16` produce byte-identical bytes — while the
 //! timing-dependent metrics summary is returned separately for stderr.
 
-use crate::json::{escape_into, report_to_json_into};
-use crate::{manifest_text, CliError};
-use ppchecker_apk::{packer, Apk};
+use crate::CliError;
+use ppchecker_apk::{packer, Apk, Manifest};
 use ppchecker_core::{
     AppInput, BoilerplateIndex, DataSafetyLabel, DetectorId, DetectorRegistry, PPChecker,
 };
 use ppchecker_corpus::{stream_scaled, DatasetManifest};
 use ppchecker_engine::{available_jobs, AggregateSummary, AppRecord, Engine};
+use ppchecker_serve::json::{escape_into, report_to_json_into};
 use ppchecker_store::Store;
 use std::fmt::Write as _;
 use std::fs;
@@ -147,7 +147,7 @@ pub fn load_app_dir(dir: &Path) -> Result<AppInput, CliError> {
         fs::read_to_string(dir.join(name))
             .map_err(|e| CliError(format!("{}/{name}: {e}", dir.display())))
     };
-    let manifest = manifest_text::parse_manifest(&read("manifest.txt")?)
+    let manifest = Manifest::from_text(&read("manifest.txt")?)
         .map_err(|e| CliError(format!("{}/manifest.txt: {e}", dir.display())))?;
     let package = manifest.package.clone();
 

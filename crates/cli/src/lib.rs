@@ -27,19 +27,18 @@
 //!
 //! The dex file uses the textual serialization of
 //! [`ppchecker_apk::packer`]; the manifest uses the line format of
-//! [`manifest_text`].
+//! [`ppchecker_apk::Manifest::from_text`]. `--json` output is the wire
+//! schema of [`ppchecker_serve::json`].
 
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod json;
-pub mod manifest_text;
 pub mod serve;
 
 pub use batch::{builtin_lib_policies, run_batch, run_batch_to, BatchOptions, BatchSource};
 pub use serve::{parse_serve_args, run_serve, ServeOptions};
 
-use ppchecker_apk::{packer, Apk};
+use ppchecker_apk::{packer, Apk, Manifest};
 use ppchecker_core::{suggest_fixes, AppInput, DetectorId, PPChecker};
 use ppchecker_policy::{PolicyAnalyzer, VerbCategory};
 use std::fmt::Write as _;
@@ -213,8 +212,7 @@ pub fn parse_detectors(value: &str) -> Result<Vec<DetectorId>, CliError> {
 ///
 /// Returns [`CliError`] when any input fails to parse.
 pub fn run_check(opts: &CheckOptions) -> Result<String, CliError> {
-    let manifest =
-        manifest_text::parse_manifest(&opts.manifest_text).map_err(|e| CliError(e.to_string()))?;
+    let manifest = Manifest::from_text(&opts.manifest_text).map_err(|e| CliError(e.to_string()))?;
     let dex = packer::deserialize(&opts.dex_text).map_err(|e| CliError(e.to_string()))?;
     let package = manifest.package.clone();
     let app = AppInput {
@@ -248,7 +246,7 @@ pub fn run_check(opts: &CheckOptions) -> Result<String, CliError> {
     }
     let report = checker.check(request.build()).map_err(|e| CliError(e.to_string()))?;
     if opts.json {
-        return Ok(format!("{}\n", json::report_to_json(&report)));
+        return Ok(format!("{}\n", ppchecker_serve::json::report_to_json(&report)));
     }
     let mut out = String::new();
     let _ = write!(out, "{report}");

@@ -24,8 +24,7 @@
 //! * **Persistent warm starts** — [`Engine::with_store`] attaches a
 //!   `ppchecker-store` artifact store: whole app reports replay from disk
 //!   across process restarts, so a re-run over an updated corpus only
-//!   re-analyzes apps that actually changed ([`diff_batches`] then
-//!   reports the per-app verdict movement).
+//!   re-analyzes apps that actually changed.
 //! * **One per-app body** — [`Engine::check_one`] is what every batch
 //!   worker runs per app and what the `ppchecker-serve` daemon runs per
 //!   request: store probe, panic guard, cached policy analysis, persist.
@@ -48,14 +47,12 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod delta;
 pub mod engine;
 pub mod metrics;
 pub mod report;
 pub mod scheduler;
 
 pub use cache::ArtifactCache;
-pub use delta::{diff_batches, AppDelta, BatchDelta, DeltaKind, Verdict};
 pub use engine::{available_jobs, Engine, StreamSummary};
 pub use metrics::{EngineSnapshot, MetricsSummary, StoreSummary};
 pub use ppchecker_obs::CacheStats;

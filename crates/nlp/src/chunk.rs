@@ -138,11 +138,6 @@ pub fn chunk_nps_into(tokens: &[Token], chunks: &mut Vec<NounPhrase>) {
     }
 }
 
-/// Finds the chunk containing token `idx`, if any.
-pub fn chunk_of(chunks: &[NounPhrase], idx: usize) -> Option<&NounPhrase> {
-    chunks.iter().find(|c| c.contains(idx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

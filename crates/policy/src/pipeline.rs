@@ -194,11 +194,6 @@ impl PolicyAnalysis {
         syms
     }
 
-    /// Union of negated resources across all four categories.
-    pub fn denied_resources(&self) -> BTreeSet<&'static str> {
-        VerbCategory::ALL.into_iter().flat_map(|c| self.resources(c, true)).collect()
-    }
-
     /// Positive sentences (for Algorithm 5's lib side).
     pub fn positive_sentences(&self) -> impl Iterator<Item = &AnalyzedSentence> {
         self.sentences.iter().map(|s| &**s).filter(|s| !s.negative)

@@ -88,7 +88,7 @@ pub fn encode_analysis(a: &PolicyAnalysis) -> Vec<u8> {
         }
         w.seq(s.elements.constraints.len());
         for c in &s.elements.constraints {
-            w.u8(matches!(c.kind, ConstraintKind::Pre) as u8);
+            w.bool(matches!(c.kind, ConstraintKind::Pre));
             w.str(&c.text);
         }
     }
@@ -122,7 +122,7 @@ pub fn decode_analysis(bytes: &[u8]) -> Result<PolicyAnalysis, WireError> {
         let n_con = r.seq()?;
         let mut constraints = Vec::with_capacity(n_con);
         for _ in 0..n_con {
-            let kind = if r.u8()? == 1 { ConstraintKind::Pre } else { ConstraintKind::Post };
+            let kind = if r.bool()? { ConstraintKind::Pre } else { ConstraintKind::Post };
             constraints.push(Constraint { kind, text: r.str()?.to_string() });
         }
         sentences.push(Arc::new(AnalyzedSentence {
@@ -196,6 +196,20 @@ mod tests {
         for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_analysis(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn bad_constraint_kind_is_an_error() {
+        let analysis =
+            PolicyAnalyzer::new().analyze_text("we may collect your location if you agree.");
+        let [sentence] = &analysis.sentences[..] else { panic!("one useful sentence") };
+        let [constraint] = &sentence.elements.constraints[..] else { panic!("one constraint") };
+        let mut bytes = encode_analysis(&analysis);
+        // The encoding ends with the constraint: kind byte, u32 length, text.
+        let kind_at = bytes.len() - constraint.text.len() - 5;
+        assert_eq!(bytes[kind_at], 1, "a consent pre-condition");
+        bytes[kind_at] = 7;
+        assert!(decode_analysis(&bytes).is_err());
     }
 
     #[test]

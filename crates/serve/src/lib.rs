@@ -16,7 +16,8 @@
 //!   in input order, with *blocking* admission — bulk clients get
 //!   backpressure instead of retry loops.
 //!
-//! Both speak the wire schema in [`json`], and both admit checks through
+//! Both speak the wire schema in [`json`] (schema 2, which the CLI's
+//! `--json` and batch JSONL also write), and both admit checks through
 //! one gate: at most `workers` checks run at once and at most
 //! `workers + queue_depth` are admitted. A `/check` runs on its
 //! connection thread; a `/batch` or a JSONL connection fans out, on
@@ -53,7 +54,6 @@ pub mod http;
 pub mod json;
 mod jsonl;
 pub mod server;
-pub mod wire;
 
 pub use client::{Client, JsonlClient};
 pub use server::{Counters, Server, ServerHandle};

@@ -123,11 +123,6 @@ pub const KNOWN_LIBS: &[KnownLib] = &[
     lib("testfairy", "com.testfairy", LibKind::DevTool),
 ];
 
-/// Finds a known library by id.
-pub fn by_id(id: &str) -> Option<&'static KnownLib> {
-    KNOWN_LIBS.iter().find(|l| l.id == id)
-}
-
 /// Detects the third-party libraries embedded in a dex by scanning class
 /// name prefixes. Returns library ids, deduplicated, in table order.
 pub fn detect_libs(dex: &Dex) -> Vec<&'static KnownLib> {

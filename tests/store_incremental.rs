@@ -6,11 +6,11 @@
 //! populates the store; a warm batch over the unchanged snapshot skips
 //! every app and reproduces the same records; the next release (policy
 //! drift, permission adds, lib swaps on a fraction of apps) re-analyzes
-//! only the mutated apps; and the verdict delta between releases is
-//! confined to the changed packages.
+//! only the mutated apps; and the records that differ between releases
+//! all belong to changed packages.
 
 use ppchecker_corpus::{versioned_history, CorpusVersion, VersionedHistory};
-use ppchecker_engine::{diff_batches, BatchReport, Engine};
+use ppchecker_engine::{BatchReport, Engine};
 use ppchecker_store::Store;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,6 +37,13 @@ fn run_version(
     (batch, skipped)
 }
 
+fn assert_same_records(a: &BatchReport, b: &BatchReport, why: &str) {
+    assert_eq!(a.records.len(), b.records.len(), "{why}");
+    for (x, y) in a.records.iter().zip(b.records.iter()) {
+        assert_eq!(format!("{x:?}"), format!("{y:?}"), "{why}");
+    }
+}
+
 #[test]
 fn versioned_corpus_reanalyzes_only_what_changed() {
     let apps = 40;
@@ -50,11 +57,7 @@ fn versioned_corpus_reanalyzes_only_what_changed() {
     // Warm, after a "restart": every app replays, records identical.
     let (warm, skipped) = run_version(&history, &history.versions[0], &dir);
     assert_eq!(skipped as usize, apps, "unchanged snapshot skips every app");
-    assert_eq!(cold.records.len(), warm.records.len());
-    for (a, b) in cold.records.iter().zip(warm.records.iter()) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "replayed record differs");
-    }
-    assert!(diff_batches(&cold, &warm).is_quiet(), "warm replay must not move verdicts");
+    assert_same_records(&cold, &warm, "replayed record differs");
 
     // Next release: only the mutated apps pay for analysis.
     let v1 = &history.versions[1];
@@ -67,15 +70,19 @@ fn versioned_corpus_reanalyzes_only_what_changed() {
         "incremental run re-analyzes exactly the changed apps"
     );
 
-    // The verdict delta is confined to changed packages.
-    let delta = diff_batches(&cold, &next);
-    assert_eq!(delta.unchanged + delta.changed(), apps, "same population, no adds/removes");
-    assert_eq!(delta.added(), 0);
-    assert_eq!(delta.removed(), 0);
-    assert!(delta.changed() <= changed, "verdicts may only move on mutated apps");
+    // Same population, and only mutated apps' records move: the others
+    // replay their stored reports byte for byte.
     let mutated: Vec<&str> = v1.changes.iter().map(|c| c.package.as_str()).collect();
-    for d in &delta.deltas {
-        assert!(mutated.contains(&d.package.as_str()), "{} moved but was not mutated", d.package);
+    assert_eq!(cold.records.len(), next.records.len());
+    for (a, b) in cold.records.iter().zip(next.records.iter()) {
+        assert_eq!(a.package, b.package, "same packages in submission order");
+        if format!("{a:?}") != format!("{b:?}") {
+            assert!(
+                mutated.contains(&a.package.as_str()),
+                "{} moved but was not mutated",
+                a.package
+            );
+        }
     }
 
     // One more release over the same store still only pays for changes.
@@ -111,7 +118,7 @@ fn store_survives_corruption_between_releases() {
     // The next run treats every defect as a miss and recomputes.
     let (recovered, skipped) = run_version(&history, &history.versions[0], &dir);
     assert_eq!(skipped, 0, "corrupt records must not replay");
-    assert!(diff_batches(&cold, &recovered).is_quiet(), "recompute reproduces the verdicts");
+    assert_same_records(&cold, &recovered, "recompute reproduces the records");
 
     // And the store is healthy again: a further run replays everything.
     let (_, skipped) = run_version(&history, &history.versions[0], &dir);
